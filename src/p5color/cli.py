@@ -325,7 +325,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         colors = tuple(
             frozenset(coloring[str(v)]) for v in range(g.n)
         )
-        k = payload.get("chi") or payload.get("chi_w")
+        k = payload["chi"] if "chi" in payload else payload.get("chi_w")
         mc = MultiColoring(colors, k)
         validate_coloring(g, mc, weights)
         used = len(mc.colors_used())

@@ -8,6 +8,11 @@ in a chordal graph every minimal separator shows up as the set of
 later-ordered H-neighbors of some vertex. Testing those n candidate
 sets for cliqueness in the original graph and for disconnection is
 therefore a complete (and polynomial) search.
+
+The search and the tree work on vertex bitmasks of the input graph:
+each tree node runs MCS-M once on its span and tests each candidate Q
+by the components of span - Q, without relabelled copies. The validator
+re-checks each leaf on an induced copy.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, validate_coloring
-from .graph import Graph, components, is_clique, set_of
+from .graph import Graph, bits_of, components, is_clique, iter_bits, set_of
 
 
 @dataclass(frozen=True)
@@ -66,33 +71,27 @@ def tree_to_json(t: CDecompTree) -> dict:
 # -- separator search ----------------------------------------------------------
 
 
-def _mcs_m(g: Graph) -> tuple[list[int], list[int]]:
-    """Maximum cardinality search for minimal triangulation.
+def _mcs_m(g: Graph, span: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Maximum cardinality search for minimal triangulation of g[span].
 
-    Returns (number, h_adj): number[v] is v's position (n down to 1) and
-    h_adj[v] the adjacency bitmask of v in the triangulated graph H.
+    Returns (number, h_adj), keyed by the vertices of the bitmask span:
+    number[v] is v's position (|span| down to 1) and h_adj[v] the
+    adjacency bitmask of v in the triangulated graph H.
     """
-    n = g.n
-    weight = [0] * n
-    number = [0] * n
-    h_adj = [g.adj_bits(v) for v in range(n)]
-    numbered = 0
-    for i in range(n, 0, -1):
-        v = min(
-            (u for u in range(n) if not numbered >> u & 1),
-            key=lambda u: (-weight[u], u),
-        )
+    weight = dict.fromkeys(iter_bits(span), 0)
+    number = {}
+    h_adj = {v: g.adj_bits(v) & span for v in weight}
+    unnumbered = span
+    for i in range(len(weight), 0, -1):
+        # heaviest unnumbered vertex; max keeps the first, so ties go to the smallest id
+        v = max(iter_bits(unnumbered), key=weight.__getitem__)
         number[v] = i
-        numbered |= 1 << v
+        unnumbered ^= 1 << v
         # minimax reachability: best[u] = min over u..v paths through
         # unnumbered vertices of the largest interior weight (-1 = direct edge)
-        best = [n + 1] * n
+        best = {}
         heap: list[tuple[int, int]] = []
-        mask = g.adj_bits(v) & ~numbered
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
+        for u in iter_bits(g.adj_bits(v) & unnumbered):
             best[u] = -1
             heapq.heappush(heap, (-1, u))
         while heap:
@@ -100,79 +99,56 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[int]]:
             if cost > best[x]:
                 continue
             through = max(cost, weight[x])
-            mask = g.adj_bits(x) & ~numbered
-            while mask:
-                low = mask & -mask
-                y = low.bit_length() - 1
-                mask ^= low
-                if through < best[y]:
+            for y in iter_bits(g.adj_bits(x) & unnumbered):
+                if y not in best or through < best[y]:
                     best[y] = through
                     heapq.heappush(heap, (through, y))
-        for u in range(n):
-            if not numbered >> u & 1 and best[u] < weight[u]:
+        for u in best:
+            if best[u] < weight[u]:
                 weight[u] += 1
                 h_adj[u] |= 1 << v
                 h_adj[v] |= 1 << u
     return number, h_adj
 
 
-def _separator_candidates(g: Graph) -> list[frozenset[int]]:
-    """Candidate separators: later-ordered H-neighborhoods from MCS-M."""
-    number, h_adj = _mcs_m(g)
-    out = []
-    seen = set()
-    for v in range(g.n):
-        later = 0
-        mask = h_adj[v]
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            if number[u] > number[v]:
-                later |= low
-        cand = set_of(later)
-        if cand and cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-    return out
-
-
-def _splits_into(g: Graph, q: frozenset[int]) -> list[frozenset[int]] | None:
-    """Components of g - q, or None when removal leaves g connected."""
-    rest = [v for v in range(g.n) if v not in q]
-    if len(rest) < 2:
-        return None
-    sub, ids = g.induced(rest)
-    comps = components(sub)
-    if len(comps) < 2:
-        return None
-    return [frozenset(ids[v] for v in comp) for comp in comps]
-
-
 def find_clique_separator(
-    g: Graph,
+    g: Graph, span: int | None = None
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]] | None:
-    """A clique separator split (Q, A, B), or None when g has none.
+    """A clique separator split (Q, A, B) of g[span], or None when it
+    has none; span is a vertex bitmask, all of g by default.
 
-    Q is a clique whose removal disconnects; A is the component of g - Q
-    containing the smallest remaining vertex id and B is everything else
-    (kept whole; recursion re-splits it). A disconnected input returns
-    the empty separator with its component groups. Among clique
+    Q is a clique whose removal disconnects; A is the component of the
+    rest containing the smallest remaining vertex id and B is everything
+    else (kept whole; recursion re-splits it). A disconnected input
+    returns the empty separator with its component groups. Among clique
     separators found, the lexicographically smallest vertex set wins.
     """
-    comps = components(g)
+    if span is None:
+        span = (1 << g.n) - 1
+    comps = components(g, span)
     if len(comps) >= 2:
         a = comps[0]
         b = frozenset().union(*comps[1:])
         return frozenset(), a, b
-    if g.n <= 2:
+    if span.bit_count() <= 2:
         return None
+    # candidates: the later-ordered H-neighbourhood of each vertex
+    number, h_adj = _mcs_m(g, span)
+    tried = set()
     found = []
-    for q in _separator_candidates(g):
+    for v in iter_bits(span):
+        later = 0
+        for u in iter_bits(h_adj[v]):
+            if number[u] > number[v]:
+                later |= 1 << u
+        if not later or later in tried:
+            continue
+        tried.add(later)
+        q = set_of(later)
         if not is_clique(g, q):
             continue
-        parts = _splits_into(g, q)
-        if parts is not None:
+        parts = components(g, span & ~later)
+        if len(parts) >= 2:
             found.append((q, parts))
     if not found:
         return None
@@ -193,12 +169,11 @@ def build_tree(g: Graph) -> CDecompTree:
     """
 
     def build(span: frozenset[int]) -> CDecompTree:
-        sub, ids = g.induced(span)
-        split = find_clique_separator(sub)
+        split = find_clique_separator(g, bits_of(span))
         if split is None:
             return CLeaf(span)
-        q, a, b = ({ids[v] for v in part} for part in split)
-        return CNode(frozenset(q), build(frozenset(a | q)), build(frozenset(b | q)))
+        q, a, b = split
+        return CNode(q, build(a | q), build(b | q))
 
     return build(frozenset(range(g.n)))
 

@@ -34,10 +34,6 @@ def normalize_weights(g: Graph, w: Weights | None) -> list[int]:
     return out
 
 
-def total_weight(g: Graph, w: Weights | None) -> int:
-    return sum(normalize_weights(g, w))
-
-
 def parse_weights(text: str) -> dict[int, int]:
     """Weights file: lines "vertex weight", 0-indexed; blank lines and
     "#" comments ignored. Missing vertices default to weight 1."""
@@ -110,10 +106,3 @@ def validate_coloring(g: Graph, mc: MultiColoring, w: Weights | None = None) -> 
             shared = sorted(mc.colors[u] & mc.colors[v])
             raise ValueError(f"adjacent vertices {u},{v} share colors {shared}")
 
-
-def is_valid_coloring(g: Graph, mc: MultiColoring, w: Weights | None = None) -> bool:
-    try:
-        validate_coloring(g, mc, w)
-    except ValueError:
-        return False
-    return True

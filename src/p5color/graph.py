@@ -40,7 +40,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._nbrs = tuple(tuple(_iter_bits(mask)) for mask in adj)
+        self._nbrs = tuple(tuple(iter_bits(mask)) for mask in adj)
         self._edges = frozenset(norm)
 
     # -- construction helpers -------------------------------------------------
@@ -137,7 +137,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _iter_bits(mask: int):
+def iter_bits(mask: int):
+    """The vertices of a bitmask, in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -152,25 +153,23 @@ def bits_of(vertices: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
-    return frozenset(_iter_bits(mask))
+    return frozenset(iter_bits(mask))
 
 
-def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components, ordered by smallest contained vertex id."""
-    seen = 0
+def components(g: Graph, mask: int | None = None) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by the vertex bitmask
+    (all of g by default), ordered by smallest contained vertex id."""
+    rest = (1 << g.n) - 1 if mask is None else mask
     out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             nxt = 0
-            for v in _iter_bits(frontier):
+            for v in iter_bits(frontier):
                 nxt |= g.adj_bits(v)
-            frontier = nxt & ~comp
+            frontier = nxt & rest & ~comp
             comp |= frontier
-        seen |= comp
+        rest &= ~comp
         out.append(set_of(comp))
     return out
 

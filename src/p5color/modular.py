@@ -5,6 +5,12 @@ The tree has Parallel nodes (disconnected subgraphs), Series nodes
 on one representative per maximal proper module. The partition into
 maximal proper modules is computed naively, by closing vertex pairs
 under distinguishing vertices; auditable over fast.
+
+Every node is a vertex bitmask of the input graph: components come
+from the input, co-components from its complement (taken once), and
+module closures stay inside the node's span, so no node builds a
+relabelled subgraph. The validator checks the tree against induced
+copies instead.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, Weights, normalize_weights, validate_coloring
-from .graph import Graph, bits_of, components, set_of
+from .graph import Graph, bits_of, components, iter_bits, set_of
 
 
 @dataclass(frozen=True)
@@ -63,14 +69,14 @@ def is_module(g: Graph, members: Iterable[int]) -> bool:
     return True
 
 
-def min_module(g: Graph, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest module containing the seed: close under distinguishers."""
-    mask = bits_of(seed)
-    full = (1 << g.n) - 1
+def min_module(g: Graph, seed: int, within: int) -> int:
+    """Smallest module of g[within] containing the seed: close under
+    distinguishers. Seed, within and the result are vertex bitmasks."""
+    mask = seed
     changed = True
     while changed:
         changed = False
-        outside = full & ~mask
+        outside = within & ~mask
         while outside:
             low = outside & -outside
             x = low.bit_length() - 1
@@ -79,41 +85,39 @@ def min_module(g: Graph, seed: Iterable[int]) -> frozenset[int]:
             if inside != 0 and inside != mask:
                 mask |= low
                 changed = True
-    return set_of(mask)
+    return mask
 
 
 def is_prime(g: Graph) -> bool:
     """No nontrivial modules (vacuously true below four vertices)."""
+    full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if len(min_module(g, (u, v))) < g.n:
+            if min_module(g, 1 << u | 1 << v, full) != full:
                 return False
     return True
 
 
-def maximal_modules_partition(g: Graph) -> list[frozenset[int]]:
-    """The partition of V into maximal proper modules.
+def maximal_modules_partition(g: Graph, span: int) -> list[frozenset[int]]:
+    """The partition of the vertex bitmask span into the maximal proper
+    modules of g[span].
 
-    Valid when g and its complement are connected (Gallai's third case);
-    the maximal proper module containing v is then the union of all
-    proper modules through v.
+    Valid when g[span] and its complement are connected (Gallai's third
+    case); the maximal proper module containing v is then the union of
+    all proper modules through v.
     """
-    n = g.n
     parts: list[frozenset[int]] = []
     assigned = 0
-    for v in range(n):
+    for v in iter_bits(span):
         if assigned >> v & 1:
             continue
-        best = {v}
-        for u in range(n):
-            if u == v:
-                continue
-            m = min_module(g, (v, u))
-            if len(m) < n:
+        best = 1 << v
+        for u in iter_bits(span & ~(1 << v)):
+            m = min_module(g, 1 << v | 1 << u, span)
+            if m != span:
                 best |= m
-        part = frozenset(best)
-        parts.append(part)
-        assigned |= bits_of(part)
+        parts.append(set_of(best))
+        assigned |= best
     return parts
 
 
@@ -132,13 +136,20 @@ def quotient(g: Graph, parts: list[frozenset[int]]) -> tuple[Graph, tuple[int, .
     if seen != set(range(g.n)):
         raise ValueError("parts must cover the vertex set")
     reps = tuple(min(part) for part in parts)
-    edges = [
-        (i, j)
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-        if g.adjacent(reps[i], reps[j])
-    ]
-    return Graph(len(reps), edges), reps
+    return _on_reps(g, reps), reps
+
+
+def _on_reps(g: Graph, reps: tuple[int, ...]) -> Graph:
+    """The graph g induces on reps, vertex i standing for reps[i]."""
+    return Graph(
+        len(reps),
+        [
+            (i, j)
+            for i in range(len(reps))
+            for j in range(i + 1, len(reps))
+            if g.adjacent(reps[i], reps[j])
+        ],
+    )
 
 
 # -- the tree ----------------------------------------------------------------
@@ -147,30 +158,24 @@ def quotient(g: Graph, parts: list[frozenset[int]]) -> tuple[Graph, tuple[int, .
 def md_tree(g: Graph) -> MDTree:
     if g.n < 1:
         raise ValueError("modular decomposition needs at least one vertex")
+    co = g.complement()
 
     def build(span: frozenset[int]) -> MDTree:
         if len(span) == 1:
             return MDLeaf(next(iter(span)))
-        sub, ids = g.induced(span)
-        comps = components(sub)
+        mask = bits_of(span)
+        comps = components(g, mask)
         if len(comps) > 1:
-            children = tuple(build(frozenset(ids[v] for v in c)) for c in comps)
-            return MDParallel(children, span)
-        co_comps = components(sub.complement())
+            return MDParallel(tuple(build(c) for c in comps), span)
+        co_comps = components(co, mask)
         if len(co_comps) > 1:
-            children = tuple(build(frozenset(ids[v] for v in c)) for c in co_comps)
-            return MDSeries(children, span)
-        parts = maximal_modules_partition(sub)
-        quot, local_reps = quotient(sub, parts)
-        children = tuple(build(frozenset(ids[v] for v in part)) for part in parts)
-        reps = tuple(ids[r] for r in local_reps)
-        return MDPrime(children, span, quot, reps)
+            return MDSeries(tuple(build(c) for c in co_comps), span)
+        parts = maximal_modules_partition(g, mask)
+        reps = tuple(min(part) for part in parts)
+        children = tuple(build(part) for part in parts)
+        return MDPrime(children, span, _on_reps(g, reps), reps)
 
     return build(frozenset(range(g.n)))
-
-
-def tree_span(t: MDTree) -> frozenset[int]:
-    return t.span
 
 
 def validate_md_tree(g: Graph, t: MDTree) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,8 +24,10 @@ from . import cliquesep, modular
 from .coloring import MultiColoring, Weights, validate_coloring
 from .detect import (
     DEFAULT_BERGE_MAX_N,
+    Witness,
     find_class_violation,
     find_independent_triple,
+    find_induced_p5,
     is_berge_small,
 )
 from .errors import CutoffExceeded, NotInClass
@@ -335,16 +338,15 @@ def gen_p5_kpe(
     )
 
 
-def _repaired_member(
+def _repaired(
     n: int,
-    class_name: str,
-    p: int | None,
     density: float,
     rng: random.Random,
+    find_witness: Callable[[Graph], Witness | None],
     max_flips: int = 400,
 ) -> Graph | None:
     """Witness-guided repair: toggle random pairs inside the current
-    forbidden-structure witness until membership holds."""
+    forbidden-structure witness until find_witness finds none."""
     edges = {
         (u, v)
         for u in range(n)
@@ -353,14 +355,11 @@ def _repaired_member(
     }
     for _ in range(max_flips):
         g = Graph(n, edges)
-        witness = find_class_violation(g, class_name, p)
+        witness = find_witness(g)
         if witness is None:
             return g
         u, v = sorted(rng.sample(sorted(witness.vertices), 2))
-        if (u, v) in edges:
-            edges.discard((u, v))
-        else:
-            edges.add((u, v))
+        edges ^= {(u, v)}
     return None
 
 
@@ -439,7 +438,7 @@ def verify_lemma5(
         budget = samples_per_n * 40
         while got < samples_per_n and budget > 0:
             budget -= 1
-            g = _repaired_member(n, "p5-cop5", None, 0.5, rng)
+            g = _repaired(n, 0.5, rng, lambda h: find_class_violation(h, "p5-cop5"))
             if g is None or g in seen:
                 continue
             if is_connected(g) and modular.is_prime(g):
@@ -516,7 +515,7 @@ def verify_gyarfas(
     rng = random.Random(seed)
     while report.total < samples:
         n = rng.randint(1, n_max)
-        g = _repaired_p5_free(n, density, rng)
+        g = _repaired(n, density, rng, find_induced_p5)
         if g is None:
             continue
         report.total += 1
@@ -529,27 +528,3 @@ def verify_gyarfas(
                 {"n": n, "chi": chi, "omega": omega, "edges": sorted(map(list, g.edges))}
             )
     return report
-
-
-def _repaired_p5_free(
-    n: int, density: float, rng: random.Random, max_flips: int = 400
-) -> Graph | None:
-    from .detect import find_induced_p5
-
-    edges = {
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < density
-    }
-    for _ in range(max_flips):
-        g = Graph(n, edges)
-        witness = find_induced_p5(g)
-        if witness is None:
-            return g
-        u, v = sorted(rng.sample(sorted(witness.vertices), 2))
-        if (u, v) in edges:
-            edges.discard((u, v))
-        else:
-            edges.add((u, v))
-    return None

@@ -100,6 +100,18 @@ def test_solve_output_revalidates(c5_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
+def test_validate_keeps_reported_chi_zero(tmp_path, capsys):
+    empty = tmp_path / "empty.col"
+    empty.write_text("p edge 0 0\n")
+    out = tmp_path / "report.json"
+    main(["solve", "--class", "p5-cop5", "--input", str(empty), "--out", str(out)])
+    code = main(
+        ["oracle", "validate", "--input", str(empty), "--report-file", str(out)]
+    )
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["chi_reported"] == 0
+
+
 def test_solve_reports_are_byte_identical(c5_file, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
