@@ -1,9 +1,11 @@
 """Command-line surface: solve, decompose, generate, verify, oracle.
 
 Exit codes: 0 success, 2 input not in the declared class (witness
-printed), 3 parse error, 4 desk-scale cutoff exceeded. Reports are JSON
-and byte-stable for a fixed (input, seed, config); timings are included
-only on request.
+printed), 3 parse error, 4 desk-scale cutoff exceeded, 5 usage error
+(options that do not go together, a cutoff that is not positive, an
+unreadable input file or a non-integer P5COLOR_* variable). Reports are
+JSON and byte-stable for a fixed (input, seed, config); timings are
+included only on request.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cliquesep, modular, oracle, pipeline
 from .coloring import MultiColoring, parse_weights, validate_coloring
 from .detect import DEFAULT_BERGE_MAX_N
-from .errors import CutoffExceeded, NotInClass, ParseError
+from .errors import CutoffExceeded, NotInClass, ParseError, UsageError
 from .graph import Graph, parse_graph, to_dimacs
 from .matching import max_matching
 from .oracle import DEFAULT_CHI_MAX_N, DEFAULT_MAX_TOTAL_WEIGHT
@@ -27,32 +28,7 @@ EXIT_OK = 0
 EXIT_NOT_IN_CLASS = 2
 EXIT_PARSE_ERROR = 3
 EXIT_CUTOFF = 4
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    fmt: str | None = None
-    class_name: str | None = None
-    p: int | None = None
-    weights_path: str | None = None
-    seed: int = 0
-    oracle_n: int = DEFAULT_CHI_MAX_N
-    max_total_weight: int = DEFAULT_MAX_TOTAL_WEIGHT
-    berge_n: int = DEFAULT_BERGE_MAX_N
-    out_path: str | None = None
-    report_format: str = "json"
-    timings: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("oracle_n", "max_total_weight", "berge_n"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"cutoff {name} must be positive")
-        if self.class_name == "p5-kpe" and self.p is None:
-            raise ValueError("class p5-kpe needs --p")
-        if self.class_name == "p5-cop5" and self.p is not None:
-            raise ValueError("--p only applies to class p5-kpe")
+EXIT_USAGE = 5
 
 
 def _env_cutoff(name: str, default: int) -> int:
@@ -62,7 +38,7 @@ def _env_cutoff(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer") from None
+        raise UsageError(f"environment variable {name} must be an integer") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -114,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_solve)
     _add_cutoffs(p_solve)
 
-    p_dec = sub.add_parser("decompose", help="emit a decomposition tree as JSON")
+    p_dec = sub.add_parser("decompose", help="emit a decomposition as JSON")
     p_dec.add_argument("--kind", choices=["cliquesep", "modular"], required=True)
     _add_common(p_dec)
 
@@ -146,16 +122,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_graph(path: str, fmt: str | None) -> Graph:
     if fmt is None:
         fmt = "dimacs" if path.endswith(".col") else "edges"
-    return parse_graph(Path(path).read_text(), fmt)
+    return parse_graph(_read(path), fmt)
 
 
 def _load_weights(path: str | None) -> dict[int, int] | None:
     if path is None:
         return None
-    return parse_weights(Path(path).read_text())
+    return parse_weights(_read(path))
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -177,59 +160,54 @@ def _solve_text(report: pipeline.SolveReport) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        subcommand="solve",
-        input_path=args.input,
-        fmt=args.format,
-        class_name=args.class_name,
-        p=args.p,
-        weights_path=args.weights,
-        oracle_n=args.oracle_n,
-        max_total_weight=args.max_total_weight,
-        berge_n=args.berge_n,
-        out_path=args.out,
-        report_format=args.report,
-        timings=args.timings,
-    )
-    g = _load_graph(cfg.input_path, cfg.fmt)
-    weights = _load_weights(cfg.weights_path)
-    if cfg.class_name == "p5-cop5":
+    for flag, value in (
+        ("--oracle-n", args.oracle_n),
+        ("--max-total-weight", args.max_total_weight),
+        ("--berge-n", args.berge_n),
+    ):
+        if value <= 0:
+            raise UsageError(f"cutoff {flag} must be positive")
+    if args.class_name == "p5-kpe":
+        if args.p is None:
+            raise UsageError("class p5-kpe needs --p")
+        if args.weights is not None:
+            raise UsageError("weights are only supported for class p5-cop5")
+    elif args.p is not None:
+        raise UsageError("--p only applies to class p5-kpe")
+    g = _load_graph(args.input, args.format)
+    if args.class_name == "p5-cop5":
         report = pipeline.solve_p5_cop5(
             g,
-            weights,
-            max_total_weight=cfg.max_total_weight,
-            berge_max_n=cfg.berge_n,
+            _load_weights(args.weights),
+            max_total_weight=args.max_total_weight,
+            berge_max_n=args.berge_n,
         )
     else:
-        if weights is not None:
-            raise ValueError("weights are only supported for class p5-cop5")
-        report = pipeline.solve_p5_kpe(g, cfg.p, oracle_max_n=cfg.oracle_n)
-    if cfg.report_format == "text":
+        report = pipeline.solve_p5_kpe(g, args.p, oracle_max_n=args.oracle_n)
+    if args.report == "text":
         text = _solve_text(report)
-        if cfg.out_path:
-            Path(cfg.out_path).write_text(text)
+        if args.out:
+            Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
     else:
-        _emit(report.to_json(include_timings=cfg.timings), cfg.out_path)
+        _emit(report.to_json(include_timings=args.timings), args.out)
     return EXIT_OK
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
     if args.kind == "cliquesep":
-        tree = cliquesep.build_tree(g)
-        payload = cliquesep.tree_to_json(tree)
+        payload = cliquesep.tree_to_json(cliquesep.build_tree(g))
     else:
-        tree = modular.md_tree(g)
-        payload = modular.md_tree_to_json(tree)
+        payload = modular.md_tree_to_json(modular.md_tree(g))
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.class_name == "p5-kpe" and args.p is None:
-        raise ValueError("class p5-kpe needs --p")
+        raise UsageError("class p5-kpe needs --p")
     instances = []
     for i in range(args.count):
         seed = args.seed + i
@@ -319,8 +297,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         _emit({"nu": len(matched), "matching": matched}, args.out)
     else:  # validate
         if not args.report_file:
-            raise ValueError("oracle validate needs --report-file")
-        payload = json.loads(Path(args.report_file).read_text())
+            raise UsageError("oracle validate needs --report-file")
+        payload = json.loads(_read(args.report_file))
         coloring = payload["coloring"]
         colors = tuple(
             frozenset(coloring[str(v)]) for v in range(g.n)
@@ -334,8 +312,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "solve": _cmd_solve,
         "decompose": _cmd_decompose,
@@ -344,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except NotInClass as exc:
         payload = {
@@ -362,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except CutoffExceeded as exc:
         sys.stderr.write(f"cutoff exceeded: {exc}\n")
         return EXIT_CUTOFF
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

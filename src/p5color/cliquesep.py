@@ -1,18 +1,25 @@
-"""Clique-separator decomposition: separator search, the binary
-decomposition tree, and bottom-up composition of chromatic numbers.
+"""Clique-minimal-separator decomposition: the atoms of a graph in
+gluing order from one MCS-M pass, their validator, and composition of
+chromatic numbers over them.
 
-Separator search runs MCS-M to obtain a minimal triangulation H of the
-input; every clique separator of a graph contains a clique minimal
-separator, clique minimal separators survive minimal triangulation, and
-in a chordal graph every minimal separator shows up as the set of
-later-ordered H-neighbors of some vertex. Testing those n candidate
-sets for cliqueness in the original graph and for disconnection is
-therefore a complete (and polynomial) search.
+MCS-M gives a minimal triangulation H of the input and the generators
+of H's minimal separators: the vertices whose label, when numbered, is
+not larger than the label of the vertex numbered just before. Every
+clique minimal separator of the input is a minimal separator of H, the
+set S of later-numbered H-neighbours of some generator x. Walking the
+vertices by increasing number, each generator whose S is a clique of
+the input splits off S plus the component of (remaining vertices - S)
+that holds x as one atom; the vertices left at the end form the last
+atom (Berry, Pogorelcnik & Simonet, "An introduction to clique minimal
+separator decomposition", Algorithms 2010; Tarjan, "Decomposition by
+clique separators", 1985).
 
-The search and the tree work on vertex bitmasks of the input graph:
-each tree node runs MCS-M once on its span and tests each candidate Q
-by the components of span - Q, without relabelled copies. The validator
-re-checks each leaf on an induced copy.
+The atoms are the C-blocks: maximal connected vertex sets without a
+clique separator. They come out as a flat tuple in gluing order, each
+with the separator it shares with the union of the atoms before it: a
+clique, empty for the first atom and at each new component. The pass
+works on vertex bitmasks of the input graph; only the per-atom solves
+and the validator take induced copies.
 """
 
 from __future__ import annotations
@@ -22,70 +29,53 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, validate_coloring
-from .graph import Graph, bits_of, components, is_clique, iter_bits, set_of
+from .graph import Graph, bits_of, is_clique, iter_bits, reach, set_of
 
 
 @dataclass(frozen=True)
-class CLeaf:
-    """A C-block: an induced subgraph with no clique separator."""
+class Atom:
+    """A C-block and the clique it shares with the earlier atoms."""
 
     block: frozenset[int]
-
-
-@dataclass(frozen=True)
-class CNode:
     separator: frozenset[int]
-    left: CDecompTree
-    right: CDecompTree
-
-    @property
-    def span(self) -> frozenset[int]:
-        return tree_span(self.left) | tree_span(self.right)
 
 
-CDecompTree = CLeaf | CNode
+Atoms = tuple[Atom, ...]
 
 
-def tree_span(t: CDecompTree) -> frozenset[int]:
-    if isinstance(t, CLeaf):
-        return t.block
-    return t.span
+def tree_leaves(atoms: Atoms) -> list[Atom]:
+    """The C-blocks of a decomposition, in gluing order."""
+    return list(atoms)
 
 
-def tree_leaves(t: CDecompTree) -> list[CLeaf]:
-    if isinstance(t, CLeaf):
-        return [t]
-    return tree_leaves(t.left) + tree_leaves(t.right)
-
-
-def tree_to_json(t: CDecompTree) -> dict:
-    if isinstance(t, CLeaf):
-        return {"leaf": sorted(t.block)}
+def tree_to_json(atoms: Atoms) -> dict:
     return {
-        "separator": sorted(t.separator),
-        "left": tree_to_json(t.left),
-        "right": tree_to_json(t.right),
+        "atoms": [
+            {"block": sorted(a.block), "separator": sorted(a.separator)} for a in atoms
+        ]
     }
 
 
-# -- separator search ----------------------------------------------------------
+# -- decomposition ----------------------------------------------------------------
 
 
-def _mcs_m(g: Graph, span: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Maximum cardinality search for minimal triangulation of g[span].
+def _mcs_m(g: Graph, span: int) -> list[tuple[int, int]]:
+    """Maximum cardinality search for a minimal triangulation H of g[span].
 
-    Returns (number, h_adj), keyed by the vertices of the bitmask span:
-    number[v] is v's position (|span| down to 1) and h_adj[v] the
-    adjacency bitmask of v in the triangulated graph H.
+    Returns the generators of H's minimal separators in numbering order,
+    each with the bitmask of its H-neighbours numbered before it.
     """
     weight = dict.fromkeys(iter_bits(span), 0)
-    number = {}
-    h_adj = {v: g.adj_bits(v) & span for v in weight}
+    earlier = dict.fromkeys(weight, 0)  # H-neighbours numbered so far
+    generators = []
+    previous = -1
     unnumbered = span
-    for i in range(len(weight), 0, -1):
+    while unnumbered:
         # heaviest unnumbered vertex; max keeps the first, so ties go to the smallest id
         v = max(iter_bits(unnumbered), key=weight.__getitem__)
-        number[v] = i
+        if weight[v] <= previous:
+            generators.append((v, earlier[v]))
+        previous = weight[v]
         unnumbered ^= 1 << v
         # minimax reachability: best[u] = min over u..v paths through
         # unnumbered vertices of the largest interior weight (-1 = direct edge)
@@ -106,104 +96,51 @@ def _mcs_m(g: Graph, span: int) -> tuple[dict[int, int], dict[int, int]]:
         for u in best:
             if best[u] < weight[u]:
                 weight[u] += 1
-                h_adj[u] |= 1 << v
-                h_adj[v] |= 1 << u
-    return number, h_adj
+                earlier[u] |= 1 << v
+    return generators
 
 
-def find_clique_separator(
-    g: Graph, span: int | None = None
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]] | None:
-    """A clique separator split (Q, A, B) of g[span], or None when it
-    has none; span is a vertex bitmask, all of g by default.
+def build_tree(g: Graph) -> Atoms:
+    """The atoms of g in gluing order, from one MCS-M pass.
 
-    Q is a clique whose removal disconnects; A is the component of the
-    rest containing the smallest remaining vertex id and B is everything
-    else (kept whole; recursion re-splits it). A disconnected input
-    returns the empty separator with its component groups. Among clique
-    separators found, the lexicographically smallest vertex set wins.
+    Deterministic: MCS-M breaks ties by the smallest vertex id.
     """
-    if span is None:
-        span = (1 << g.n) - 1
-    comps = components(g, span)
-    if len(comps) >= 2:
-        a = comps[0]
-        b = frozenset().union(*comps[1:])
-        return frozenset(), a, b
-    if span.bit_count() <= 2:
-        return None
-    # candidates: the later-ordered H-neighbourhood of each vertex
-    number, h_adj = _mcs_m(g, span)
-    tried = set()
-    found = []
-    for v in iter_bits(span):
-        later = 0
-        for u in iter_bits(h_adj[v]):
-            if number[u] > number[v]:
-                later |= 1 << u
-        if not later or later in tried:
-            continue
-        tried.add(later)
-        q = set_of(later)
-        if not is_clique(g, q):
-            continue
-        parts = components(g, span & ~later)
-        if len(parts) >= 2:
-            found.append((q, parts))
-    if not found:
-        return None
-    q, parts = min(found, key=lambda item: sorted(item[0]))
-    a = parts[0]
-    b = frozenset().union(*parts[1:])
-    return q, a, b
+    rest = (1 << g.n) - 1
+    atoms = []
+    for x, sep in reversed(_mcs_m(g, rest)):
+        if is_clique(g, iter_bits(sep)):
+            comp = reach(g, 1 << x, rest & ~sep)
+            atoms.append(Atom(set_of(sep | comp), set_of(sep)))
+            rest &= ~comp
+    if rest:
+        atoms.append(Atom(set_of(rest), frozenset()))
+    return tuple(reversed(atoms))
 
 
-# -- decomposition tree ----------------------------------------------------------
-
-
-def build_tree(g: Graph) -> CDecompTree:
-    """Binary decomposition tree whose leaves are the C-blocks of g.
-
-    Deterministic: separators are tie-broken lexicographically and the
-    left side is the component holding the smallest vertex.
-    """
-
-    def build(span: frozenset[int]) -> CDecompTree:
-        split = find_clique_separator(g, bits_of(span))
-        if split is None:
-            return CLeaf(span)
-        q, a, b = split
-        return CNode(q, build(a | q), build(b | q))
-
-    return build(frozenset(range(g.n)))
-
-
-def validate_tree(g: Graph, t: CDecompTree) -> None:
-    """Raise ValueError unless t satisfies every structural invariant."""
-    if tree_span(t) != frozenset(range(g.n)):
-        raise ValueError("tree span does not cover the vertex set")
-
-    def walk(node: CDecompTree) -> None:
-        if isinstance(node, CLeaf):
-            sub, _ = g.induced(node.block)
-            if find_clique_separator(sub) is not None:
-                raise ValueError(f"leaf block {sorted(node.block)} has a clique separator")
-            return
-        left = tree_span(node.left)
-        right = tree_span(node.right)
-        if left & right != node.separator:
-            raise ValueError("left and right spans must intersect exactly in the separator")
-        if not is_clique(g, node.separator):
-            raise ValueError(f"separator {sorted(node.separator)} is not a clique")
-        for u, v in g.edges:
-            if (u in left - node.separator and v in right - node.separator) or (
-                v in left - node.separator and u in right - node.separator
-            ):
-                raise ValueError(f"edge ({u},{v}) crosses the separator {sorted(node.separator)}")
-        walk(node.left)
-        walk(node.right)
-
-    walk(t)
+def validate_tree(g: Graph, atoms: Atoms) -> None:
+    """Raise ValueError unless atoms glue along cliques into g, in order,
+    and no atom has a clique separator."""
+    seen = 0
+    for atom in atoms:
+        block, sep = bits_of(atom.block), bits_of(atom.separator)
+        if block & seen != sep:
+            raise ValueError(
+                f"atom {sorted(atom.block)} must meet the earlier atoms exactly "
+                f"in its separator {sorted(atom.separator)}"
+            )
+        if not is_clique(g, atom.separator):
+            raise ValueError(f"separator {sorted(atom.separator)} is not a clique")
+        for v in iter_bits(block & ~sep):
+            if g.adj_bits(v) & seen & ~sep:
+                raise ValueError(
+                    f"vertex {v} has an edge across the separator {sorted(atom.separator)}"
+                )
+        sub, _ = g.induced(atom.block)
+        if len(build_tree(sub)) != 1:
+            raise ValueError(f"atom {sorted(atom.block)} has a clique separator")
+        seen |= block
+    if seen != (1 << g.n) - 1:
+        raise ValueError("atoms do not cover the vertex set")
 
 
 # -- chromatic composition ----------------------------------------------------------
@@ -211,43 +148,34 @@ def validate_tree(g: Graph, t: CDecompTree) -> None:
 LeafSolver = Callable[[Graph], tuple[int, MultiColoring]]
 
 
-def chi_compose(
-    g: Graph, t: CDecompTree, leaf_chi: LeafSolver
-) -> tuple[int, MultiColoring]:
-    """Compose leaf chromatic numbers/colorings into one for g.
+def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, MultiColoring]:
+    """Compose per-atom chromatic numbers/colorings into one for g.
 
-    chi(g) is the max over the two sides at every node; the merge
-    permutes the smaller side's colors so its classes agree with the
-    larger side on the separator clique, then maps its surplus colors
-    into the larger side's unused ones.
+    chi(g) is the max over the atoms. Each atom's colors are permuted to
+    match the colors already on its separator clique, and its other
+    colors go to the ones the separator does not use.
     """
-
-    def solve(node: CDecompTree) -> tuple[int, dict[int, int]]:
-        if isinstance(node, CLeaf):
-            sub, ids = g.induced(node.block)
-            k, mc = leaf_chi(sub)
-            try:
-                validate_coloring(sub, mc)
-            except ValueError as exc:
-                raise RuntimeError(f"leaf solver returned an invalid coloring: {exc}") from exc
-            if mc.k > k:
-                raise RuntimeError("leaf solver used more colors than it reported")
-            return k, {ids[v]: next(iter(mc.of(v))) for v in range(sub.n)}
-        k1, c1 = solve(node.left)
-        k2, c2 = solve(node.right)
-        if k1 > k2:
-            k1, c1, k2, c2 = k2, c2, k1, c1
-        # align the smaller side's colors with the larger side's on Q
-        perm = {c1[q]: c2[q] for q in sorted(node.separator)}
-        free_targets = [c for c in range(1, k2 + 1) if c not in perm.values()]
-        for c in range(1, k1 + 1):
+    k = 0
+    color: dict[int, int] = {}
+    for atom in atoms:
+        sub, ids = g.induced(atom.block)
+        k_atom, mc = leaf_chi(sub)
+        try:
+            validate_coloring(sub, mc)
+        except ValueError as exc:
+            raise RuntimeError(f"leaf solver returned an invalid coloring: {exc}") from exc
+        if mc.k > k_atom:
+            raise RuntimeError("leaf solver used more colors than it reported")
+        k = max(k, k_atom)
+        local = {ids[v]: next(iter(mc.of(v))) for v in range(sub.n)}
+        perm = {local[q]: color[q] for q in atom.separator}
+        taken = set(perm.values())
+        free = (c for c in range(1, k + 1) if c not in taken)
+        for c in range(1, k_atom + 1):
             if c not in perm:
-                perm[c] = free_targets.pop(0)
-        merged = {v: perm[c] for v, c in c1.items()}
-        merged.update(c2)
-        return k2, merged
-
-    k, cmap = solve(t)
-    mc = MultiColoring.from_singletons(cmap, g.n)
+                perm[c] = next(free)
+        for v, c in local.items():
+            color[v] = perm[c]
+    mc = MultiColoring.from_singletons(color, g.n)
     validate_coloring(g, mc)
     return k, mc

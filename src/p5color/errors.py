@@ -32,6 +32,11 @@ class NotInClass(ValueError):
         self.witness = witness
 
 
+class UsageError(ValueError):
+    """The command line asks for something its options do not allow, or
+    names an input it cannot read."""
+
+
 class PreconditionError(ValueError):
     """A documented operation precondition does not hold."""
 

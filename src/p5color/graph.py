@@ -162,16 +162,23 @@ def components(g: Graph, mask: int | None = None) -> list[frozenset[int]]:
     rest = (1 << g.n) - 1 if mask is None else mask
     out = []
     while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj_bits(v)
-            frontier = nxt & rest & ~comp
-            comp |= frontier
+        comp = reach(g, rest & -rest, rest)
         rest &= ~comp
         out.append(set_of(comp))
     return out
+
+
+def reach(g: Graph, seed: int, mask: int) -> int:
+    """Bitmask of the vertices of mask joined to the seed bitmask by
+    paths inside mask (the seed itself included)."""
+    comp = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= g.adj_bits(v)
+        frontier = nxt & mask & ~comp
+        comp |= frontier
+    return comp
 
 
 def is_connected(g: Graph) -> bool:

@@ -193,12 +193,12 @@ def solve_p5_kpe(
     if g.n == 0:
         return _trivial_report("p5-kpe", p, started)
 
-    tree = cliquesep.build_tree(g)
+    atoms = cliquesep.build_tree(g)
     routes: list[RouteRecord] = []
     solved: dict[Graph, tuple[int, MultiColoring, str]] = {}
-    for leaf in cliquesep.tree_leaves(tree):
-        sub, _ = g.induced(leaf.block)
-        block = tuple(sorted(leaf.block))
+    for atom in atoms:
+        sub, _ = g.induced(atom.block)
+        block = tuple(sorted(atom.block))
         if sub not in solved:
             if find_independent_triple(sub) is None:
                 k, mc = chi_o3_free(sub)
@@ -217,7 +217,7 @@ def solve_p5_kpe(
         k, _, route = solved[sub]
         routes.append(RouteRecord(route, block, sub.n, k))
 
-    chi, mc = cliquesep.chi_compose(g, tree, lambda sub: solved[sub][:2])
+    chi, mc = cliquesep.chi_compose(g, atoms, lambda sub: solved[sub][:2])
     validate_coloring(g, mc)
     return SolveReport(
         class_name="p5-kpe",
@@ -225,7 +225,7 @@ def solve_p5_kpe(
         n=g.n,
         chi=chi,
         coloring=mc,
-        decomposition=cliquesep.tree_to_json(tree),
+        decomposition=cliquesep.tree_to_json(atoms),
         routes=routes,
         ms=(time.perf_counter() - started) * 1000.0,
     )
@@ -478,9 +478,8 @@ def verify_lemma4(
     while blocks_seen < samples:
         n = rng.randint(2, n_max)
         g = gen_p5_kpe(n, p, rng.randrange(2**32), density=density).graph
-        tree = cliquesep.build_tree(g)
-        for leaf in cliquesep.tree_leaves(tree):
-            sub, _ = g.induced(leaf.block)
+        for atom in cliquesep.build_tree(g):
+            sub, _ = g.induced(atom.block)
             if sub.n < 2:
                 continue
             blocks_seen += 1

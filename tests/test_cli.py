@@ -7,7 +7,7 @@ from p5color.cli import (
     EXIT_NOT_IN_CLASS,
     EXIT_OK,
     EXIT_PARSE_ERROR,
-    RunConfig,
+    EXIT_USAGE,
     main,
 )
 from p5color.graph import Graph, parse_graph, to_dimacs
@@ -40,9 +40,9 @@ def test_solve_kpe_rejects_p5_with_witness(tmp_path, capsys):
     assert err["witness"]["pattern"] == "P5"
 
 
-def test_solve_requires_p_for_kpe(c5_file):
-    with pytest.raises(ValueError):
-        main(["solve", "--class", "p5-kpe", "--input", c5_file])
+def test_solve_requires_p_for_kpe(c5_file, capsys):
+    assert main(["solve", "--class", "p5-kpe", "--input", c5_file]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -131,8 +131,11 @@ def test_decompose_both_kinds(tmp_path, capsys):
     path = tmp_path / "k4e.col"
     path.write_text("p edge 4 5\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
     assert main(["decompose", "--kind", "cliquesep", "--input", str(path)]) == EXIT_OK
-    tree = json.loads(capsys.readouterr().out)
-    assert tree["separator"] == [2, 3]
+    atoms = json.loads(capsys.readouterr().out)["atoms"]
+    assert atoms == [
+        {"block": [0, 2, 3], "separator": []},
+        {"block": [1, 2, 3], "separator": [2, 3]},
+    ]
     assert main(["decompose", "--kind", "modular", "--input", str(path)]) == EXIT_OK
     md = json.loads(capsys.readouterr().out)
     assert md["kind"] in ("series", "parallel", "prime")
@@ -178,13 +181,21 @@ def test_edge_list_format_sniffing(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["chi"] == 3
 
 
-def test_runconfig_invariants():
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="solve", class_name="p5-kpe", p=None)
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="solve", class_name="p5-cop5", p=4)
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="solve", oracle_n=0)
+def test_solve_option_checks_exit_usage(c5_file):
+    solve = ["solve", "--input", c5_file]
+    assert main(solve + ["--class", "p5-kpe"]) == EXIT_USAGE
+    assert main(solve + ["--class", "p5-cop5", "--p", "4"]) == EXIT_USAGE
+    assert main(solve + ["--class", "p5-cop5", "--oracle-n", "0"]) == EXIT_USAGE
+
+
+def test_usage_errors_exit_usage(c5_file, tmp_path, monkeypatch):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text("0 2\n")
+    kpe = ["solve", "--class", "p5-kpe", "--p", "4"]
+    assert main(kpe + ["--input", c5_file, "--weights", str(wpath)]) == EXIT_USAGE
+    assert main(kpe + ["--input", str(tmp_path / "missing.col")]) == EXIT_USAGE
+    monkeypatch.setenv("P5COLOR_BERGE_N", "many")
+    assert main(["solve", "--class", "p5-cop5", "--input", c5_file]) == EXIT_USAGE
 
 
 def test_env_cutoff_override(tmp_path, capsys, monkeypatch):

@@ -1,19 +1,21 @@
+import itertools
+import json
 import random
 
 import pytest
 
+from p5color.cli import EXIT_OK, main
 from p5color.cliquesep import (
-    CLeaf,
-    CNode,
+    Atom,
     build_tree,
     chi_compose,
-    find_clique_separator,
     tree_leaves,
     tree_to_json,
     validate_tree,
 )
-from p5color.graph import Graph, components, is_clique, is_connected
+from p5color.graph import Graph, components, is_clique, is_connected, to_dimacs
 from p5color.oracle import chi_exact
+from p5color.pipeline import solve_p5_kpe
 
 from helpers import all_graphs, has_clique_separator_bruteforce, random_graph
 
@@ -21,35 +23,57 @@ K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
 
+def pairs(atoms):
+    return [(sorted(a.block), sorted(a.separator)) for a in atoms]
+
+
+def maximal_blocks_bruteforce(g: Graph) -> set[frozenset[int]]:
+    """Inclusion-maximal vertex sets inducing a connected subgraph with
+    no clique separator, by scanning subsets from the largest down."""
+    found: list[frozenset[int]] = []
+    for r in range(g.n, 0, -1):
+        for subset in itertools.combinations(range(g.n), r):
+            s = frozenset(subset)
+            if any(s <= b for b in found):
+                continue
+            if not has_clique_separator_bruteforce(g.induced(s)[0]):
+                found.append(s)
+    return set(found)
+
+
+def test_atoms_match_bruteforce_maximal_blocks():
+    rng = random.Random(15)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(rng.randint(6, 8), rng.random(), rng) for _ in range(200)]
+    for g in graphs:
+        atoms = build_tree(g)
+        assert len({a.block for a in atoms}) == len(atoms)
+        assert {a.block for a in atoms} == maximal_blocks_bruteforce(g)
+
+
 def test_separator_k4_minus_e():
-    q, a, b = find_clique_separator(K4_MINUS_E)
-    assert q == frozenset({2, 3})  # the universal pair, p-2 vertices
-    assert {a, b} == {frozenset({0}), frozenset({1})}
+    # the universal pair, p-2 vertices, separates the two triangles
+    assert pairs(build_tree(K4_MINUS_E)) == [([0, 2, 3], []), ([1, 2, 3], [2, 3])]
 
 
 def test_separator_p3_cut_vertex():
-    q, a, b = find_clique_separator(Graph.path(3))
-    assert (q, a, b) == (frozenset({1}), frozenset({0}), frozenset({2}))
+    assert pairs(build_tree(Graph.path(3))) == [([0, 1], []), ([1, 2], [1])]
 
 
 def test_separator_c5_absent_matches_exhaustive_check():
     assert not has_clique_separator_bruteforce(Graph.cycle(5))
-    assert find_clique_separator(Graph.cycle(5)) is None
+    assert build_tree(Graph.cycle(5)) == (Atom(frozenset(range(5)), frozenset()),)
 
 
 def test_separator_disconnected_returns_empty_clique():
     g = Graph(5, [(0, 1), (2, 3), (3, 4)])
-    q, a, b = find_clique_separator(g)
-    assert q == frozenset()
-    assert a == frozenset({0, 1})
-    assert b == frozenset({2, 3, 4})
+    assert pairs(build_tree(g)) == [([0, 1], []), ([2, 3], []), ([3, 4], [3])]
 
 
 def test_separator_small_and_complete_graphs_have_none():
-    assert find_clique_separator(Graph.empty(0)) is None
-    assert find_clique_separator(Graph.empty(1)) is None
-    assert find_clique_separator(Graph.complete(2)) is None
-    assert find_clique_separator(Graph.complete(6)) is None
+    assert build_tree(Graph.empty(0)) == ()
+    for g in (Graph.empty(1), Graph.complete(2), Graph.complete(6)):
+        assert build_tree(g) == (Atom(frozenset(range(g.n)), frozenset()),)
 
 
 def test_separator_agrees_with_bruteforce_exhaustively_small():
@@ -57,8 +81,7 @@ def test_separator_agrees_with_bruteforce_exhaustively_small():
         for g in all_graphs(n):
             if not is_connected(g):
                 continue
-            got = find_clique_separator(g)
-            assert (got is not None) == has_clique_separator_bruteforce(g)
+            assert (len(build_tree(g)) > 1) == has_clique_separator_bruteforce(g)
 
 
 def test_separator_agrees_with_bruteforce_random():
@@ -67,23 +90,22 @@ def test_separator_agrees_with_bruteforce_random():
         g = random_graph(rng.randint(6, 9), rng.choice([0.2, 0.35, 0.5, 0.65]), rng)
         if not is_connected(g):
             continue
-        got = find_clique_separator(g)
-        assert (got is not None) == has_clique_separator_bruteforce(g)
-        if got is not None:
-            q, a, b = got
-            assert is_clique(g, q)
-            rest, _ = g.induced(sorted(a | b))
+        atoms = build_tree(g)
+        assert (len(atoms) > 1) == has_clique_separator_bruteforce(g)
+        for atom in atoms[1:]:
+            assert is_clique(g, atom.separator)
+            rest, _ = g.induced(sorted(set(range(g.n)) - atom.separator))
             assert len(components(rest)) >= 2
 
 
 def test_build_tree_c5_single_leaf():
-    t = build_tree(Graph.cycle(5))
-    assert isinstance(t, CLeaf) and t.block == frozenset(range(5))
+    (atom,) = build_tree(Graph.cycle(5))
+    assert atom.block == frozenset(range(5)) and atom.separator == frozenset()
 
 
 def test_build_tree_k4_minus_e():
     t = build_tree(K4_MINUS_E)
-    assert isinstance(t, CNode) and t.separator == frozenset({2, 3})
+    assert t[1].separator == frozenset({2, 3})
     blocks = sorted(sorted(leaf.block) for leaf in tree_leaves(t))
     assert blocks == [[0, 2, 3], [1, 2, 3]]
     validate_tree(K4_MINUS_E, t)
@@ -91,7 +113,7 @@ def test_build_tree_k4_minus_e():
 
 def test_build_tree_bowtie():
     t = build_tree(BOWTIE)
-    assert isinstance(t, CNode) and t.separator == frozenset({2})
+    assert t[1].separator == frozenset({2})
     blocks = sorted(sorted(leaf.block) for leaf in tree_leaves(t))
     assert blocks == [[0, 1, 2], [2, 3, 4]]
     validate_tree(BOWTIE, t)
@@ -151,7 +173,7 @@ def test_chi_compose_matches_exact_chi_end_to_end():
     while done < 120:
         g = random_graph(rng.randint(2, 10), rng.choice([0.2, 0.35, 0.5]), rng)
         t = build_tree(g)
-        if isinstance(t, CLeaf):
+        if len(t) == 1:
             continue  # want graphs that actually decompose
         done += 1
         k, mc = chi_compose(g, t, lambda sub: chi_exact(sub))
@@ -159,17 +181,44 @@ def test_chi_compose_matches_exact_chi_end_to_end():
         assert len(mc.colors_used()) == k
 
 
-def test_separator_tie_break_is_lexicographic():
-    # P4 has two cut vertices; the smaller one must win
-    q, a, b = find_clique_separator(Graph.path(4))
-    assert q == frozenset({1})
-    assert a == frozenset({0}) and b == frozenset({2, 3})
+def test_build_tree_path_gluing_order():
+    # each atom of P4 meets the atoms before it in one cut vertex
+    assert pairs(build_tree(Graph.path(4))) == [([0, 1], []), ([1, 2], [1]), ([2, 3], [2])]
 
 
 def test_build_tree_disconnected_uses_empty_separators():
     g = Graph(6, [(0, 1), (2, 3), (4, 5)])
     t = build_tree(g)
-    assert isinstance(t, CNode) and t.separator == frozenset()
+    assert [a.separator for a in t] == [frozenset()] * 3
     validate_tree(g, t)
     blocks = sorted(sorted(leaf.block) for leaf in tree_leaves(t))
     assert blocks == [[0, 1], [2, 3], [4, 5]]
+
+
+def test_validate_tree_rejects_broken_decompositions():
+    t = build_tree(BOWTIE)
+    for bad, message in (
+        (t[:1], "cover"),
+        (t[::-1], "exactly in its separator"),  # the first separator must be empty
+        ((Atom(frozenset(range(5)), frozenset()),), "has a clique separator"),
+        ((t[0], Atom(frozenset({2, 3, 4}), frozenset({1, 2}))), "exactly in its separator"),
+        ((t[0], Atom(frozenset({3, 4}), frozenset())), "edge across"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            validate_tree(BOWTIE, bad)
+    c4 = Graph.cycle(4)
+    with pytest.raises(ValueError, match="not a clique"):
+        validate_tree(c4, build_tree(c4) + (Atom(frozenset({0, 2}), frozenset({0, 2})),))
+
+
+def test_star_k1_1200_solves_and_decomposes(tmp_path):
+    star = Graph(1201, [(0, v) for v in range(1, 1201)])
+    report = solve_p5_kpe(star, 4)
+    assert report.chi == 2
+    assert len(report.decomposition["atoms"]) == 1200
+    path = tmp_path / "star.col"
+    path.write_text(to_dimacs(star))
+    out = tmp_path / "atoms.json"
+    argv = ["decompose", "--kind", "cliquesep", "--input", str(path), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(out.read_text())["atoms"][1] == {"block": [0, 2], "separator": [0]}

@@ -29,8 +29,8 @@ COP5_MEMBERS = {
     (40, 2): "bb974172d64cc3ed0e25c04d30f4bbdf893dd6b2dc57fc598b5a8fb00404fa81",
 }
 C5_K3 = "75e1f85b05e71c8223b580d19f0c80781c88e379bf378162845afa2a25d7ece0"
-STAR_K1_30_P4 = "053165a4b5ff1521347f5c65c97917240c5abc07847a43c14f59adfccf3d9bd8"
-RANDOM_TREES = "b277e729d0dbf1039edbece54160c0a54ea091c54035673d1a3486c32bf0f022"
+STAR_K1_30_P4 = "34487166b8859db0cde46c6dfc8f56c1a29cba0a33d7c02b194c469e1f6cdf77"
+RANDOM_TREES = "2bf7158a45c5afb6b3c36aae38fb9def88434e29f7ebf2585cc8d510cfb9d7d9"
 
 
 def digest(payload) -> str:
