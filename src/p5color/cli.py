@@ -1,11 +1,13 @@
 """Command-line surface: solve, decompose, generate, verify, oracle.
 
 Exit codes: 0 success, 2 input not in the declared class (witness
-printed), 3 parse error, 4 desk-scale cutoff exceeded, 5 usage error
-(options that do not go together, a cutoff that is not positive, an
-unreadable input file or a non-integer P5COLOR_* variable). Reports are
-JSON and byte-stable for a fixed (input, seed, config); timings are
-included only on request.
+printed), 3 parse error (a malformed graph, weights file or solve
+report), 4 desk-scale cutoff exceeded, 5 usage error (an argument the
+parser refuses, options that do not go together, a cutoff that is not
+positive, an unreadable input file or a non-integer P5COLOR_*
+variable), 6 a certificate that `oracle validate` finds invalid (the
+reason is printed). Reports are JSON and byte-stable for a fixed
+(input, seed, config); timings are included only on request.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ EXIT_NOT_IN_CLASS = 2
 EXIT_PARSE_ERROR = 3
 EXIT_CUTOFF = 4
 EXIT_USAGE = 5
+EXIT_INVALID_CERTIFICATE = 6
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise UsageError instead of exiting with argparse's
+    own code 2, which means not-in-class here."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _env_cutoff(name: str, default: int) -> int:
@@ -73,7 +84,7 @@ def _add_cutoffs(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="p5color",
         description="chromatic numbers for {P5,co-P5}-free and {P5,Kp-e}-free graphs",
     )
@@ -298,17 +309,40 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:  # validate
         if not args.report_file:
             raise UsageError("oracle validate needs --report-file")
-        payload = json.loads(_read(args.report_file))
-        coloring = payload["coloring"]
-        colors = tuple(
-            frozenset(coloring[str(v)]) for v in range(g.n)
-        )
-        k = payload["chi"] if "chi" in payload else payload.get("chi_w")
-        mc = MultiColoring(colors, k)
-        validate_coloring(g, mc, weights)
+        k, coloring = _load_report(args.report_file)
+        # a vertex missing from the report gets no colors, which no weight allows
+        mc = MultiColoring(tuple(coloring.get(str(v), frozenset()) for v in range(g.n)), k)
+        try:
+            validate_coloring(g, mc, weights)
+        except ValueError as exc:
+            _emit({"valid": False, "chi_reported": k, "reason": str(exc)}, args.out)
+            return EXIT_INVALID_CERTIFICATE
         used = len(mc.colors_used())
         _emit({"valid": True, "chi_reported": k, "colors_used": used}, args.out)
     return EXIT_OK
+
+
+def _load_report(path: str) -> tuple[int, dict[str, frozenset[int]]]:
+    """The reported chi (or chi_w) and color sets of a solve or oracle
+    report; ParseError unless both are there with integer values."""
+    try:
+        payload = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"report is not JSON: {exc.msg}", exc.lineno) from None
+    if not isinstance(payload, dict):
+        raise ParseError("report is not a JSON object", 0)
+    k = payload["chi"] if "chi" in payload else payload.get("chi_w")
+    coloring = payload.get("coloring")
+    if not _is_int(k) or not isinstance(coloring, dict):
+        raise ParseError("report needs an integer chi or chi_w and a coloring object", 0)
+    for v, cs in coloring.items():
+        if not isinstance(cs, list) or not all(_is_int(c) for c in cs):
+            raise ParseError(f"colors of vertex {v} are not a list of integers", 0)
+    return k, {v: frozenset(cs) for v, cs in coloring.items()}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,6 +5,20 @@ tuples in lexicographic order, pruned with adjacency bitmasks, so the
 returned witnesses are reproducible. Witness vertices are listed in a
 canonical pattern order: path order for paths, cyclic order for holes,
 the non-adjacent pair first for near-complete patterns.
+
+The P5 and co-P5 searches run on the twin kernel: what is left after
+repeatedly deleting every vertex that has a smaller twin (a vertex
+with the same open or the same closed neighbourhood). They still
+return the lexicographically first witness of the whole graph. P5 has
+no twins, so a witness through a vertex with a smaller twin stays a
+witness when the twin takes that vertex's place, and that witness is
+lexicographically smaller; the first witness therefore avoids every
+deleted vertex. Twins of a graph are exactly the twins of its
+complement, so one kernel serves both searches, and the co-P5 search
+reads complement neighbourhoods off the adjacency masks without
+building the complement. On members built by substitution most
+vertices have twins, so the kernel is small. Kp-e has twins, so its
+detector searches the whole graph.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from .graph import (
     Graph,
     bits_of,
     is_independent_set,
+    iter_bits,
     set_of,
 )
 
@@ -78,46 +93,87 @@ def _int_suffix(text: str) -> int:
         return -1
 
 
-# -- induced paths and cycles ----------------------------------------------
+# -- induced P5 and co-P5 ----------------------------------------------------
 
 
-def _find_induced_path(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Lexicographically first ordered vertex tuple inducing P_k."""
-    if k == 1:
-        return (0,) if g.n >= 1 else None
-    full = (1 << g.n) - 1
+def _twin_kernel(g: Graph) -> int:
+    """Bitmask of the vertices left after repeatedly deleting every
+    vertex that has a smaller twin (same open or same closed
+    neighbourhood among the vertices still kept).
 
-    def extend(path: list[int], banned: int) -> tuple[int, ...] | None:
-        # banned: vertices adjacent to any non-tip path vertex, plus the path
-        if len(path) == k:
-            return tuple(path)
-        tip = path[-1]
-        cand = g.adj_bits(tip) & ~banned & full
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            found = extend(path + [v], banned | g.adj_bits(tip) | (1 << v))
-            if found is not None:
-                return found
-        return None
+    No vertex's open neighbourhood equals another vertex's closed one,
+    so one set of both keys finds both kinds of twin in one pass.
+    """
+    keep = (1 << g.n) - 1
+    while True:
+        seen: set[int] = set()
+        drop = 0
+        for v in iter_bits(keep):
+            nbrs = g.adj_bits(v) & keep
+            closed = nbrs | 1 << v
+            if nbrs in seen or closed in seen:
+                drop |= 1 << v
+            else:
+                seen.add(nbrs)
+                seen.add(closed)
+        if not drop:
+            return keep
+        keep &= ~drop
 
-    for start in range(g.n):
-        found = extend([start], 1 << start)
-        if found is not None:
-            return found
+
+def _first_p5(adj: list[int], keep: int) -> tuple[int, ...] | None:
+    """Lexicographically first vertex tuple of keep inducing P5 in path
+    order, for neighbourhood masks adj (indexed by vertex, each inside
+    keep). Each level takes its candidates lowest bit first; the fifth
+    vertex is the lowest bit of the last candidate mask."""
+    cand_a = keep
+    while cand_a:
+        low_a = cand_a & -cand_a
+        cand_a ^= low_a
+        a = low_a.bit_length() - 1
+        ban_a = adj[a] | low_a
+        cand_b = adj[a]
+        while cand_b:
+            low_b = cand_b & -cand_b
+            cand_b ^= low_b
+            b = low_b.bit_length() - 1
+            ban_b = ban_a | adj[b]
+            cand_c = adj[b] & ~ban_a
+            while cand_c:
+                low_c = cand_c & -cand_c
+                cand_c ^= low_c
+                c = low_c.bit_length() - 1
+                ban_c = ban_b | adj[c]
+                cand_d = adj[c] & ~ban_b
+                while cand_d:
+                    low_d = cand_d & -cand_d
+                    cand_d ^= low_d
+                    d = low_d.bit_length() - 1
+                    last = adj[d] & ~ban_c
+                    if last:
+                        return a, b, c, d, (last & -last).bit_length() - 1
     return None
 
 
-def find_induced_p5(g: Graph) -> Witness | None:
-    path = _find_induced_path(g, 5)
+def _p5_in(g: Graph, keep: int) -> Witness | None:
+    adj = [g.adj_bits(v) & keep for v in range(g.n)]
+    path = _first_p5(adj, keep)
     return Witness("P5", path) if path is not None else None
+
+
+def _co_p5_in(g: Graph, keep: int) -> Witness | None:
+    co = [keep & ~g.adj_bits(v) & ~(1 << v) for v in range(g.n)]
+    path = _first_p5(co, keep)
+    return Witness("co-P5", path) if path is not None else None
+
+
+def find_induced_p5(g: Graph) -> Witness | None:
+    return _p5_in(g, _twin_kernel(g))
 
 
 def find_induced_co_p5(g: Graph) -> Witness | None:
     """Vertices listed in path order of the complement."""
-    path = _find_induced_path(g.complement(), 5)
-    return Witness("co-P5", path) if path is not None else None
+    return _co_p5_in(g, _twin_kernel(g))
 
 
 def find_induced_c5(g: Graph) -> Witness | None:
@@ -307,7 +363,8 @@ def find_class_violation(g: Graph, class_name: str, p: int | None = None) -> Wit
     or None when g belongs to the class."""
     cls = _normalize_class(class_name)
     if cls == CLASS_P5_COP5:
-        return find_induced_p5(g) or find_induced_co_p5(g)
+        keep = _twin_kernel(g)
+        return _p5_in(g, keep) or _co_p5_in(g, keep)
     if cls == CLASS_P5_KPE:
         if p is None or p < 3:
             raise PreconditionError(f"class {CLASS_P5_KPE} needs a parameter p >= 3")

@@ -116,10 +116,11 @@ class Graph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
         local = {v: i for i, v in enumerate(ids)}
+        mask = bits_of(ids)
         edges = [
-            (local[u], local[v])
-            for u, v in self._edges
-            if u in local and v in local
+            (i, local[u])
+            for i, v in enumerate(ids)
+            for u in iter_bits(self._adj[v] & mask & ~((2 << v) - 1))
         ]
         return Graph(len(ids), edges), tuple(ids)
 

@@ -246,7 +246,9 @@ def md_tree_to_json(t: MDTree) -> dict:
 
 # -- weighted chromatic composition ------------------------------------------------
 
-PrimeSolver = Callable[[Graph, dict[int, int]], tuple[int, MultiColoring]]
+PrimeSolver = Callable[
+    [Graph, dict[int, int], tuple[int, ...]], tuple[int, MultiColoring]
+]
 
 
 def chi_w(
@@ -263,8 +265,10 @@ def chi_w(
     nodes solve the quotient under the children's weighted chromatic
     numbers and expand each quotient color pool back into its child.
 
-    prime_solver must be exact on the quotients it receives; an invalid
-    quotient coloring is detected and reported.
+    prime_solver receives the quotient, its weights and the host vertex
+    standing for each quotient vertex (the node's reps). It must be
+    exact on the quotients it receives; an invalid quotient coloring is
+    detected and reported.
     """
     if g.n < 1:
         raise ValueError("weighted coloring needs at least one vertex")
@@ -293,7 +297,7 @@ def chi_w(
                 offset += child_k
             return offset, cmap
         w_star = {i: solved[i][0] for i in range(len(node.children))}
-        k, quot_mc = prime_solver(node.quotient, w_star)
+        k, quot_mc = prime_solver(node.quotient, w_star, node.reps)
         try:
             validate_coloring(node.quotient, quot_mc, w_star)
         except ValueError as exc:

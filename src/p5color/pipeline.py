@@ -129,11 +129,10 @@ def solve_p5_cop5(
 
     tree = modular.md_tree(g)
     routes: list[RouteRecord] = []
-    rep_spans: dict[int, tuple[int, ...]] = {}
-    _collect_prime_reps(tree, rep_spans)
 
-    def prime_solver(quot: Graph, w_star: dict[int, int]) -> tuple[int, MultiColoring]:
-        reps = rep_spans.get(id(quot), tuple(range(quot.n)))
+    def prime_solver(
+        quot: Graph, w_star: dict[int, int], reps: tuple[int, ...]
+    ) -> tuple[int, MultiColoring]:
         if _looks_like_c5(quot):
             route = ROUTE_PRIME_C5
         else:
@@ -164,15 +163,6 @@ def solve_p5_cop5(
         routes=routes,
         ms=(time.perf_counter() - started) * 1000.0,
     )
-
-
-def _collect_prime_reps(tree: modular.MDTree, out: dict[int, tuple[int, ...]]) -> None:
-    if isinstance(tree, modular.MDLeaf):
-        return
-    if isinstance(tree, modular.MDPrime):
-        out[id(tree.quotient)] = tree.reps
-    for child in tree.children:
-        _collect_prime_reps(child, out)
 
 
 def solve_p5_kpe(

@@ -4,6 +4,7 @@ import pytest
 
 from p5color.cli import (
     EXIT_CUTOFF,
+    EXIT_INVALID_CERTIFICATE,
     EXIT_NOT_IN_CLASS,
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -110,6 +111,47 @@ def test_validate_keeps_reported_chi_zero(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["chi_reported"] == 0
+
+
+@pytest.mark.parametrize(
+    ("coloring", "reason"),
+    [
+        ({"0": [1], "1": [2], "2": [1], "3": [2]}, "vertex 4 has 0 colors"),
+        ({"0": [1], "1": [2], "2": [1], "3": [2], "4": [1]}, "adjacent vertices 0,4"),
+        ({"0": [1], "1": [2], "2": [1], "3": [2], "4": [4]}, "outside 1..3"),
+    ],
+)
+def test_validate_rejects_invalid_certificates(c5_file, tmp_path, capsys, coloring, reason):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"chi": 3, "coloring": coloring}))
+    code = main(["oracle", "validate", "--input", c5_file, "--report-file", str(report)])
+    assert code == EXIT_INVALID_CERTIFICATE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False and reason in payload["reason"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "[1, 2]", '{"coloring": {"0": [1]}}', '{"chi": 1, "coloring": {"0": 1}}'],
+)
+def test_validate_malformed_report_is_a_parse_error(c5_file, tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    code = main(["oracle", "validate", "--input", c5_file, "--report-file", str(report)])
+    assert code == EXIT_PARSE_ERROR
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_argument_errors_exit_usage(c5_file, capsys):
+    for argv in (
+        ["solve", "--class", "p5-cop5", "--input", c5_file, "--no-such-option"],
+        ["solve", "--input", c5_file],
+        ["solve", "--class", "p5-nope", "--input", c5_file],
+        ["oracle", "chi", "--input", c5_file, "--oracle-n", "ten"],
+        [],
+    ):
+        assert main(argv) == EXIT_USAGE
+        assert "usage error: p5color" in capsys.readouterr().err
 
 
 def test_solve_reports_are_byte_identical(c5_file, tmp_path):

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from p5color.detect import (
     RamseyWitness,
+    Witness,
     bipartite_ramsey_witness,
     class_membership,
     find_class_violation,
@@ -21,8 +24,9 @@ from p5color.detect import (
 from p5color.errors import CutoffExceeded, PreconditionError
 from p5color.graph import Graph
 from p5color.oracle import independence_number_exact
+from p5color.pipeline import _substitute, gen_p5_cop5
 
-from helpers import contains_induced, random_graph
+from helpers import all_graphs, contains_induced, random_graph
 
 P5 = Graph.path(5)
 C5 = Graph.cycle(5)
@@ -200,3 +204,116 @@ def test_berge_longer_odd_holes_at_the_size_boundary():
     w = find_odd_hole_or_antihole(Graph.cycle(9))
     assert w.pattern == "C9" and witness_ok(Graph.cycle(9), w)
     assert is_berge_small(Graph.cycle(8))
+
+
+# -- P5 / co-P5 witnesses: lexicographically first, twin-free -----------------
+
+PAIRS5 = list(itertools.combinations(range(5), 2))
+
+
+@pytest.fixture(scope="module")
+def first_on_five():
+    """pattern -> 10-bit edge code of a graph on 0..4 -> its
+    lexicographically first ordering inducing the pattern, by trying
+    every permutation with witness_ok (P5 has four edges, co-P5 six)."""
+    table = {}
+    for pattern, size in (("P5", 4), ("co-P5", 6)):
+        table[pattern] = dict.fromkeys(range(1 << len(PAIRS5)))
+        for code in table[pattern]:
+            if code.bit_count() != size:
+                continue
+            g5 = Graph(5, [e for i, e in enumerate(PAIRS5) if code >> i & 1])
+            table[pattern][code] = next(
+                (
+                    t
+                    for t in itertools.permutations(range(5))
+                    if witness_ok(g5, Witness(pattern, t))
+                ),
+                None,
+            )
+    return table
+
+
+def lex_first_bruteforce(g: Graph, pattern: str, first_on_five) -> tuple[int, ...] | None:
+    """The smallest over all 5-subsets of the subset's first ordering; a
+    subset is sorted, so its local order agrees with host order."""
+    best = None
+    for sub in itertools.combinations(range(g.n), 5):
+        code = sum(1 << i for i, (a, b) in enumerate(PAIRS5) if g.adjacent(sub[a], sub[b]))
+        local = first_on_five[pattern][code]
+        if local is not None:
+            found = tuple(sub[i] for i in local)
+            best = found if best is None else min(best, found)
+    return best
+
+
+def _vertices(w: Witness | None):
+    return None if w is None else w.vertices
+
+
+def test_p5_and_co_p5_witnesses_are_lexicographically_first(first_on_five):
+    rng = random.Random(8)
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    graphs += [random_graph(rng.randint(7, 10), rng.random(), rng) for _ in range(300)]
+    for g in graphs:
+        assert _vertices(find_induced_p5(g)) == lex_first_bruteforce(g, "P5", first_on_five)
+        assert _vertices(find_induced_co_p5(g)) == lex_first_bruteforce(
+            g, "co-P5", first_on_five
+        )
+
+
+def flipped_members():
+    """gen_p5_cop5 members with one seeded vertex pair flipped."""
+    for n in (20, 40):
+        for seed in range(10):
+            g = gen_p5_cop5(n, seed)
+            rng = random.Random(seed)
+            for _ in range(4):
+                u, v = sorted(rng.sample(range(n), 2))
+                yield Graph(n, g.edges ^ {(u, v)})
+
+
+def twin_heavy_graphs():
+    rng = random.Random(9)
+    yield from flipped_members()
+    for skeleton in (Graph.path(5), Graph.path(5).complement(), Graph.path(6)):
+        for _ in range(15):
+            parts = [gen_p5_cop5(rng.randint(1, 4), rng.randrange(1000)) for _ in range(skeleton.n)]
+            yield _substitute(skeleton, parts)
+
+
+def smaller_twin(g: Graph, v: int) -> int | None:
+    for u in range(v):
+        if g.adj_bits(u) & ~(1 << v) == g.adj_bits(v) & ~(1 << u):
+            return u
+    return None
+
+
+def test_witnesses_avoid_vertices_with_a_smaller_twin():
+    found = 0
+    for g in twin_heavy_graphs():
+        for w in (find_induced_p5(g), find_induced_co_p5(g)):
+            if w is None:
+                continue
+            found += 1
+            assert witness_ok(g, w)
+            assert [smaller_twin(g, v) for v in w.vertices] == [None] * 5
+    assert found >= 100
+
+
+# sha256 of the find_class_violation witnesses of flipped_members() for
+# both classes (p = 4), recorded with the detectors that searched the
+# whole graph and built the complement for the co-P5 half
+FLIPPED_WITNESSES = "c2b40c025cf3bc19daa0e639e760e33af2b6671100af07ad3bb97eccbdf397b0"
+
+
+def test_flipped_member_witnesses_are_pinned():
+    def listed(w):
+        return None if w is None else [w.pattern, list(w.vertices)]
+
+    rows = [
+        [listed(find_class_violation(g, "p5-cop5")), listed(find_class_violation(g, "p5-kpe", 4))]
+        for g in flipped_members()
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == FLIPPED_WITNESSES

@@ -26,7 +26,7 @@ C4 = Graph.cycle(4)
 P4 = Graph.path(4)
 
 
-def exact_prime_solver(q, w):
+def exact_prime_solver(q, w, reps):
     return chi_w_exact(q, w)
 
 
@@ -154,7 +154,7 @@ def test_chi_w_unit_weights_equal_chi():
 def test_chi_w_detects_bad_prime_solver():
     from p5color.coloring import MultiColoring
 
-    def lying(q, w):
+    def lying(q, w, reps):
         # claims one color for everything
         return 1, MultiColoring(tuple(frozenset([1]) for _ in range(q.n)), 1)
 
