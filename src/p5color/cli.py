@@ -1,8 +1,12 @@
 """Command-line surface: solve, decompose, generate, verify, oracle.
 
 Exit codes: 0 success, 2 input not in the declared class (witness
-printed), 3 parse error (a malformed graph, weights file or solve
-report), 4 desk-scale cutoff exceeded, 5 usage error (an argument the
+printed), 3 parse error (a malformed graph or solve report, or a
+weights file that is malformed or names a vertex the graph does not
+have), 4 desk-scale cutoff exceeded (by an exact oracle, or by the
+exponential exact-fallback route of `solve --class p5-kpe`; the
+{P5, co-P5} solve has no weight cutoff, and `--max-total-weight`
+bounds `oracle chiw` only), 5 usage error (an argument the
 parser refuses, options that do not go together, a cutoff that is not
 positive, an unreadable input file or a non-integer P5COLOR_*
 variable), 6 a certificate that `oracle validate` finds invalid (the
@@ -70,12 +74,6 @@ def _add_cutoffs(parser: argparse.ArgumentParser) -> None:
         help="exact solver vertex cutoff",
     )
     parser.add_argument(
-        "--max-total-weight",
-        type=int,
-        default=_env_cutoff("P5COLOR_MAX_TOTAL_WEIGHT", DEFAULT_MAX_TOTAL_WEIGHT),
-        help="weighted oracle total-weight cutoff",
-    )
-    parser.add_argument(
         "--berge-n",
         type=int,
         default=_env_cutoff("P5COLOR_BERGE_N", DEFAULT_BERGE_MAX_N),
@@ -129,6 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--report-file", help="solve report to re-validate")
     _add_common(p_or)
     _add_cutoffs(p_or)
+    p_or.add_argument(
+        "--max-total-weight",
+        type=int,
+        default=_env_cutoff("P5COLOR_MAX_TOTAL_WEIGHT", DEFAULT_MAX_TOTAL_WEIGHT),
+        help="weighted oracle (chiw) total-weight cutoff",
+    )
 
     return parser
 
@@ -146,10 +150,10 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     return parse_graph(_read(path), fmt)
 
 
-def _load_weights(path: str | None) -> dict[int, int] | None:
+def _load_weights(path: str | None, g: Graph) -> dict[int, int] | None:
     if path is None:
         return None
-    return parse_weights(_read(path))
+    return parse_weights(_read(path), g.n)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -171,11 +175,7 @@ def _solve_text(report: pipeline.SolveReport) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    for flag, value in (
-        ("--oracle-n", args.oracle_n),
-        ("--max-total-weight", args.max_total_weight),
-        ("--berge-n", args.berge_n),
-    ):
+    for flag, value in (("--oracle-n", args.oracle_n), ("--berge-n", args.berge_n)):
         if value <= 0:
             raise UsageError(f"cutoff {flag} must be positive")
     if args.class_name == "p5-kpe":
@@ -188,10 +188,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
     if args.class_name == "p5-cop5":
         report = pipeline.solve_p5_cop5(
-            g,
-            _load_weights(args.weights),
-            max_total_weight=args.max_total_weight,
-            berge_max_n=args.berge_n,
+            g, _load_weights(args.weights, g), berge_max_n=args.berge_n
         )
     else:
         report = pipeline.solve_p5_kpe(g, args.p, oracle_max_n=args.oracle_n)
@@ -290,7 +287,7 @@ def _oracle_crosscheck(samples: int, n_max: int, seed: int) -> dict:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    weights = _load_weights(args.weights)
+    weights = _load_weights(args.weights, g)
     if args.op == "chi":
         k, mc = oracle.chi_exact(g, max_n=args.oracle_n)
         _emit({"chi": k, "coloring": mc.to_json()}, args.out)

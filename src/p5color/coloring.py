@@ -34,9 +34,10 @@ def normalize_weights(g: Graph, w: Weights | None) -> list[int]:
     return out
 
 
-def parse_weights(text: str) -> dict[int, int]:
-    """Weights file: lines "vertex weight", 0-indexed; blank lines and
-    "#" comments ignored. Missing vertices default to weight 1."""
+def parse_weights(text: str, n: int) -> dict[int, int]:
+    """Weights file of a graph on n vertices: lines "vertex weight",
+    0-indexed; blank lines and "#" comments ignored. Missing vertices
+    default to weight 1."""
     out: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -51,6 +52,8 @@ def parse_weights(text: str) -> dict[int, int]:
             raise ParseError(f"malformed weight line {line!r}", lineno) from None
         if v < 0 or wt < 1:
             raise ParseError(f"bad vertex or weight in {line!r}", lineno)
+        if v >= n:
+            raise ParseError(f"weight for unknown vertex {v}", lineno)
         out[v] = wt
     return out
 

@@ -14,6 +14,12 @@ from .graph import Graph
 DEFAULT_CHI_MAX_N = 24
 DEFAULT_MAX_TOTAL_WEIGHT = 64
 DEFAULT_MATCHING_MAX_N = 14
+# Search nodes _chi_branch_and_bound may visit before it raises
+# CutoffExceeded. The test suite needs at most 117,439 (on 18 vertices)
+# and the benchmark's exact cross-checks 85,751; a million nodes take
+# about 7 s on a 25-vertex blow-up, where a hard instance could run for
+# hours.
+CHI_NODE_BUDGET = 1_000_000
 
 
 # -- exact chromatic number ----------------------------------------------------
@@ -31,7 +37,9 @@ def chi_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> tuple[int, MultiColor
     return k, MultiColoring.from_singletons(assignment, g.n)
 
 
-def _chi_branch_and_bound(g: Graph) -> tuple[int, dict[int, int]]:
+def _chi_branch_and_bound(
+    g: Graph, node_budget: int = CHI_NODE_BUDGET
+) -> tuple[int, dict[int, int]]:
     n = g.n
     if n == 0:
         return 0, {}
@@ -52,9 +60,16 @@ def _chi_branch_and_bound(g: Graph) -> tuple[int, dict[int, int]]:
         color[v] = i + 1
 
     order_pool = [v for v in range(n) if color[v] == 0]
+    nodes = 0
 
     def branch(used: int) -> None:
-        nonlocal best_k, best
+        nonlocal best_k, best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise CutoffExceeded(
+                f"chromatic branch and bound on {n} vertices passed its budget of "
+                f"{node_budget} search nodes (bounds {lower}..{best_k})"
+            )
         if used >= best_k:
             return
         v = _most_saturated(g, color, order_pool)

@@ -6,10 +6,15 @@ inputs with a forbidden-structure witness. Every solve carries an audit
 trail of which solver handled each block or prime quotient:
 
   o3-matching    complement-matching reduction on an O3-free C-block
-  prime-C5       exact weighted solve of a 5-cycle prime quotient
-  perfect-exact  exact solve standing in for perfect-graph coloring
+  prime-C5       closed-form weighted solve of a 5-cycle prime quotient
+  perfect-exact  weighted solve of a perfect prime quotient: chi_w is
+                 its heaviest clique omega_w, which certifies the
+                 omega_w-color multicoloring built from stable sets
   exact-fallback exact solve standing in for the bounded-clique
                  fixed-k-colorability argument on a non-O3-free C-block
+
+The cost of both prime-quotient routes depends on the quotient, not on
+its weights (see prime).
 """
 
 from __future__ import annotations
@@ -33,14 +38,10 @@ from .detect import (
 from .errors import CutoffExceeded, NotInClass
 from .graph import Graph, is_connected
 from .matching import chi_o3_free
-from .oracle import (
-    DEFAULT_CHI_MAX_N,
-    DEFAULT_MAX_TOTAL_WEIGHT,
-    chi_exact,
-    chi_w_exact,
-    clique_number_exact,
-    greedy_clique,
-)
+from .oracle import DEFAULT_CHI_MAX_N, chi_exact, clique_number_exact, greedy_clique
+# unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
+from .oracle import chi_w_exact  # noqa: F401
+from .prime import chi_w_c5, chi_w_perfect, is_c5
 
 ROUTE_O3_MATCHING = "o3-matching"
 ROUTE_PRIME_C5 = "prime-C5"
@@ -90,10 +91,6 @@ class SolveReport:
         return out
 
 
-def _looks_like_c5(g: Graph) -> bool:
-    return g.n == 5 and all(g.degree(v) == 2 for v in range(5)) and is_connected(g)
-
-
 def _trivial_report(class_name: str, p: int | None, started: float) -> SolveReport:
     return SolveReport(
         class_name=class_name,
@@ -110,15 +107,14 @@ def _trivial_report(class_name: str, p: int | None, started: float) -> SolveRepo
 def solve_p5_cop5(
     g: Graph,
     w: Weights | None = None,
-    max_total_weight: int = DEFAULT_MAX_TOTAL_WEIGHT,
     berge_max_n: int = DEFAULT_BERGE_MAX_N,
 ) -> SolveReport:
     """Weighted chromatic number of a {P5, co-P5}-free graph.
 
     Composes over the modular decomposition tree; prime quotients are
-    either the 5-cycle (solved exactly as such) or perfect, and the
-    perfect case is handed to the exact solver at desk scale. Unit
-    weights by default.
+    either the 5-cycle (closed form) or perfect (heaviest clique), and
+    quotients up to berge_max_n vertices are checked to be one or the
+    other. Unit weights by default.
     """
     started = time.perf_counter()
     violation = find_class_violation(g, "p5-cop5")
@@ -133,8 +129,9 @@ def solve_p5_cop5(
     def prime_solver(
         quot: Graph, w_star: dict[int, int], reps: tuple[int, ...]
     ) -> tuple[int, MultiColoring]:
-        if _looks_like_c5(quot):
+        if is_c5(quot):
             route = ROUTE_PRIME_C5
+            k, mc = chi_w_c5(quot, w_star)
         else:
             if quot.n <= berge_max_n and not is_berge_small(quot, max_n=berge_max_n):
                 raise RuntimeError(
@@ -142,12 +139,7 @@ def solve_p5_cop5(
                     f"vertices {sorted(reps)}"
                 )
             route = ROUTE_PERFECT_EXACT
-        try:
-            k, mc = chi_w_exact(quot, w_star, max_total_weight=max_total_weight)
-        except CutoffExceeded as exc:
-            raise CutoffExceeded(
-                f"prime quotient on {quot.n} vertices exceeded the oracle cutoff: {exc}"
-            ) from exc
+            k, mc = chi_w_perfect(quot, w_star)
         routes.append(RouteRecord(route, reps, quot.n, k))
         return k, mc
 
@@ -407,7 +399,7 @@ def verify_lemma5(
 
     def examine(g: Graph, n: int) -> None:
         report.total += 1
-        if _looks_like_c5(g):
+        if is_c5(g):
             report.bump(f"n={n}:c5")
         elif is_berge_small(g, max_n=berge_max_n):
             report.bump(f"n={n}:berge")

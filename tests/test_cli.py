@@ -230,6 +230,26 @@ def test_solve_option_checks_exit_usage(c5_file):
     assert main(solve + ["--class", "p5-cop5", "--oracle-n", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--class", "p5-cop5"],
+        ["oracle", "chiw"],
+        ["oracle", "validate", "--report-file", "REPORT"],
+    ],
+    ids=["solve", "oracle-chiw", "oracle-validate"],
+)
+def test_weight_for_unknown_vertex_is_a_parse_error(c5_file, tmp_path, capsys, command):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text("0 2\n9 2\n")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"chi": 3, "coloring": {}}))
+    command = [str(report) if arg == "REPORT" else arg for arg in command]
+    code = main(command + ["--input", c5_file, "--weights", str(wpath)])
+    assert code == EXIT_PARSE_ERROR
+    assert "parse error: line 2: weight for unknown vertex 9" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_usage(c5_file, tmp_path, monkeypatch):
     wpath = tmp_path / "w.txt"
     wpath.write_text("0 2\n")

@@ -21,14 +21,14 @@ from p5color.pipeline import _C5, _substitute, gen_p5_cop5, solve_p5_cop5, solve
 from helpers import random_graph
 
 COP5_MEMBERS = {
-    (20, 0): "b048e88d5c9d6e2366a5ffe2db7ad0cb77f1e5e73b8deb8733c723bd5c1d8a1b",
+    (20, 0): "1106e171b2d86d6d08e6d4648d851735466adbc9313aee85052972ed4b9ec775",
     (20, 1): "afabf3304eb18c9aea5565296d8d02d40cd58e9ddd89759f2a37f072ce7ae1a2",
     (20, 2): "f91df36b9d5f6b02f85cd0bc7b6c372f4755c6b702651f8b19c98171deb970d6",
-    (40, 0): "00e69bc767b65fd788c44890e306d6854f8720d698ce24ad13993f7964145fc5",
-    (40, 1): "a72efe72c1dc66e69316dd932a4d46a77189d8f1966672e73aeff60b826681fd",
-    (40, 2): "bb974172d64cc3ed0e25c04d30f4bbdf893dd6b2dc57fc598b5a8fb00404fa81",
+    (40, 0): "4ae05babbb257141121b6670c7db3ad00d35702ccba30b6b78f5b4c0e760ed35",
+    (40, 1): "0db3a5b1798ee4b999c36d5583a87fc878f5dc6f15f1aca7f9273309fab69de5",
+    (40, 2): "8b0de6112ae3746e7dcb4984be6d1b89eaf1092ca381e6cd6464da9882d7935d",
 }
-C5_K3 = "75e1f85b05e71c8223b580d19f0c80781c88e379bf378162845afa2a25d7ece0"
+C5_K3 = "251ee8e4cba87a57b115ddca593fc2ce1ec18dafb9762a1cd8584826e2a9c4d9"
 STAR_K1_30_P4 = "34487166b8859db0cde46c6dfc8f56c1a29cba0a33d7c02b194c469e1f6cdf77"
 RANDOM_TREES = "2bf7158a45c5afb6b3c36aae38fb9def88434e29f7ebf2585cc8d510cfb9d7d9"
 
@@ -60,3 +60,32 @@ def test_random_decomposition_trees():
         g = random_graph(rng.randint(1, 12), rng.random(), rng)
         trees.append([md_tree_to_json(md_tree(g)), tree_to_json(build_tree(g))])
     assert digest(trees) == RANDOM_TREES
+
+
+# The same reports without their "coloring" key: chi, routes and the
+# decomposition, which a change to how certificates are built must keep.
+REPORTS = {
+    **{
+        f"cop5-n{n}-s{seed}": (lambda n=n, seed=seed: solve_p5_cop5(gen_p5_cop5(n, seed)))
+        for n, seed in COP5_MEMBERS
+    },
+    "C5[K3]": lambda: solve_p5_cop5(_substitute(_C5, [Graph.complete(3)] * 5)),
+    "K1,30 p=4": lambda: solve_p5_kpe(Graph(31, [(0, v) for v in range(1, 31)]), 4),
+}
+REPORTS_WITHOUT_COLORING = {
+    "cop5-n20-s0": "38625a689a34078ed2d707529a9a2f2dfdb47a22c1576918d50561a98b845719",
+    "cop5-n20-s1": "6cf6550dd6a3724ce9e60cb0c971c50dec55ea1a7d9b9352af6f5881346e5901",
+    "cop5-n20-s2": "ee53da042ba5cf4c86b14817e61b4c70d227138a927256d5465d3d75264fba56",
+    "cop5-n40-s0": "bab75c978fd5d80e3d4d6130fdd1cc81fa1484688a32b8c7457388b06c8d8eb6",
+    "cop5-n40-s1": "555751fc75b5a4beb019133ac4e1f8dbce0205cb7d76df4df669b68a129b71b5",
+    "cop5-n40-s2": "8c143ff074a77c019d295559ec0b6afff1d762e2b5c4faa1fe074785a48b297f",
+    "C5[K3]": "91a9376b768452cd45859667e39d3e81d3e97678e29d0aaee8cae5336be8fccd",
+    "K1,30 p=4": "2f8d73932b878798a93db542e33190bf1558ba4d91190f85cc36e4749546b3f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS_WITHOUT_COLORING))
+def test_report_without_coloring(name):
+    payload = REPORTS[name]().to_json()
+    del payload["coloring"]
+    assert digest(payload) == REPORTS_WITHOUT_COLORING[name]

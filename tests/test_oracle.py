@@ -7,6 +7,7 @@ from p5color.coloring import validate_coloring
 from p5color.errors import CutoffExceeded
 from p5color.graph import Graph, is_clique
 from p5color.oracle import (
+    _chi_branch_and_bound,
     chi_exact,
     chi_w_exact,
     clique_number_exact,
@@ -44,6 +45,12 @@ def test_chi_exact_cutoff():
     with pytest.raises(CutoffExceeded):
         chi_exact(Graph.empty(25))
     assert chi_exact(Graph.empty(25), max_n=30)[0] == 1
+
+
+def test_chi_branch_and_bound_node_budget_is_loud():
+    with pytest.raises(CutoffExceeded, match="budget of 1 search nodes"):
+        _chi_branch_and_bound(petersen(), node_budget=1)
+    assert _chi_branch_and_bound(petersen())[0] == 3
 
 
 def test_chi_w_exact_fixed_cases():

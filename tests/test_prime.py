@@ -1,0 +1,153 @@
+import itertools
+import random
+
+import pytest
+
+from p5color import pipeline
+from p5color.coloring import validate_coloring
+from p5color.detect import find_class_violation
+from p5color.errors import PreconditionError
+from p5color.graph import Graph, is_connected
+from p5color.modular import is_prime
+from p5color.oracle import chi_w_exact
+from p5color.pipeline import (
+    _BULL,
+    _C5,
+    _P4,
+    ROUTE_PERFECT_EXACT,
+    ROUTE_PRIME_C5,
+    _substitute,
+    gen_p5_cop5,
+    solve_p5_cop5,
+)
+from p5color.prime import chi_w_c5, chi_w_perfect, is_c5, maximal_cliques
+
+from helpers import all_graphs
+
+# the 5-cycle under two labellings, so the walk around its complement
+# does not just follow vertex ids
+C5_RELABELLED = Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+
+
+def c5_bound(g: Graph, w: dict[int, int]) -> int:
+    """The heaviest edge and ceil(W / 2): lower bounds on chi_w of a
+    5-cycle, since an edge is a clique and a color covers at most two
+    of its vertices."""
+    return max(max(w[u] + w[v] for u, v in g.edges), -(-sum(w.values()) // 2))
+
+
+@pytest.mark.parametrize("g", [_C5, C5_RELABELLED])
+def test_c5_route_matches_oracle_on_small_weights(g):
+    for ws in itertools.product(range(1, 4), repeat=5):
+        w = dict(enumerate(ws))
+        k, mc = chi_w_c5(g, w)
+        validate_coloring(g, mc, w)
+        assert k == mc.k == chi_w_exact(g, w)[0]
+
+
+def test_c5_route_certificate_meets_the_bound_on_a_weight_grid():
+    rng = random.Random(60)
+    grid = [rng.randint(1, 60) for _ in range(20)] + [1, 60]
+    for _ in range(3000):
+        w = {v: rng.choice(grid) for v in range(5)}
+        for g in (_C5, C5_RELABELLED):
+            k, mc = chi_w_c5(g, w)
+            validate_coloring(g, mc, w)
+            assert k == c5_bound(g, w)
+
+
+def test_c5_route_refuses_other_graphs():
+    with pytest.raises(PreconditionError):
+        chi_w_c5(Graph.path(5), None)
+
+
+def prime_perfect_members(n_max: int):
+    """Connected prime {P5, co-P5}-free graphs other than the 5-cycle,
+    every labelling, as verify_lemma5 enumerates them."""
+    for n in range(2, n_max + 1):
+        for g in all_graphs(n):
+            if (
+                is_connected(g)
+                and is_prime(g)
+                and not is_c5(g)
+                and find_class_violation(g, "p5-cop5") is None
+            ):
+                yield g
+
+
+def test_perfect_route_matches_oracle_on_prime_members():
+    rng = random.Random(61)
+    count = 0
+    for g in prime_perfect_members(6):
+        w = {v: rng.randint(1, 3) for v in range(g.n)}
+        k, mc = chi_w_perfect(g, w)
+        validate_coloring(g, mc, w)
+        assert k == mc.k == chi_w_exact(g, w)[0]
+        count += 1
+    assert count > 2000
+
+
+def test_perfect_route_refuses_a_graph_that_is_not_perfect():
+    # the heaviest cliques of C7 are its seven edges, and a stable set
+    # meeting all of them would leave a stable complement: a 2-coloring
+    with pytest.raises(PreconditionError):
+        chi_w_perfect(Graph.cycle(7), None)
+
+
+def test_maximal_cliques_of_small_graphs():
+    assert sorted(maximal_cliques(Graph.path(4))) == [0b0011, 0b0110, 0b1100]
+    assert maximal_cliques(Graph.complete(4)) == [0b1111]
+    assert sorted(maximal_cliques(Graph.empty(3))) == [1, 2, 4]
+
+
+def blowup(skeleton: Graph, k: int) -> Graph:
+    return _substitute(skeleton, [Graph.complete(k)] * skeleton.n)
+
+
+BLOWUPS = {
+    # instances the branch-and-bound oracle could not finish
+    "C5[K5]": (blowup(_C5, 5), None, 13, ROUTE_PRIME_C5),
+    "C5 weight 5": (_C5, {v: 5 for v in range(5)}, 13, ROUTE_PRIME_C5),
+    "bull[K13]": (blowup(_BULL, 13), None, 39, ROUTE_PERFECT_EXACT),
+    "bull weight 13": (_BULL, {v: 13 for v in range(5)}, 39, ROUTE_PERFECT_EXACT),
+    "P4[K17]": (blowup(_P4, 17), None, 34, ROUTE_PERFECT_EXACT),
+    # and far past them: chi is ceil(5k / 2), 3k and 2k
+    "C5[K50]": (blowup(_C5, 50), None, 125, ROUTE_PRIME_C5),
+    "bull[K100]": (blowup(_BULL, 100), None, 300, ROUTE_PERFECT_EXACT),
+    "C5 weight 1000": (_C5, {v: 1000 for v in range(5)}, 2500, ROUTE_PRIME_C5),
+}
+
+
+@pytest.mark.parametrize("name", BLOWUPS)
+def test_blowups_solve_with_the_closed_form(name):
+    g, w, chi, route = BLOWUPS[name]
+    report = solve_p5_cop5(g, w)
+    assert report.chi == chi
+    assert [r.route for r in report.routes] == [route]
+    validate_coloring(g, report.coloring, w)
+
+
+def test_weighted_member_past_the_oracle_solves():
+    g = gen_p5_cop5(40, 0)
+    wrng = random.Random(0)
+    w = {v: wrng.randint(1, 3) for v in range(40)}
+    report = solve_p5_cop5(g, w)
+    # 21 by the closed forms of the substitution that built g (the
+    # benchmark's workloads.cop5_member follows it draw for draw)
+    assert report.chi == 21
+    validate_coloring(g, report.coloring, w)
+
+
+def test_cop5_solve_never_calls_the_weighted_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_p5_cop5 called chi_w_exact")
+
+    monkeypatch.setattr(pipeline, "chi_w_exact", refuse)
+    rng = random.Random(1004)  # the pool of acceptance criterion 2
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        g = gen_p5_cop5(n, rng.randrange(2**32))
+        w = {v: rng.randint(1, 3) for v in range(n)}
+        res = solve_p5_cop5(g, w)
+        assert res.chi == chi_w_exact(g, w)[0]
+        validate_coloring(g, res.coloring, w)
