@@ -1,17 +1,20 @@
 """Command-line surface: solve, decompose, generate, verify, oracle.
 
 Exit codes: 0 success, 2 input not in the declared class (witness
-printed), 3 parse error (a malformed graph or solve report, or a
-weights file that is malformed or names a vertex the graph does not
-have), 4 desk-scale cutoff exceeded (by an exact oracle, or by the
-exponential exact-fallback route of `solve --class p5-kpe`; the
-{P5, co-P5} solve has no weight cutoff, and `--max-total-weight`
-bounds `oracle chiw` only), 5 usage error (an argument the
-parser refuses, options that do not go together, a cutoff that is not
-positive, an unreadable input file or a non-integer P5COLOR_*
-variable), 6 a certificate that `oracle validate` finds invalid (the
-reason is printed). Reports are JSON and byte-stable for a fixed
-(input, seed, config); timings are included only on request.
+printed), 3 parse error (a malformed graph or solve report, a report
+nested too deeply to read, or a weights file that is malformed or
+names a vertex the graph does not have), 4 desk-scale cutoff exceeded
+(by an exact oracle, by the exponential exact-fallback route of
+`solve --class p5-kpe`, or by a modular decomposition tree too deep
+for a JSON report: about 495 levels under the default recursion
+limit, with the depth named in the message; the {P5, co-P5} solve has
+no weight cutoff, and `--max-total-weight` bounds `oracle chiw` only),
+5 usage error (an argument the parser refuses, options that do not go
+together, a cutoff that is not positive, an unreadable input file or a
+non-integer P5COLOR_* variable), 6 a certificate that `oracle
+validate` finds invalid (the reason is printed). Reports are JSON and
+byte-stable for a fixed (input, seed, config); timings are included
+only on request.
 """
 
 from __future__ import annotations
@@ -157,7 +160,18 @@ def _load_weights(path: str | None, g: Graph) -> dict[int, int] | None:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except RecursionError:
+        # only a modular decomposition tree nests this deep
+        level, depth = [payload.get("tree", payload)], -1
+        while level:
+            level = [c for node in level for c in node.get("children", ())]
+            depth += 1
+        raise CutoffExceeded(
+            f"the modular decomposition tree is {depth} levels deep, more than "
+            "a JSON report can nest"
+        ) from None
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -326,6 +340,8 @@ def _load_report(path: str) -> tuple[int, dict[str, frozenset[int]]]:
         payload = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"report is not JSON: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        raise ParseError("report nests too deeply to read", 0) from None
     if not isinstance(payload, dict):
         raise ParseError("report is not a JSON object", 0)
     k = payload["chi"] if "chi" in payload else payload.get("chi_w")

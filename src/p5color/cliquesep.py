@@ -109,7 +109,7 @@ def build_tree(g: Graph) -> Atoms:
     atoms = []
     for x, sep in reversed(_mcs_m(g, rest)):
         if is_clique(g, iter_bits(sep)):
-            comp = reach(g, 1 << x, rest & ~sep)
+            comp = reach(g.adj_bits, 1 << x, rest & ~sep)
             atoms.append(Atom(set_of(sep | comp), set_of(sep)))
             rest &= ~comp
     if rest:

@@ -7,7 +7,7 @@ tuples (cheap iteration for the decompositions).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import ParseError
 
@@ -161,22 +161,29 @@ def components(g: Graph, mask: int | None = None) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by the vertex bitmask
     (all of g by default), ordered by smallest contained vertex id."""
     rest = (1 << g.n) - 1 if mask is None else mask
+    return [set_of(comp) for comp in component_masks(g.adj_bits, rest)]
+
+
+def component_masks(nbrs: Callable[[int], int], mask: int) -> list[int]:
+    """The components of the vertex bitmask mask under the neighborhood
+    bitmasks nbrs(v), as bitmasks ordered by smallest vertex."""
     out = []
-    while rest:
-        comp = reach(g, rest & -rest, rest)
-        rest &= ~comp
-        out.append(set_of(comp))
+    while mask:
+        comp = reach(nbrs, mask & -mask, mask)
+        mask &= ~comp
+        out.append(comp)
     return out
 
 
-def reach(g: Graph, seed: int, mask: int) -> int:
+def reach(nbrs: Callable[[int], int], seed: int, mask: int) -> int:
     """Bitmask of the vertices of mask joined to the seed bitmask by
-    paths inside mask (the seed itself included)."""
+    paths inside mask (the seed itself included), where nbrs(v) is the
+    neighborhood bitmask of v: g.adj_bits for a graph g."""
     comp = frontier = seed
     while frontier:
         nxt = 0
         for v in iter_bits(frontier):
-            nxt |= g.adj_bits(v)
+            nxt |= nbrs(v)
         frontier = nxt & mask & ~comp
         comp |= frontier
     return comp

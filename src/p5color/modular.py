@@ -2,15 +2,16 @@
 
 The tree has Parallel nodes (disconnected subgraphs), Series nodes
 (disconnected complements) and Prime nodes carrying the quotient graph
-on one representative per maximal proper module. The partition into
-maximal proper modules is computed naively, by closing vertex pairs
-under distinguishing vertices; auditable over fast.
+on one representative per maximal proper module. A prime node's
+children come from partition refinement by neighborhoods, which leaves
+only the child containing the smallest vertex to be closed, on a small
+quotient.
 
 Every node is a vertex bitmask of the input graph: components come
-from the input, co-components from its complement (taken once), and
-module closures stay inside the node's span, so no node builds a
-relabelled subgraph. The validator checks the tree against induced
-copies instead.
+from its adjacency masks and co-components from its complement masks
+(taken once), so no node builds a relabelled subgraph. Every tree walk
+uses an explicit stack, so trees as deep as the graph is large stay
+within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, Weights, normalize_weights, validate_coloring
-from .graph import Graph, bits_of, components, iter_bits, set_of
+from .graph import Graph, bits_of, component_masks, iter_bits, reach, set_of
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,10 @@ def is_module(g: Graph, members: Iterable[int]) -> bool:
     return True
 
 
-def min_module(g: Graph, seed: int, within: int) -> int:
-    """Smallest module of g[within] containing the seed: close under
-    distinguishers. Seed, within and the result are vertex bitmasks."""
+def min_module(nbrs: Callable[[int], int], seed: int, within: int) -> int:
+    """Smallest module containing the seed of the graph on within whose
+    neighborhood bitmasks are nbrs(v): close under distinguishers.
+    Seed, within and the result are vertex bitmasks."""
     mask = seed
     changed = True
     while changed:
@@ -81,7 +83,7 @@ def min_module(g: Graph, seed: int, within: int) -> int:
             low = outside & -outside
             x = low.bit_length() - 1
             outside ^= low
-            inside = g.adj_bits(x) & mask
+            inside = nbrs(x) & mask
             if inside != 0 and inside != mask:
                 mask |= low
                 changed = True
@@ -93,32 +95,49 @@ def is_prime(g: Graph) -> bool:
     full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if min_module(g, 1 << u | 1 << v, full) != full:
+            if min_module(g.adj_bits, 1 << u | 1 << v, full) != full:
                 return False
     return True
 
 
-def maximal_modules_partition(g: Graph, span: int) -> list[frozenset[int]]:
-    """The partition of the vertex bitmask span into the maximal proper
-    modules of g[span].
+def _prime_children(g: Graph, span: int) -> list[int]:
+    """The maximal proper modules of g[span], by smallest vertex, when
+    g[span] and its complement are connected (Gallai's third case).
 
-    Valid when g[span] and its complement are connected (Gallai's third
-    case); the maximal proper module containing v is then the union of
-    all proper modules through v.
+    Refining span - {v}, v = min(span), by neighborhoods until every part
+    is a module gives the maximal modules avoiding v: the other children
+    and a split of M_v - {v}, M_v the child through v. M_v is the union
+    of the proper modules through v of the quotient on {v} and the parts.
     """
-    parts: list[frozenset[int]] = []
-    assigned = 0
-    for v in iter_bits(span):
-        if assigned >> v & 1:
-            continue
-        best = 1 << v
-        for u in iter_bits(span & ~(1 << v)):
-            m = min_module(g, 1 << v | 1 << u, span)
-            if m != span:
-                best |= m
-        parts.append(set_of(best))
-        assigned |= best
-    return parts
+    low = span & -span
+    rest = span ^ low
+    near = g.adj_bits(low.bit_length() - 1)
+    parts = [p for p in (rest & near, rest & ~near) if p]
+    pivots = rest
+    while pivots:
+        bit = pivots & -pivots
+        pivots ^= bit
+        near = g.adj_bits(bit.bit_length() - 1)
+        refined = []
+        for p in parts:
+            inside = p & near
+            if inside and inside != p and not p & bit:
+                refined += (inside, p ^ inside)
+                pivots |= p
+            else:
+                refined.append(p)
+        parts = refined
+    parts.sort(key=lambda p: p & -p)
+    reps = [(m & -m).bit_length() - 1 for m in [low, *parts]]
+    q = [sum(1 << j for j, r in enumerate(reps) if g.adjacent(x, r)) for x in reps]
+    whole = (1 << len(q)) - 1
+    closed = 1
+    for i in range(1, len(q)):
+        m = min_module(q.__getitem__, 1 | 1 << i, whole)
+        if m != whole:
+            closed |= m
+    merged = low | sum(p for i, p in enumerate(parts, 1) if closed >> i & 1)  # disjoint
+    return [merged] + [p for i, p in enumerate(parts, 1) if not closed >> i & 1]
 
 
 def quotient(g: Graph, parts: list[frozenset[int]]) -> tuple[Graph, tuple[int, ...]]:
@@ -158,56 +177,64 @@ def _on_reps(g: Graph, reps: tuple[int, ...]) -> Graph:
 def md_tree(g: Graph) -> MDTree:
     if g.n < 1:
         raise ValueError("modular decomposition needs at least one vertex")
-    co = g.complement()
-
-    def build(span: frozenset[int]) -> MDTree:
-        if len(span) == 1:
-            return MDLeaf(next(iter(span)))
-        mask = bits_of(span)
-        comps = components(g, mask)
-        if len(comps) > 1:
-            return MDParallel(tuple(build(c) for c in comps), span)
-        co_comps = components(co, mask)
-        if len(co_comps) > 1:
-            return MDSeries(tuple(build(c) for c in co_comps), span)
-        parts = maximal_modules_partition(g, mask)
-        reps = tuple(min(part) for part in parts)
-        children = tuple(build(part) for part in parts)
-        return MDPrime(children, span, _on_reps(g, reps), reps)
-
-    return build(frozenset(range(g.n)))
+    full = (1 << g.n) - 1
+    co = [full ^ g.adj_bits(v) ^ 1 << v for v in range(g.n)]
+    built: dict[int, MDTree] = {}
+    order: list[tuple[int, type, list[int]]] = []  # pre-order (span, kind, child spans)
+    stack = [full]
+    while stack:
+        span = stack.pop()
+        if span & (span - 1) == 0:
+            built[span] = MDLeaf(span.bit_length() - 1)
+            continue
+        kind, parts = MDParallel, component_masks(g.adj_bits, span)
+        if len(parts) == 1:
+            kind, parts = MDSeries, component_masks(co.__getitem__, span)
+        if len(parts) == 1:
+            kind, parts = MDPrime, _prime_children(g, span)
+        order.append((span, kind, parts))
+        stack.extend(parts)
+    for span, kind, parts in reversed(order):
+        children = tuple(built.pop(p) for p in parts)
+        if kind is MDPrime:
+            reps = tuple((p & -p).bit_length() - 1 for p in parts)
+            built[span] = MDPrime(children, set_of(span), _on_reps(g, reps), reps)
+        else:
+            built[span] = kind(children, set_of(span))
+    return built[full]
 
 
 def validate_md_tree(g: Graph, t: MDTree) -> None:
     """Raise ValueError unless t satisfies the decomposition invariants."""
     if t.span != frozenset(range(g.n)):
         raise ValueError("root span must be the whole vertex set")
-
-    def walk(node: MDTree) -> None:
+    full = (1 << g.n) - 1
+    co = [full ^ g.adj_bits(v) ^ 1 << v for v in range(g.n)]
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if isinstance(node, MDLeaf):
-            return
-        spans = [c.span for c in node.children]
+            continue
         if len(node.children) < 2:
             raise ValueError("internal nodes need at least two children")
-        total: set[int] = set()
-        for s in spans:
-            if s & total:
+        span = bits_of(node.span)
+        masks = [bits_of(c.span) for c in node.children]
+        total = 0
+        for m in masks:
+            if m & total:
                 raise ValueError("child spans must be disjoint")
-            total |= s
-        if total != set(node.span):
+            total |= m
+        if total != span:
             raise ValueError("child spans must partition the parent span")
-        sub, ids = g.induced(node.span)
-        to_local = {h: i for i, h in enumerate(ids)}
-        local_spans = [frozenset(to_local[v] for v in s) for s in spans]
         if isinstance(node, MDParallel):
-            if sorted(components(sub), key=min) != sorted(local_spans, key=min):
+            if any(reach(g.adj_bits, m & -m, span) != m for m in masks):
                 raise ValueError("Parallel children must be the components")
         elif isinstance(node, MDSeries):
-            if sorted(components(sub.complement()), key=min) != sorted(local_spans, key=min):
+            if any(reach(co.__getitem__, m & -m, span) != m for m in masks):
                 raise ValueError("Series children must be the co-components")
         else:
-            for s in local_spans:
-                if not is_module(sub, s):
+            for m in masks:
+                if any(g.adj_bits(x) & m not in (0, m) for x in iter_bits(span & ~m)):
                     raise ValueError("Prime children must be modules of the parent subgraph")
             if node.quotient.n < 4:
                 raise ValueError("Prime quotient needs at least four vertices")
@@ -222,26 +249,28 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
                 for j in range(i + 1, len(node.reps)):
                     if node.quotient.adjacent(i, j) != g.adjacent(node.reps[i], node.reps[j]):
                         raise ValueError("quotient adjacency must mirror the representatives")
-        for c in node.children:
-            walk(c)
+        stack.extend(node.children)
 
-    walk(t)
+
+_KINDS = {MDParallel: "parallel", MDSeries: "series", MDPrime: "prime"}
 
 
 def md_tree_to_json(t: MDTree) -> dict:
-    if isinstance(t, MDLeaf):
-        return {"kind": "vertex", "vertex": t.vertex}
-    out: dict = {"kind": "", "span": sorted(t.span)}
-    if isinstance(t, MDParallel):
-        out["kind"] = "parallel"
-    elif isinstance(t, MDSeries):
-        out["kind"] = "series"
-    else:
-        out["kind"] = "prime"
-        out["quotient_edges"] = sorted(map(list, t.quotient.edges))
-        out["representatives"] = list(t.reps)
-    out["children"] = [md_tree_to_json(c) for c in t.children]
-    return out
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        if isinstance(node, MDLeaf):
+            out.update(kind="vertex", vertex=node.vertex)
+            continue
+        out["kind"] = _KINDS[type(node)]
+        out["span"] = sorted(node.span)
+        if isinstance(node, MDPrime):
+            out["quotient_edges"] = sorted(map(list, node.quotient.edges))
+            out["representatives"] = list(node.reps)
+        out["children"] = [{} for _ in node.children]
+        stack.extend(zip(node.children, out["children"]))
+    return root
 
 
 # -- weighted chromatic composition ------------------------------------------------
@@ -276,44 +305,51 @@ def chi_w(
     if tree is None:
         tree = md_tree(g)
 
-    def solve(node: MDTree) -> tuple[int, dict[int, frozenset[int]]]:
+    # pre-order taking children right to left; reversed, it is the
+    # left-to-right post-order, so prime_solver sees quotients in child order
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(getattr(node, "children", ()))
+    solved: dict[int, tuple[int, dict[int, frozenset[int]]]] = {}
+    for node in reversed(order):
         if isinstance(node, MDLeaf):
             k = weights[node.vertex]
-            return k, {node.vertex: frozenset(range(1, k + 1))}
-        solved = [solve(c) for c in node.children]
+            solved[id(node)] = k, {node.vertex: frozenset(range(1, k + 1))}
+            continue
+        kids = [solved.pop(id(c)) for c in node.children]
+        cmap: dict[int, frozenset[int]] = {}
         if isinstance(node, MDParallel):
-            k = max(s[0] for s in solved)
-            cmap: dict[int, frozenset[int]] = {}
-            for _, child_map in solved:
+            k = max(child_k for child_k, _ in kids)
+            for _, child_map in kids:
                 cmap.update(child_map)
-            return k, cmap
-        if isinstance(node, MDSeries):
-            cmap = {}
-            offset = 0
-            for child_k, child_map in solved:
+        elif isinstance(node, MDSeries):
+            k = 0
+            for child_k, child_map in kids:
                 cmap.update(
-                    {v: frozenset(c + offset for c in cs) for v, cs in child_map.items()}
+                    {v: frozenset(c + k for c in cs) for v, cs in child_map.items()}
                 )
-                offset += child_k
-            return offset, cmap
-        w_star = {i: solved[i][0] for i in range(len(node.children))}
-        k, quot_mc = prime_solver(node.quotient, w_star, node.reps)
-        try:
-            validate_coloring(node.quotient, quot_mc, w_star)
-        except ValueError as exc:
-            raise RuntimeError(
-                f"prime solver returned an invalid quotient coloring: {exc}"
-            ) from exc
-        cmap = {}
-        for i, (child_k, child_map) in enumerate(solved):
-            pool = sorted(quot_mc.of(i))
-            rename = {c: pool[c - 1] for c in range(1, child_k + 1)}
-            cmap.update(
-                {v: frozenset(rename[c] for c in cs) for v, cs in child_map.items()}
-            )
-        return k, cmap
+                k += child_k
+        else:
+            w_star = {i: child_k for i, (child_k, _) in enumerate(kids)}
+            k, quot_mc = prime_solver(node.quotient, w_star, node.reps)
+            try:
+                validate_coloring(node.quotient, quot_mc, w_star)
+            except ValueError as exc:
+                raise RuntimeError(
+                    f"prime solver returned an invalid quotient coloring: {exc}"
+                ) from exc
+            for i, (child_k, child_map) in enumerate(kids):
+                pool = sorted(quot_mc.of(i))
+                rename = {c: pool[c - 1] for c in range(1, child_k + 1)}
+                cmap.update(
+                    {v: frozenset(rename[c] for c in cs) for v, cs in child_map.items()}
+                )
+        solved[id(node)] = k, cmap
 
-    k, cmap = solve(tree)
+    k, cmap = solved[id(tree)]
     mc = MultiColoring(tuple(cmap[v] for v in range(g.n)), k)
     validate_coloring(g, mc, w)
     return k, mc

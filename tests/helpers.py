@@ -26,6 +26,14 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     )
 
 
+def alternating_threshold(n: int) -> Graph:
+    """Odd vertex i is joined to every earlier vertex. The modular
+    decomposition alternates series and parallel nodes n - 1 levels
+    deep, and the 550 odd vertices with vertex 0 form a largest clique
+    at n = 1100."""
+    return Graph(n, [(u, i) for i in range(1, n, 2) for u in range(i)])
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -138,3 +146,82 @@ def max_matching_by_edge_subsets(g: Graph) -> int:
         return best
 
     return go(0, frozenset())
+
+
+def md_tree_reference(g: Graph) -> dict:
+    """The modular decomposition tree of g in md_tree_to_json's form,
+    built the slow way: components by search, and the children of a
+    prime node by closing every vertex pair under distinguishing
+    vertices. With g[span] and its complement connected (Gallai's third
+    case), the maximal proper module through v is the union of all
+    proper modules through v."""
+
+    def closure(mask: int, within: int) -> int:
+        grown = True
+        while grown:
+            grown = False
+            for x in members(within & ~mask):
+                inside = g.adj_bits(x) & mask
+                if inside and inside != mask:
+                    mask |= 1 << x
+                    grown = True
+        return mask
+
+    def split(span: int, nbrs) -> list[int]:
+        parts = []
+        while span:
+            comp = span & -span
+            grown = True
+            while grown:
+                grown = False
+                for x in range(g.n):
+                    if comp >> x & 1 and nbrs(x) & span & ~comp:
+                        comp |= nbrs(x) & span
+                        grown = True
+            parts.append(comp)
+            span &= ~comp
+        return parts
+
+    def maximal_modules(span: int) -> list[int]:
+        parts = []
+        assigned = 0
+        for v in range(g.n):
+            if not span >> v & 1 or assigned >> v & 1:
+                continue
+            best = 1 << v
+            for u in range(g.n):
+                if span >> u & 1 and u != v:
+                    m = closure(1 << v | 1 << u, span)
+                    if m != span:
+                        best |= m
+            parts.append(best)
+            assigned |= best
+        return parts
+
+    def members(mask: int) -> list[int]:
+        return [v for v in range(g.n) if mask >> v & 1]
+
+    def build(span: int) -> dict:
+        if span & (span - 1) == 0:
+            return {"kind": "vertex", "vertex": span.bit_length() - 1}
+        out: dict = {"span": members(span)}
+        parts = split(span, g.adj_bits)
+        out["kind"] = "parallel"
+        if len(parts) == 1:
+            parts = split(span, lambda x: ~g.adj_bits(x) & ~(1 << x))
+            out["kind"] = "series"
+        if len(parts) == 1:
+            parts = maximal_modules(span)
+            reps = [members(p)[0] for p in parts]
+            out["kind"] = "prime"
+            out["representatives"] = reps
+            out["quotient_edges"] = [
+                [i, j]
+                for i in range(len(reps))
+                for j in range(i + 1, len(reps))
+                if g.adjacent(reps[i], reps[j])
+            ]
+        out["children"] = [build(p) for p in parts]
+        return out
+
+    return build((1 << g.n) - 1)

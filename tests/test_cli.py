@@ -13,6 +13,8 @@ from p5color.cli import (
 )
 from p5color.graph import Graph, parse_graph, to_dimacs
 
+from helpers import alternating_threshold
+
 C5_DIMACS = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
 P5_DIMACS = "p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
 
@@ -265,3 +267,30 @@ def test_env_cutoff_override(tmp_path, capsys, monkeypatch):
     path.write_text(to_dimacs(Graph.empty(12)))
     monkeypatch.setenv("P5COLOR_ORACLE_N", "6")
     assert main(["oracle", "chi", "--input", str(path)]) == EXIT_CUTOFF
+
+
+@pytest.fixture(scope="module")
+def deep_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deep") / "threshold1100.col"
+    path.write_text(to_dimacs(alternating_threshold(1100)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--class", "p5-cop5"], ["decompose", "--kind", "modular"]],
+    ids=["solve", "decompose"],
+)
+def test_too_deep_tree_for_a_json_report_is_a_cutoff(deep_file, capsys, command):
+    assert main(command + ["--input", deep_file]) == EXIT_CUTOFF
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "modular decomposition tree is 1099 levels deep" in captured.err
+
+
+def test_too_deep_report_is_a_parse_error(c5_file, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["oracle", "validate", "--input", c5_file, "--report-file", str(report)])
+    assert code == EXIT_PARSE_ERROR
+    assert "nests too deeply" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -19,8 +20,15 @@ from p5color.modular import (
     validate_md_tree,
 )
 from p5color.oracle import chi_exact, chi_w_exact
+from p5color.pipeline import _BULL, _C5, _P4, _substitute, solve_p5_cop5
 
-from helpers import chi_w_bruteforce, random_graph
+from helpers import (
+    all_graphs,
+    alternating_threshold,
+    chi_w_bruteforce,
+    md_tree_reference,
+    random_graph,
+)
 
 C4 = Graph.cycle(4)
 P4 = Graph.path(4)
@@ -186,3 +194,53 @@ def test_md_tree_of_c5_with_doubled_vertices():
     # weighted 5-cycle with demand 2 everywhere needs 5 colors
     assert chi_w(g, None, exact_prime_solver)[0] == 5
     assert chi_exact(g)[0] == 5
+
+
+def test_md_tree_matches_reference_on_every_small_graph():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            assert md_tree_to_json(md_tree(g)) == md_tree_reference(g)
+
+
+def test_md_tree_matches_reference_on_random_graphs():
+    rng = random.Random(31)
+    for _ in range(2000):
+        g = random_graph(rng.randint(1, 24), rng.random(), rng)
+        assert md_tree_to_json(md_tree(g)) == md_tree_reference(g)
+
+
+def _nested_members():
+    k = Graph.complete
+    for skeleton in (_P4, _C5, _BULL):
+        for size in (1, 2, 5):
+            yield _substitute(skeleton, [k(size)] * skeleton.n)
+    c5_of_k2 = _substitute(_C5, [k(2)] * 5)
+    p4_of_mixed = _substitute(_P4, [Graph.empty(2), k(3), c5_of_k2, Graph.path(3)])
+    yield _substitute(_BULL, [c5_of_k2, p4_of_mixed, Graph(1), _C5, Graph.empty(3)])
+    yield _substitute(_C5, [p4_of_mixed, _BULL, k(1), c5_of_k2, _P4])
+
+
+def test_md_tree_matches_reference_on_blowups_and_nested_primes():
+    primes = []
+    for g in _nested_members():
+        tree = md_tree(g)
+        validate_md_tree(g, tree)
+        assert md_tree_to_json(tree) == md_tree_reference(g)
+        primes.append(str(md_tree_to_json(tree)).count("'prime'"))
+    assert primes[-2:] == [5, 6]
+
+
+def test_deep_tree_walks_stay_within_the_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    g = alternating_threshold(1100)
+    tree = md_tree(g)
+    validate_md_tree(g, tree)
+    # solve_p5_cop5 builds the tree again, composes chi_w over it and
+    # writes it with md_tree_to_json
+    report = solve_p5_cop5(g)
+    node, kinds = report.decomposition, []
+    while node["kind"] != "vertex":
+        kinds.append(node["kind"])
+        node = node["children"][0]
+    assert kinds == ["series", "parallel"] * 549 + ["series"]
+    assert report.chi == 551  # a threshold graph is perfect
