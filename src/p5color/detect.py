@@ -8,17 +8,20 @@ the non-adjacent pair first for near-complete patterns.
 
 The P5 and co-P5 searches run on the twin kernel: what is left after
 repeatedly deleting every vertex that has a smaller twin (a vertex
-with the same open or the same closed neighbourhood). They still
-return the lexicographically first witness of the whole graph. P5 has
-no twins, so a witness through a vertex with a smaller twin stays a
-witness when the twin takes that vertex's place, and that witness is
-lexicographically smaller; the first witness therefore avoids every
-deleted vertex. Twins of a graph are exactly the twins of its
-complement, so one kernel serves both searches, and the co-P5 search
-reads complement neighbourhoods off the adjacency masks without
-building the complement. On members built by substitution most
-vertices have twins, so the kernel is small. Kp-e has twins, so its
-detector searches the whole graph.
+with the same open or the same closed neighbourhood) or that is
+isolated or universal among the vertices kept. They still return the
+lexicographically first witness of the whole graph. P5 has no twins,
+so a witness through a vertex with a smaller twin stays a witness when
+the twin takes that vertex's place, and that witness is
+lexicographically smaller; every vertex of P5 and of co-P5 has a
+neighbour and a non-neighbour among the other four. The first witness
+therefore avoids every deleted vertex. Twins of a graph are exactly
+the twins of its complement, and isolated and universal vertices swap
+roles, so one kernel serves both searches, and the co-P5 search reads
+complement neighbourhoods off the adjacency masks without building the
+complement. On members built by substitution most vertices have twins,
+so the kernel is small. Kp-e has twins, so its detector searches the
+whole graph, skipping only vertices of too low degree.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ def _int_suffix(text: str) -> int:
 def _twin_kernel(g: Graph) -> int:
     """Bitmask of the vertices left after repeatedly deleting every
     vertex that has a smaller twin (same open or same closed
-    neighbourhood among the vertices still kept).
+    neighbourhood among the vertices still kept), no kept neighbour, or
+    every other kept vertex as a neighbour.
 
     No vertex's open neighbourhood equals another vertex's closed one,
     so one set of both keys finds both kinds of twin in one pass.
@@ -111,7 +115,7 @@ def _twin_kernel(g: Graph) -> int:
         for v in iter_bits(keep):
             nbrs = g.adj_bits(v) & keep
             closed = nbrs | 1 << v
-            if nbrs in seen or closed in seen:
+            if not nbrs or closed == keep or nbrs in seen or closed in seen:
                 drop |= 1 << v
             else:
                 seen.add(nbrs)
@@ -235,17 +239,30 @@ def _find_hole(g: Graph, length: int) -> tuple[int, ...] | None:
 
 
 def find_induced_kp_minus_e(g: Graph, p: int) -> Witness | None:
-    """Induced K_p minus one edge; the two non-adjacent vertices come first."""
+    """Induced K_p minus one edge; the two non-adjacent vertices come first.
+
+    Ends need degree >= p - 2 and clique vertices degree >= p - 1, and
+    for p >= 4 the ends need two common neighbours of that degree. Only
+    searches that cannot succeed are cut, so the witness stays the
+    lexicographically first one.
+    """
     if p < 3:
         raise PreconditionError(f"K_p-e needs p >= 3, got p={p}")
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if g.adjacent(x, y):
-                continue
-            common = g.adj_bits(x) & g.adj_bits(y)
-            clique = _lex_clique_in_mask(g, common, p - 2)
-            if clique is not None:
-                return Witness(f"K{p}-e", (x, y, *clique))
+    ends = bits_of(v for v in range(g.n) if g.degree(v) >= p - 2)
+    core = bits_of(v for v in iter_bits(ends) if g.degree(v) >= p - 1)
+    for x in iter_bits(ends):
+        near = g.adj_bits(x) & core
+        far = ends & ~g.adj_bits(x) & ~((2 << x) - 1)
+        once = twice = 0  # far vertices with at least one / two neighbours in near
+        for z in iter_bits(near):
+            twice |= once & g.adj_bits(z)
+            once |= far & g.adj_bits(z)
+        for y in iter_bits(twice if p > 3 else once):
+            common = near & g.adj_bits(y)
+            if common.bit_count() >= p - 2:
+                clique = _lex_clique_in_mask(g, common, p - 2)
+                if clique is not None:
+                    return Witness(f"K{p}-e", (x, y, *clique))
     return None
 
 
@@ -253,14 +270,12 @@ def _lex_clique_in_mask(g: Graph, mask: int, size: int) -> tuple[int, ...] | Non
     """Lexicographically first clique of the given size inside mask."""
     if size == 0:
         return ()
-    if mask.bit_count() < size:
-        return None
     cand = mask
-    while cand:
+    while cand.bit_count() >= size:
         low = cand & -cand
         v = low.bit_length() - 1
         cand ^= low
-        rest = _lex_clique_in_mask(g, mask & g.adj_bits(v) & ~((1 << (v + 1)) - 1), size - 1)
+        rest = _lex_clique_in_mask(g, cand & g.adj_bits(v), size - 1)
         if rest is not None:
             return (v, *rest)
     return None

@@ -7,6 +7,7 @@ check the fast paths against genuinely independent ground truth.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -225,3 +226,91 @@ def md_tree_reference(g: Graph) -> dict:
         return out
 
     return build((1 << g.n) - 1)
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def kp_minus_e_reference(g: Graph, p: int) -> tuple[int, ...] | None:
+    """The lexicographically first induced K_p - e, non-adjacent pair
+    first, by a clique search in the common neighbourhood of every
+    non-adjacent pair x < y in order."""
+
+    def lex_clique(mask: int, size: int) -> tuple[int, ...] | None:
+        if size == 0:
+            return ()
+        if mask.bit_count() < size:
+            return None
+        for v in _bits(mask):
+            rest = lex_clique(mask & g.adj_bits(v) & ~((1 << (v + 1)) - 1), size - 1)
+            if rest is not None:
+                return (v, *rest)
+        return None
+
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if not g.adjacent(x, y):
+                clique = lex_clique(g.adj_bits(x) & g.adj_bits(y), p - 2)
+                if clique is not None:
+                    return (x, y, *clique)
+    return None
+
+
+def mcs_m_reference(g: Graph, span: int) -> list[tuple[int, int]]:
+    """MCS-M generators (vertex, mask of its earlier H-neighbours) in
+    numbering order, by a max scan for the next vertex (ties to the
+    smallest id) and a heap-based minimax search for the vertices whose
+    weight grows: u grows iff some u..v path through unnumbered
+    vertices has every interior weight below u's."""
+    weight = dict.fromkeys(_bits(span), 0)
+    earlier = dict.fromkeys(weight, 0)
+    generators = []
+    previous = -1
+    unnumbered = span
+    while unnumbered:
+        v = max(_bits(unnumbered), key=weight.__getitem__)
+        if weight[v] <= previous:
+            generators.append((v, earlier[v]))
+        previous = weight[v]
+        unnumbered ^= 1 << v
+        # best[u]: least largest interior weight over u..v paths, -1 for an edge
+        best = {}
+        heap: list[tuple[int, int]] = []
+        for u in _bits(g.adj_bits(v) & unnumbered):
+            best[u] = -1
+            heapq.heappush(heap, (-1, u))
+        while heap:
+            cost, x = heapq.heappop(heap)
+            if cost > best[x]:
+                continue
+            through = max(cost, weight[x])
+            for y in _bits(g.adj_bits(x) & unnumbered):
+                if y not in best or through < best[y]:
+                    best[y] = through
+                    heapq.heappush(heap, (through, y))
+        for u in best:
+            if best[u] < weight[u]:
+                weight[u] += 1
+                earlier[u] |= 1 << v
+    return generators
+
+
+def with_universal_and_isolated(g: Graph, rng: random.Random) -> Graph:
+    """g plus one to three new vertices, each joined to all vertices
+    before it or to none (universal or isolated when added), all
+    relabelled by a seeded permutation."""
+    extra = rng.randint(1, 3)
+    n = g.n + extra
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[u], order[v]))) for u, v in g.edges}
+    for i in range(g.n, n):
+        if rng.random() < 0.5:
+            edges |= {tuple(sorted((order[i], order[u]))) for u in range(i)}
+    return Graph(n, edges)

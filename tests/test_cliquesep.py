@@ -7,17 +7,19 @@ import pytest
 from p5color.cli import EXIT_OK, main
 from p5color.cliquesep import (
     Atom,
+    _mcs_m,
     build_tree,
     chi_compose,
     tree_leaves,
     tree_to_json,
     validate_tree,
 )
+from p5color.detect import find_induced_kp_minus_e
 from p5color.graph import Graph, components, is_clique, is_connected, to_dimacs
 from p5color.oracle import chi_exact
 from p5color.pipeline import solve_p5_kpe
 
-from helpers import all_graphs, has_clique_separator_bruteforce, random_graph
+from helpers import all_graphs, has_clique_separator_bruteforce, mcs_m_reference, random_graph
 
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -222,3 +224,23 @@ def test_star_k1_1200_solves_and_decomposes(tmp_path):
     argv = ["decompose", "--kind", "cliquesep", "--input", str(path), "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert json.loads(out.read_text())["atoms"][1] == {"block": [0, 2], "separator": [0]}
+
+
+def test_mcs_m_generators_match_the_heap_reference():
+    rng = random.Random(40)
+    for _ in range(2000):
+        n = rng.randint(0, 40)
+        g = random_graph(n, rng.random(), rng)
+        full = (1 << n) - 1
+        assert _mcs_m(g, full) == mcs_m_reference(g, full)
+    g = random_graph(30, 0.3, rng)
+    span = sum(1 << v for v in range(30) if rng.random() < 0.6)
+    assert _mcs_m(g, span) == mcs_m_reference(g, span)
+
+
+def test_star_k1_5000_solves_with_one_atom_per_edge():
+    star = Graph(5001, [(0, v) for v in range(1, 5001)])
+    assert find_induced_kp_minus_e(star, 4) is None
+    report = solve_p5_kpe(star, 4)
+    assert report.chi == 2
+    assert len(report.decomposition["atoms"]) == 5000

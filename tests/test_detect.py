@@ -26,7 +26,13 @@ from p5color.graph import Graph
 from p5color.oracle import independence_number_exact
 from p5color.pipeline import _substitute, gen_p5_cop5
 
-from helpers import all_graphs, contains_induced, random_graph
+from helpers import (
+    all_graphs,
+    contains_induced,
+    kp_minus_e_reference,
+    random_graph,
+    with_universal_and_isolated,
+)
 
 P5 = Graph.path(5)
 C5 = Graph.cycle(5)
@@ -68,6 +74,59 @@ def test_kp_minus_e_known_cases():
     assert find_induced_kp_minus_e(C5, 4) is None
     with pytest.raises(PreconditionError):
         find_induced_kp_minus_e(C5, 2)
+
+
+def test_kp_minus_e_witnesses_match_the_reference():
+    rng = random.Random(41)
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    graphs += [random_graph(rng.randint(0, 24), rng.random(), rng) for _ in range(2000)]
+    for g in graphs:
+        for p in range(3, 7):
+            assert _vertices(find_induced_kp_minus_e(g, p)) == kp_minus_e_reference(g, p)
+
+
+def _cone(blocks: list[Graph]) -> Graph:
+    """Apex 0 joined to the disjoint union of blocks."""
+    edges, offset = [], 1
+    for b in blocks:
+        edges += [(offset + u, offset + v) for u, v in b.edges]
+        edges += [(0, offset + v) for v in range(b.n)]
+        offset += b.n
+    return Graph(offset, edges)
+
+
+def test_flipped_cone_kp_minus_e_witnesses_match_the_reference():
+    """Cones over O3-free blocks and K3,3, p the largest block clique
+    plus 3 as for members: every single-pair flip, and rejects-style
+    flips (the first of a seeded pair order that leaves the class)
+    under seeded vertex orders."""
+    co_c11, co_c13 = Graph.cycle(11).complement(), Graph.cycle(13).complement()
+    co_and3 = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (v - u) % 3 != 1])
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    cones = [(_cone([co_c11, co_c13]), 9), (_cone([co_and3] * 3), 6), (_cone([k33] * 4), 5)]
+    found = 0
+    for i, (cone, p) in enumerate(cones):
+        assert find_class_violation(cone, "p5-kpe", p) is None
+        pairs = list(itertools.combinations(range(cone.n), 2))
+        for pair in pairs:
+            h = Graph(cone.n, cone.edges ^ {pair})
+            w = find_induced_kp_minus_e(h, p)
+            assert _vertices(w) == kp_minus_e_reference(h, p)
+            found += w is not None
+        rng = random.Random(i)
+        for _ in range(4):
+            rng.shuffle(pairs)
+            flipped = next(
+                h
+                for h in (Graph(cone.n, cone.edges ^ {pair}) for pair in pairs)
+                if find_class_violation(h, "p5-kpe", p) is not None
+            )
+            order = list(range(cone.n))
+            for _ in range(4):
+                rng.shuffle(order)
+                h = Graph(cone.n, [(order[u], order[v]) for u, v in flipped.edges])
+                assert _vertices(find_induced_kp_minus_e(h, p)) == kp_minus_e_reference(h, p)
+    assert found >= 20
 
 
 def test_o3_known_cases():
@@ -260,6 +319,18 @@ def test_p5_and_co_p5_witnesses_are_lexicographically_first(first_on_five):
         assert _vertices(find_induced_co_p5(g)) == lex_first_bruteforce(
             g, "co-P5", first_on_five
         )
+
+
+def test_witnesses_skip_universal_and_isolated_vertices(first_on_five):
+    rng = random.Random(42)
+    found = 0
+    for _ in range(250):
+        g = with_universal_and_isolated(random_graph(rng.randint(4, 8), rng.random(), rng), rng)
+        for find, pattern in ((find_induced_p5, "P5"), (find_induced_co_p5, "co-P5")):
+            w = _vertices(find(g))
+            assert w == lex_first_bruteforce(g, pattern, first_on_five)
+            found += w is not None
+    assert found >= 60
 
 
 def flipped_members():
