@@ -158,10 +158,12 @@ LeafSolver = Callable[[Graph], tuple[int, MultiColoring]]
 def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, MultiColoring]:
     """Compose per-atom chromatic numbers/colorings into one for g.
 
-    chi(g) is the max over the atoms. Each atom's colors are permuted to
-    match the colors already on its separator clique, and its other
-    colors go to the ones the separator does not use. Each atom's
-    coloring is validated; the solver validates the composed one on g.
+    leaf_chi is called once per atom, in atom order, on the subgraph the
+    atom's block induces (relabelled in increasing host order). chi(g)
+    is the max over the atoms. Each atom's colors are permuted to match
+    the colors already on its separator clique, and its other colors go
+    to the ones the separator does not use. Each atom's coloring is
+    validated; the solver validates the composed one on g.
     """
     k = 0
     color: dict[int, int] = {}

@@ -22,13 +22,33 @@ complement neighbourhoods off the adjacency masks without building the
 complement. On members built by substitution most vertices have twins,
 so the kernel is small. Kp-e has twins, so its detector searches the
 whole graph, skipping only vertices of too low degree.
+
+{P5, co-P5} membership decides in two stages. First the kernel P5
+search, then the co-P5 search, each within a budget of n * n // 2
+search nodes (at least 128), where a node is one (a, b, c) prefix or
+one (a, b, c, d) extension; near-members usually meet a witness within
+it. A search that runs out hands over to the prime quotients of the
+modular decomposition tree, which the {P5, co-P5} solver reuses. Take
+the first witness W and the lowest tree node N whose span contains W.
+A child M of N is a module, so W & M is a module of G[W], and not all
+of W as N is lowest; P5 and co-P5 are prime, so W meets M in at most
+one vertex. N is then prime, since W is connected and co-connected and
+meets at least two children, and W induces the same pattern on the
+quotient of N. The vertex W has in M is min(M): the minimum sees the
+rest of W exactly as that vertex does, and swapping it in would give a
+smaller witness. The node's reps are those minima, in increasing
+order, so W is the smallest of the quotients' first paths mapped
+through their reps, and the quotient stage needs no search of the
+whole graph afterwards.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
+from . import modular
 from .errors import CutoffExceeded, PreconditionError
 from .graph import (
     Graph,
@@ -40,6 +60,11 @@ from .graph import (
 
 DEFAULT_BERGE_MAX_N = 16
 DEFAULT_RAMSEY_MAX_PART = 20
+# each budgeted P5 / co-P5 kernel search may visit n * n // _BUDGET_DIVISOR
+# search nodes, and at least _BUDGET_FLOOR, before membership falls back to
+# the prime quotients: below n = 16 a whole search costs less than the tree
+_BUDGET_DIVISOR = 2
+_BUDGET_FLOOR = 128
 
 
 @dataclass(frozen=True)
@@ -108,15 +133,19 @@ def _twin_kernel(g: Graph) -> int:
     No vertex's open neighbourhood equals another vertex's closed one,
     so one set of both keys finds both kinds of twin in one pass.
     """
+    adj = g.adj_masks
     keep = (1 << g.n) - 1
     while True:
         seen: set[int] = set()
         drop = 0
-        for v in iter_bits(keep):
-            nbrs = g.adj_bits(v) & keep
-            closed = nbrs | 1 << v
+        rest = keep
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1] & keep
+            closed = nbrs | low
             if not nbrs or closed == keep or nbrs in seen or closed in seen:
-                drop |= 1 << v
+                drop |= low
             else:
                 seen.add(nbrs)
                 seen.add(closed)
@@ -125,11 +154,21 @@ def _twin_kernel(g: Graph) -> int:
         keep &= ~drop
 
 
-def _first_p5(adj: list[int], keep: int) -> tuple[int, ...] | None:
+class _BudgetSpent(Exception):
+    """A budgeted _first_p5 search visited more nodes than allowed."""
+
+
+def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int, ...] | None:
     """Lexicographically first vertex tuple of keep inducing P5 in path
     order, for neighbourhood masks adj (indexed by vertex, each inside
     keep). Each level takes its candidates lowest bit first; the fifth
-    vertex is the lowest bit of the last candidate mask."""
+    vertex is the lowest bit of the last candidate mask.
+
+    Every (a, b, c) prefix and every (a, b, c, d) extension visited
+    costs one node of the budget; _BudgetSpent is raised once more than
+    budget nodes are needed. The extensions of a prefix are charged
+    when the prefix is visited.
+    """
     cand_a = keep
     while cand_a:
         low_a = cand_a & -cand_a
@@ -149,6 +188,9 @@ def _first_p5(adj: list[int], keep: int) -> tuple[int, ...] | None:
                 c = low_c.bit_length() - 1
                 ban_c = ban_b | adj[c]
                 cand_d = adj[c] & ~ban_b
+                budget -= 1 + cand_d.bit_count()
+                if budget < 0:
+                    raise _BudgetSpent
                 while cand_d:
                     low_d = cand_d & -cand_d
                     cand_d ^= low_d
@@ -159,15 +201,15 @@ def _first_p5(adj: list[int], keep: int) -> tuple[int, ...] | None:
     return None
 
 
-def _p5_in(g: Graph, keep: int) -> Witness | None:
-    adj = [g.adj_bits(v) & keep for v in range(g.n)]
-    path = _first_p5(adj, keep)
+def _p5_in(g: Graph, keep: int, budget: float = math.inf) -> Witness | None:
+    adj = [m & keep for m in g.adj_masks]
+    path = _first_p5(adj, keep, budget)
     return Witness("P5", path) if path is not None else None
 
 
-def _co_p5_in(g: Graph, keep: int) -> Witness | None:
-    co = [keep & ~g.adj_bits(v) & ~(1 << v) for v in range(g.n)]
-    path = _first_p5(co, keep)
+def _co_p5_in(g: Graph, keep: int, budget: float = math.inf) -> Witness | None:
+    co = [keep & ~(m | 1 << v) for v, m in enumerate(g.adj_masks)]
+    path = _first_p5(co, keep, budget)
     return Witness("co-P5", path) if path is not None else None
 
 
@@ -178,6 +220,51 @@ def find_induced_p5(g: Graph) -> Witness | None:
 def find_induced_co_p5(g: Graph) -> Witness | None:
     """Vertices listed in path order of the complement."""
     return _co_p5_in(g, _twin_kernel(g))
+
+
+def _quotient_violation(tree: modular.MDTree) -> Witness | None:
+    """The first P5, else the first co-P5, of the graph whose modular
+    decomposition tree is given, found on its prime quotients alone.
+
+    Each quotient's first path is mapped to host vertices through the
+    node's reps, which increase with the quotient index, so the mapping
+    keeps lexicographic order and the smallest mapped tuple over all
+    quotients is the host's first witness (see the module docstring).
+    """
+    primes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, modular.MDPrime):
+            primes.append(node)
+        stack.extend(getattr(node, "children", ()))
+    for pattern, search in (("P5", _p5_in), ("co-P5", _co_p5_in)):
+        found = []
+        for node in primes:
+            w = search(node.quotient, (1 << node.quotient.n) - 1)
+            if w is not None:
+                found.append(tuple(node.reps[i] for i in w.vertices))
+        if found:
+            return Witness(pattern, min(found))
+    return None
+
+
+def p5_cop5_violation(g: Graph) -> tuple[Witness | None, modular.MDTree | None]:
+    """The {P5, co-P5} witness of find_class_violation, and the modular
+    decomposition tree of g when deciding needed it (else None).
+
+    The twin-kernel P5 search, then the co-P5 search, each get
+    max(n * n // _BUDGET_DIVISOR, _BUDGET_FLOOR) search nodes. If either
+    runs out, the answer comes from the prime quotients of md_tree(g)
+    instead.
+    """
+    keep = _twin_kernel(g)
+    budget = max(g.n * g.n // _BUDGET_DIVISOR, _BUDGET_FLOOR)
+    try:
+        return _p5_in(g, keep, budget) or _co_p5_in(g, keep, budget), None
+    except _BudgetSpent:
+        tree = modular.md_tree(g)
+        return _quotient_violation(tree), tree
 
 
 def find_induced_c5(g: Graph) -> Witness | None:
@@ -378,8 +465,7 @@ def find_class_violation(g: Graph, class_name: str, p: int | None = None) -> Wit
     or None when g belongs to the class."""
     cls = _normalize_class(class_name)
     if cls == CLASS_P5_COP5:
-        keep = _twin_kernel(g)
-        return _p5_in(g, keep) or _co_p5_in(g, keep)
+        return p5_cop5_violation(g)[0]
     if cls == CLASS_P5_KPE:
         if p is None or p < 3:
             raise PreconditionError(f"class {CLASS_P5_KPE} needs a parameter p >= 3")

@@ -1,8 +1,9 @@
 """Immutable simple undirected graphs with dense 0-indexed vertex ids.
 
-Adjacency is kept twice: as per-vertex bitmasks (O(1) adjacency tests,
-cheap set algebra for the pattern detectors) and as sorted neighbor
-tuples (cheap iteration for the decompositions).
+Adjacency is kept as per-vertex bitmasks (O(1) adjacency tests, cheap
+set algebra for the detectors and decompositions) and, from the first
+neighbors() call on, as sorted neighbor tuples (cheap iteration for the
+matching and the exact solvers).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._nbrs = tuple(tuple(iter_bits(mask)) for mask in adj)
+        self._nbrs: tuple[tuple[int, ...], ...] | None = None  # built on first use
         self._edges = frozenset(norm)
 
     # -- construction helpers -------------------------------------------------
@@ -84,7 +85,14 @@ class Graph:
         """Neighborhood of v as a bitmask."""
         return self._adj[v]
 
+    @property
+    def adj_masks(self) -> tuple[int, ...]:
+        """Every vertex's neighborhood bitmask, indexed by vertex."""
+        return self._adj
+
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if self._nbrs is None:
+            self._nbrs = tuple(tuple(iter_bits(mask)) for mask in self._adj)
         return self._nbrs[v]
 
     def degree(self, v: int) -> int:
@@ -208,7 +216,8 @@ def is_independent_set(g: Graph, subset: Iterable[int]) -> bool:
 
 # -- file formats ---------------------------------------------------------
 #
-# DIMACS .col: header "p edge n m", edge lines "e u v" (1-indexed).
+# DIMACS .col: header "p edge n m", edge lines "e u v" (1-indexed); m
+# must count the distinct edges, repeated lines merge.
 # Edge list: one "u v" pair per line, 0-indexed; blank lines and "#"
 # comments ignored.
 
@@ -235,12 +244,12 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError(f"malformed header {line!r}", lineno)
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if n < 0:
                 raise ParseError(f"negative vertex count {n}", lineno)
+            header = lineno
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)
@@ -259,7 +268,10 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing problem line", 0)
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if g.m != m:
+        raise ParseError(f"header declares {m} edges but {g.m} distinct edges follow", header)
+    return g
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -34,6 +34,7 @@ from .detect import (
     find_independent_triple,
     find_induced_p5,
     is_berge_small,
+    p5_cop5_violation,
 )
 from .errors import CutoffExceeded, NotInClass
 from .graph import Graph, is_connected
@@ -117,13 +118,14 @@ def solve_p5_cop5(
     other. Unit weights by default.
     """
     started = time.perf_counter()
-    violation = find_class_violation(g, "p5-cop5")
+    violation, tree = p5_cop5_violation(g)
     if violation is not None:
         raise NotInClass("{P5, co-P5}-free", violation)
     if g.n == 0:
         return _trivial_report("p5-cop5", None, started)
 
-    tree = modular.md_tree(g)
+    if tree is None:
+        tree = modular.md_tree(g)
     routes: list[RouteRecord] = []
 
     def prime_solver(
@@ -178,9 +180,11 @@ def solve_p5_kpe(
     atoms = cliquesep.build_tree(g)
     routes: list[RouteRecord] = []
     solved: dict[Graph, tuple[int, MultiColoring, str]] = {}
-    for atom in atoms:
-        sub, _ = g.induced(atom.block)
-        block = tuple(sorted(atom.block))
+    blocks = (tuple(sorted(atom.block)) for atom in atoms)
+
+    def leaf_chi(sub: Graph) -> tuple[int, MultiColoring]:
+        # chi_compose calls this once per atom, in atom order
+        block = next(blocks)
         if sub not in solved:
             if find_independent_triple(sub) is None:
                 k, mc = chi_o3_free(sub)
@@ -196,10 +200,11 @@ def solve_p5_kpe(
                     ) from exc
                 route = ROUTE_EXACT_FALLBACK
             solved[sub] = (k, mc, route)
-        k, _, route = solved[sub]
+        k, mc, route = solved[sub]
         routes.append(RouteRecord(route, block, sub.n, k))
+        return k, mc
 
-    chi, mc = cliquesep.chi_compose(g, atoms, lambda sub: solved[sub][:2])
+    chi, mc = cliquesep.chi_compose(g, atoms, leaf_chi)
     validate_coloring(g, mc)
     return SolveReport(
         class_name="p5-kpe",

@@ -55,6 +55,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_dimacs_edge_count_mismatch_exits_with_parse_error(tmp_path, capsys):
+    path = tmp_path / "short.col"
+    path.write_text("p edge 5 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n")
+    assert main(["solve", "--class", "p5-cop5", "--input", str(path)]) == EXIT_PARSE_ERROR
+    assert "header declares 6 edges" in capsys.readouterr().err
+
+
 def test_cutoff_exit_code(tmp_path, capsys):
     path = tmp_path / "big.col"
     path.write_text(to_dimacs(Graph.empty(12)))

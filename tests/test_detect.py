@@ -8,6 +8,10 @@ import pytest
 from p5color.detect import (
     RamseyWitness,
     Witness,
+    _co_p5_in,
+    _p5_in,
+    _quotient_violation,
+    _twin_kernel,
     bipartite_ramsey_witness,
     class_membership,
     find_class_violation,
@@ -19,10 +23,12 @@ from p5color.detect import (
     find_odd_hole_or_antihole,
     is_berge_small,
     is_o3_free,
+    p5_cop5_violation,
     witness_ok,
 )
 from p5color.errors import CutoffExceeded, PreconditionError
 from p5color.graph import Graph
+from p5color.modular import md_tree, validate_md_tree
 from p5color.oracle import independence_number_exact
 from p5color.pipeline import _substitute, gen_p5_cop5
 
@@ -388,3 +394,52 @@ def test_flipped_member_witnesses_are_pinned():
     ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == FLIPPED_WITNESSES
+
+
+# -- membership through prime quotients ----------------------------------------
+
+
+def kernel_violation(g: Graph) -> Witness | None:
+    """The twin-kernel search with no budget."""
+    keep = _twin_kernel(g)
+    return _p5_in(g, keep) or _co_p5_in(g, keep)
+
+
+def test_quotient_stage_matches_the_kernel_search_on_every_small_graph():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            assert _quotient_violation(md_tree(g)) == kernel_violation(g)
+
+
+def test_quotient_stage_matches_the_kernel_search_on_random_graphs():
+    rng = random.Random(14)
+    found = 0
+    for _ in range(3000):
+        g = random_graph(rng.randint(1, 14), rng.random(), rng)
+        w = kernel_violation(g)
+        assert _quotient_violation(md_tree(g)) == w
+        found += w is not None
+    assert found >= 1000
+
+
+def test_quotient_stage_matches_the_kernel_search_on_every_single_flip():
+    checked = 0
+    for n in (20, 40):
+        for seed in range(3):
+            g = gen_p5_cop5(n, seed)
+            for pair in itertools.combinations(range(n), 2):
+                h = Graph(n, g.edges ^ {pair})
+                w = kernel_violation(h)
+                if w is not None:
+                    assert _quotient_violation(md_tree(h)) == w
+                    checked += 1
+    assert checked >= 1000
+
+
+def test_membership_hands_over_the_tree_once_the_budget_runs_out():
+    assert p5_cop5_violation(Graph.path(6)) == (Witness("P5", (0, 1, 2, 3, 4)), None)
+    assert p5_cop5_violation(Graph.complete(30)) == (None, None)  # empty kernel
+    g = gen_p5_cop5(160, 0)
+    w, tree = p5_cop5_violation(g)
+    assert w is None and tree is not None
+    validate_md_tree(g, tree)

@@ -33,6 +33,19 @@ def test_parse_dimacs_comments_and_duplicates():
     assert g.m == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p edge 3 1\ne 1 2\ne 2 3\n",  # too many edges
+        "p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n",  # too few once duplicates merge
+    ],
+)
+def test_parse_dimacs_header_edge_count_must_match(text):
+    with pytest.raises(ParseError, match="header declares") as err:
+        parse_graph(text, "dimacs")
+    assert err.value.line == 1
+
+
 def test_parse_edge_list_k3():
     g = parse_graph("0 1\n1 2\n2 0\n", "edges")
     assert g == Graph.complete(3)

@@ -7,7 +7,8 @@ from p5color.coloring import validate_coloring
 from p5color.detect import class_membership, find_induced_c5, is_o3_free
 from p5color.errors import CutoffExceeded, NotInClass
 from p5color.graph import Graph
-from p5color.modular import md_tree, validate_md_tree
+from p5color import modular
+from p5color.modular import md_tree, md_tree_to_json, validate_md_tree
 from p5color.oracle import chi_exact, chi_w_exact
 from p5color.pipeline import (
     ROUTE_EXACT_FALLBACK,
@@ -226,3 +227,26 @@ def test_empty_graph_reports():
     assert r.chi == 0 and r.n == 0
     r2 = solve_p5_kpe(Graph.empty(0), 4)
     assert r2.chi == 0
+
+
+@pytest.mark.parametrize("n", [320, 640])
+def test_large_cop5_members_generate_and_solve(n):
+    g = gen_p5_cop5(n, 0)
+    report = solve_p5_cop5(g)
+    validate_coloring(g, report.coloring)
+    assert report.coloring.k == report.chi
+
+
+def test_cop5_solve_builds_one_tree(monkeypatch):
+    built = []
+
+    def counted(g):
+        built.append(g.n)
+        return md_tree(g)
+
+    monkeypatch.setattr(modular, "md_tree", counted)
+    for g in (Graph.cycle(5), gen_p5_cop5(40, 1), gen_p5_cop5(200, 2)):
+        built.clear()
+        report = solve_p5_cop5(g)
+        assert built == [g.n]
+        assert report.decomposition == md_tree_to_json(md_tree(g))
