@@ -89,14 +89,15 @@ class MultiColoring:
 def validate_coloring(g: Graph, mc: MultiColoring, w: Weights | None = None) -> None:
     """Raise ValueError unless mc is a proper multicoloring of g for w.
 
-    Checks |colors[v]| = w(v), colors drawn from 1..k, and disjointness
-    across every edge.
+    Checks |colors[v]| = w(v) and colors drawn from 1..k for every vertex
+    first, then that no color class holds both ends of an edge, naming
+    the smallest vertex with a clash and its smallest clashing neighbor.
     """
     weights = normalize_weights(g, w)
     if len(mc.colors) != g.n:
         raise ValueError(f"coloring covers {len(mc.colors)} vertices, graph has {g.n}")
-    for v in g.vertices():
-        cs = mc.colors[v]
+    classes: dict[int, int] = {}  # color -> bitmask of the vertices using it
+    for v, cs in enumerate(mc.colors):
         if len(cs) != weights[v]:
             raise ValueError(
                 f"vertex {v} has {len(cs)} colors, weight demands {weights[v]}"
@@ -104,8 +105,12 @@ def validate_coloring(g: Graph, mc: MultiColoring, w: Weights | None = None) -> 
         for c in cs:
             if not 1 <= c <= mc.k:
                 raise ValueError(f"vertex {v} uses color {c} outside 1..{mc.k}")
-    for u, v in g.edges:
-        if mc.colors[u] & mc.colors[v]:
-            shared = sorted(mc.colors[u] & mc.colors[v])
-            raise ValueError(f"adjacent vertices {u},{v} share colors {shared}")
-
+            classes[c] = classes.get(c, 0) | 1 << v
+    for v, (cs, near) in enumerate(zip(mc.colors, g.adj_masks)):
+        clash = 0
+        for c in cs:
+            clash |= near & classes[c]
+        if clash:
+            u = (clash & -clash).bit_length() - 1
+            shared = sorted(cs & mc.colors[u])
+            raise ValueError(f"adjacent vertices {v},{u} share colors {shared}")

@@ -1,18 +1,18 @@
 """Immutable simple undirected graphs with dense 0-indexed vertex ids.
 
-Adjacency is kept as per-vertex bitmasks (O(1) adjacency tests, cheap
-set algebra for the detectors and decompositions) and, from the first
-neighbors() call on, as sorted neighbor tuples (cheap iteration for the
-matching and the exact solvers).
+The adjacency is the per-vertex bitmask rows (O(1) adjacency tests,
+cheap set algebra for the detectors and decompositions); sorted
+neighbor tuples (cheap iteration for the matching and the exact
+solvers) are built from them on the first neighbors() call. The edge
+set, the edge count, equality and hashing are all derived from the
+rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import ParseError
-
-VertexSubset = frozenset  # members of 0..n-1 of a host graph
 
 
 class Graph:
@@ -22,27 +22,32 @@ class Graph:
     adjacency is symmetric.
     """
 
-    __slots__ = ("n", "_adj", "_nbrs", "_edges")
+    __slots__ = ("n", "_adj", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         adj = [0] * n
-        norm = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u > v:
-                u, v = v, u
-            norm.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
         self._nbrs: tuple[tuple[int, ...], ...] | None = None  # built on first use
-        self._edges = frozenset(norm)
+
+    @classmethod
+    def _from_masks(cls, adj: Sequence[int]) -> Graph:
+        """The graph whose neighborhood bitmasks are adj, taken as given:
+        the rows must be symmetric, loop-free and within range."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g._adj = tuple(adj)
+        g._nbrs = None
+        return g
 
     # -- construction helpers -------------------------------------------------
 
@@ -68,12 +73,14 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(mask.bit_count() for mask in self._adj) // 2
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v."""
-        return self._edges
+        return frozenset(
+            (u, v) for u, mask in enumerate(self._adj) for v in iter_bits(mask & ~((2 << u) - 1))
+        )
 
     def vertices(self) -> range:
         return range(self.n)
@@ -101,16 +108,8 @@ class Graph:
     # -- derived graphs -------------------------------------------------------
 
     def complement(self) -> Graph:
-        n = self.n
-        return Graph(
-            n,
-            [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if not self._adj[u] >> v & 1
-            ],
-        )
+        full = (1 << self.n) - 1
+        return Graph._from_masks([full ^ mask ^ 1 << v for v, mask in enumerate(self._adj)])
 
     def induced(self, subset: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
         """Subgraph induced by `subset`, relabeled 0..k-1.
@@ -123,24 +122,28 @@ class Graph:
         for v in ids:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
-        local = {v: i for i, v in enumerate(ids)}
-        mask = bits_of(ids)
-        edges = [
-            (i, local[u])
-            for i, v in enumerate(ids)
-            for u in iter_bits(self._adj[v] & mask & ~((2 << v) - 1))
-        ]
-        return Graph(len(ids), edges), tuple(ids)
+        local = {1 << v: i for i, v in enumerate(ids)}
+        among = bits_of(ids)
+        rows = [0] * len(ids)
+        for i, v in enumerate(ids):
+            later = self._adj[v] & among & ~((2 << v) - 1)
+            while later:
+                low = later & -later
+                j = local[low]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                later ^= low
+        return Graph._from_masks(rows), tuple(ids)
 
     # -- dunder ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -225,7 +228,7 @@ def is_independent_set(g: Graph, subset: Iterable[int]) -> bool:
 def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
     if fmt == "dimacs":
         return parse_dimacs(text)
-    if fmt in ("edges", "edge-list"):
+    if fmt == "edges":
         return parse_edge_list(text)
     raise ValueError(f"unknown graph format {fmt!r}")
 

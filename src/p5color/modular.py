@@ -128,8 +128,9 @@ def _prime_children(g: Graph, span: int) -> list[int]:
                 refined.append(p)
         parts = refined
     parts.sort(key=lambda p: p & -p)
-    reps = [(m & -m).bit_length() - 1 for m in [low, *parts]]
-    q = [sum(1 << j for j, r in enumerate(reps) if g.adjacent(x, r)) for x in reps]
+    # v and then the parts by smallest vertex: their reps ascend, so
+    # quotient vertex i stands for the i-th of them
+    q = g.induced((m & -m).bit_length() - 1 for m in [low, *parts])[0].adj_masks
     whole = (1 << len(q)) - 1
     closed = 1
     for i in range(1, len(q)):
@@ -138,37 +139,6 @@ def _prime_children(g: Graph, span: int) -> list[int]:
             closed |= m
     merged = low | sum(p for i, p in enumerate(parts, 1) if closed >> i & 1)  # disjoint
     return [merged] + [p for i, p in enumerate(parts, 1) if not closed >> i & 1]
-
-
-def quotient(g: Graph, parts: list[frozenset[int]]) -> tuple[Graph, tuple[int, ...]]:
-    """One vertex per part (smallest id represents); adjacency inherited.
-
-    Parts must partition V(g) and each must be a module.
-    """
-    seen: set[int] = set()
-    for part in parts:
-        if not part or part & seen:
-            raise ValueError("parts must be disjoint and non-empty")
-        if not is_module(g, part):
-            raise ValueError(f"part {sorted(part)} is not a module")
-        seen |= part
-    if seen != set(range(g.n)):
-        raise ValueError("parts must cover the vertex set")
-    reps = tuple(min(part) for part in parts)
-    return _on_reps(g, reps), reps
-
-
-def _on_reps(g: Graph, reps: tuple[int, ...]) -> Graph:
-    """The graph g induces on reps, vertex i standing for reps[i]."""
-    return Graph(
-        len(reps),
-        [
-            (i, j)
-            for i in range(len(reps))
-            for j in range(i + 1, len(reps))
-            if g.adjacent(reps[i], reps[j])
-        ],
-    )
 
 
 # -- the tree ----------------------------------------------------------------
@@ -197,8 +167,8 @@ def md_tree(g: Graph) -> MDTree:
     for span, kind, parts in reversed(order):
         children = tuple(built.pop(p) for p in parts)
         if kind is MDPrime:
-            reps = tuple((p & -p).bit_length() - 1 for p in parts)
-            built[span] = MDPrime(children, set_of(span), _on_reps(g, reps), reps)
+            reps = tuple((p & -p).bit_length() - 1 for p in parts)  # ascending
+            built[span] = MDPrime(children, set_of(span), g.induced(reps)[0], reps)
         else:
             built[span] = kind(children, set_of(span))
     return built[full]

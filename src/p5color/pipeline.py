@@ -19,6 +19,7 @@ its weights (see prime).
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections.abc import Callable
@@ -37,7 +38,7 @@ from .detect import (
     p5_cop5_violation,
 )
 from .errors import CutoffExceeded, NotInClass
-from .graph import Graph, is_connected
+from .graph import Graph, is_connected, iter_bits
 from .matching import chi_o3_free
 from .oracle import DEFAULT_CHI_MAX_N, chi_exact, clique_number_exact, greedy_clique
 # unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
@@ -254,21 +255,17 @@ _BULL = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 
 
 def _substitute(skeleton: Graph, parts: list[Graph]) -> Graph:
-    offsets = []
+    offsets, blocks = [], []  # each part's first vertex and vertex bitmask
     total = 0
     for part in parts:
         offsets.append(total)
+        blocks.append(((1 << part.n) - 1) << total)
         total += part.n
-    edges = []
+    rows = []
     for i, part in enumerate(parts):
-        edges += [(offsets[i] + u, offsets[i] + v) for u, v in part.edges]
-    for i, j in skeleton.edges:
-        edges += [
-            (offsets[i] + u, offsets[j] + v)
-            for u in range(parts[i].n)
-            for v in range(parts[j].n)
-        ]
-    return Graph(total, edges)
+        joined = sum(blocks[j] for j in iter_bits(skeleton.adj_bits(i)))
+        rows += [mask << offsets[i] | joined for mask in part.adj_masks]
+    return Graph._from_masks(rows)
 
 
 def gen_p5_cop5(n: int, seed: int) -> Graph:
@@ -436,8 +433,7 @@ def verify_lemma5(
 
 
 def _all_graphs(n: int):
-    import itertools
-
+    """Every labeled graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])

@@ -12,13 +12,7 @@ import itertools
 import random
 
 from p5color.graph import Graph
-
-
-def all_graphs(n: int):
-    """Every labeled graph on n vertices."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+from p5color.pipeline import _all_graphs as all_graphs
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -13,7 +13,7 @@ from p5color.graph import (
     to_edge_list,
 )
 
-from helpers import random_graph
+from helpers import all_graphs, random_graph
 
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -181,3 +181,65 @@ def test_neighbors_sorted_and_adjacent_consistent():
     assert g.neighbors(1) == (0, 3, 4)
     assert g.adjacent(1, 3) and g.adjacent(3, 1) and not g.adjacent(0, 4)
     assert g.degree(1) == 3
+
+
+def test_edge_order_and_repeats_leave_the_graph_unchanged():
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        shuffled = edges[:]
+        rng.shuffle(shuffled)
+        dimacs = f"p edge {n} {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+        g = Graph(n, edges)
+        for listed in (shuffled, [(v, u) for u, v in reversed(edges)], edges + shuffled[::2]):
+            h = Graph(n, listed)
+            assert h == g and hash(h) == hash(g)
+            assert h.m == len(edges) and h.edges == frozenset(edges)
+            assert to_dimacs(h) == dimacs and parse_graph(dimacs, "dimacs") == h
+
+
+def test_graphs_differing_in_n_or_one_edge_are_unequal():
+    assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+    assert Graph.empty(0) != Graph.empty(1)
+    assert Graph.path(4) != 4
+    rng = random.Random(4)
+    for _ in range(100):
+        g = random_graph(rng.randint(2, 12), rng.random(), rng)
+        u, v = sorted(rng.sample(range(g.n), 2))
+        flipped = Graph(g.n, g.edges ^ {(u, v)})
+        assert flipped != g and flipped.m == g.m + (-1 if g.adjacent(u, v) else 1)
+
+
+def _complement_from_edges(g):
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adjacent(u, v)])
+
+
+def _induced_from_edges(g, ids):
+    k = len(ids)
+    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k) if g.adjacent(ids[i], ids[j])])
+
+
+def _check_derived(g, subsets):
+    co = g.complement()
+    assert co == _complement_from_edges(g) and co.edges == _complement_from_edges(g).edges
+    for subset in subsets:
+        sub, ids = g.induced(subset)
+        assert ids == tuple(sorted(set(subset)))
+        assert sub == _induced_from_edges(g, ids) and hash(sub) == hash(_induced_from_edges(g, ids))
+        assert all(sub.neighbors(i) == tuple(j for j in range(sub.n) if sub.adjacent(i, j)) for i in range(sub.n))
+
+
+def test_complement_and_induced_match_edge_list_construction_on_small_graphs():
+    for n in range(6):
+        subsets = [[v for v in range(n) if bits >> v & 1] for bits in range(1 << n)]
+        for g in all_graphs(n):
+            _check_derived(g, subsets)
+
+
+def test_complement_and_induced_match_edge_list_construction_on_random_graphs():
+    rng = random.Random(5)
+    for _ in range(500):
+        g = random_graph(rng.randint(0, 24), rng.random(), rng)
+        picks = [rng.randrange(g.n) for _ in range(g.n)] if g.n else []
+        _check_derived(g, [range(g.n), range(0, g.n, 2), picks, picks[::-1] * 2])

@@ -16,7 +16,6 @@ from p5color.modular import (
     is_prime,
     md_tree,
     md_tree_to_json,
-    quotient,
     validate_md_tree,
 )
 from p5color.oracle import chi_exact, chi_w_exact
@@ -110,18 +109,6 @@ def test_md_tree_invariant_under_relabeling():
         back = {perm[v]: v for v in range(n)}
         ident = {v: v for v in range(n)}
         assert _canonical(md_tree(g), ident) == _canonical(md_tree(relabeled), back)
-
-
-def test_quotient_known_cases():
-    q, reps = quotient(C4, [frozenset({0, 2}), frozenset({1, 3})])
-    assert q == Graph.complete(2) and reps == (0, 1)
-    g = Graph.cycle(5)
-    q2, reps2 = quotient(g, [frozenset({v}) for v in range(5)])
-    assert q2 == g and reps2 == tuple(range(5))
-    with pytest.raises(ValueError):
-        quotient(P4, [frozenset({0, 1}), frozenset({2, 3})])  # not modules
-    with pytest.raises(ValueError):
-        quotient(C4, [frozenset({0, 2})])  # not a cover
 
 
 def test_chi_w_known_examples():
