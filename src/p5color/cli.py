@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 input not in the declared class (witness
 printed), 3 parse error (a malformed graph or solve report, a report
 nested too deeply to read, or a weights file that is malformed or
 names a vertex the graph does not have), 4 desk-scale cutoff exceeded
-(by an exact oracle, by the exponential exact-fallback route of
+(by an exact oracle, by `verify lemma5` with --n-max above the Berge
+check's 16 vertices, by the exponential exact-fallback route of
 `solve --class p5-kpe`, or by a modular decomposition tree too deep
 for a JSON report: about 495 levels under the default recursion
 limit, with the depth named in the message; the {P5, co-P5} solve has
@@ -27,7 +28,6 @@ from pathlib import Path
 
 from . import cliquesep, modular, oracle, pipeline
 from .coloring import MultiColoring, parse_weights, validate_coloring
-from .detect import DEFAULT_BERGE_MAX_N
 from .errors import CutoffExceeded, NotInClass, ParseError, UsageError
 from .graph import Graph, parse_graph, to_dimacs
 from .matching import max_matching
@@ -75,12 +75,6 @@ def _add_cutoffs(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=_env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CHI_MAX_N),
         help="exact solver vertex cutoff",
-    )
-    parser.add_argument(
-        "--berge-n",
-        type=int,
-        default=_env_cutoff("P5COLOR_BERGE_N", DEFAULT_BERGE_MAX_N),
-        help="Berge enumeration vertex cutoff",
     )
 
 
@@ -189,9 +183,8 @@ def _solve_text(report: pipeline.SolveReport) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    for flag, value in (("--oracle-n", args.oracle_n), ("--berge-n", args.berge_n)):
-        if value <= 0:
-            raise UsageError(f"cutoff {flag} must be positive")
+    if args.oracle_n <= 0:
+        raise UsageError("cutoff --oracle-n must be positive")
     if args.class_name == "p5-kpe":
         if args.p is None:
             raise UsageError("class p5-kpe needs --p")
@@ -201,9 +194,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError("--p only applies to class p5-kpe")
     g = _load_graph(args.input, args.format)
     if args.class_name == "p5-cop5":
-        report = pipeline.solve_p5_cop5(
-            g, _load_weights(args.weights, g), berge_max_n=args.berge_n
-        )
+        report = pipeline.solve_p5_cop5(g, _load_weights(args.weights, g))
     else:
         report = pipeline.solve_p5_kpe(g, args.p, oracle_max_n=args.oracle_n)
     if args.report == "text":

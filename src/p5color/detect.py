@@ -53,13 +53,11 @@ from .errors import CutoffExceeded, PreconditionError
 from .graph import (
     Graph,
     bits_of,
-    is_independent_set,
     iter_bits,
     set_of,
 )
 
 DEFAULT_BERGE_MAX_N = 16
-DEFAULT_RAMSEY_MAX_PART = 20
 # each budgeted P5 / co-P5 kernel search may visit n * n // _BUDGET_DIVISOR
 # search nodes, and at least _BUDGET_FLOOR, before membership falls back to
 # the prime quotients: below n = 16 a whole search costs less than the tree
@@ -476,66 +474,3 @@ def find_class_violation(g: Graph, class_name: str, p: int | None = None) -> Wit
 def class_membership(g: Graph, class_name: str, p: int | None = None) -> bool:
     return find_class_violation(g, class_name, p) is None
 
-
-# -- bipartite Ramsey witness (desk scale) -------------------------------------
-
-
-@dataclass(frozen=True)
-class RamseyWitness:
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-    kind: str  # "complete" or "empty"
-
-
-def _ramsey_target(n: int, s: int) -> int:
-    # floor((n/s)^(1/s)) without float error: largest t with t^s * s <= n
-    t = 1
-    while (t + 1) ** s * s <= n:
-        t += 1
-    return t
-
-
-def bipartite_ramsey_witness(
-    g: Graph,
-    part_a,
-    part_b,
-    s: int,
-    max_part: int = DEFAULT_RAMSEY_MAX_PART,
-) -> RamseyWitness:
-    """Equal-size subsets A' of A and B' of B spanning a complete or empty
-    bipartite subgraph, of the guaranteed size floor((n/s)^(1/s)).
-
-    Bounded exhaustive search; raises when the parts exceed the desk-scale
-    cutoff.
-    """
-    a = sorted(set(part_a))
-    b = sorted(set(part_b))
-    if set(a) & set(b) or set(a) | set(b) != set(range(g.n)):
-        raise PreconditionError("parts must partition the vertex set")
-    if not is_independent_set(g, a) or not is_independent_set(g, b):
-        raise PreconditionError("parts must be independent sets")
-    if len(a) != len(b):
-        raise PreconditionError("parts must have equal size")
-    n = len(a)
-    if n <= s ** (s + 1):
-        raise PreconditionError(f"part size {n} must exceed s^(s+1) = {s ** (s + 1)}")
-    if n > max_part:
-        raise CutoffExceeded(
-            f"Ramsey witness search is desk-scale only: part size {n} exceeds {max_part}"
-        )
-    t = _ramsey_target(n, s)
-    for sub_a in itertools.combinations(a, t):
-        inter = -1
-        union = 0
-        for v in sub_a:
-            inter &= g.adj_bits(v)
-            union |= g.adj_bits(v)
-        for sub_b in itertools.combinations(b, t):
-            bmask = bits_of(sub_b)
-            if bmask & union == 0:
-                return RamseyWitness(sub_a, sub_b, "empty")
-            if bmask & ~inter == 0:
-                return RamseyWitness(sub_a, sub_b, "complete")
-    raise RuntimeError(
-        f"no complete/empty pair of size {t} found; bipartite Ramsey bound violated"
-    )

@@ -7,9 +7,11 @@ trail of which solver handled each block or prime quotient:
 
   o3-matching    complement-matching reduction on an O3-free C-block
   prime-C5       closed-form weighted solve of a 5-cycle prime quotient
-  perfect-exact  weighted solve of a perfect prime quotient: chi_w is
-                 its heaviest clique omega_w, which certifies the
-                 omega_w-color multicoloring built from stable sets
+  perfect-exact  weighted two-pair contraction of any other prime
+                 quotient down to a clique, whose weight is chi_w; it
+                 checks the quotient as it goes, as one that is not
+                 weakly chordal ends in no clique and raises
+                 PreconditionError
   exact-fallback exact solve standing in for the bounded-clique
                  fixed-k-colorability argument on a non-O3-free C-block
 
@@ -106,17 +108,12 @@ def _trivial_report(class_name: str, p: int | None, started: float) -> SolveRepo
     )
 
 
-def solve_p5_cop5(
-    g: Graph,
-    w: Weights | None = None,
-    berge_max_n: int = DEFAULT_BERGE_MAX_N,
-) -> SolveReport:
+def solve_p5_cop5(g: Graph, w: Weights | None = None) -> SolveReport:
     """Weighted chromatic number of a {P5, co-P5}-free graph.
 
     Composes over the modular decomposition tree; prime quotients are
-    either the 5-cycle (closed form) or perfect (heaviest clique), and
-    quotients up to berge_max_n vertices are checked to be one or the
-    other. Unit weights by default.
+    either the 5-cycle (closed form) or perfect (two-pair contraction).
+    Unit weights by default.
     """
     started = time.perf_counter()
     violation, tree = p5_cop5_violation(g)
@@ -136,11 +133,6 @@ def solve_p5_cop5(
             route = ROUTE_PRIME_C5
             k, mc = chi_w_c5(quot, w_star)
         else:
-            if quot.n <= berge_max_n and not is_berge_small(quot, max_n=berge_max_n):
-                raise RuntimeError(
-                    "prime quotient is neither a 5-cycle nor Berge; "
-                    f"vertices {sorted(reps)}"
-                )
             route = ROUTE_PERFECT_EXACT
             k, mc = chi_w_perfect(quot, w_star)
         routes.append(RouteRecord(route, reps, quot.n, k))
@@ -381,7 +373,6 @@ def verify_lemma5(
     samples_per_n: int = 150,
     seed: int = 0,
     exhaustive_up_to: int = 6,
-    berge_max_n: int = DEFAULT_BERGE_MAX_N,
 ) -> VerificationReport:
     """Check that connected prime {P5, co-P5}-free graphs are Berge or
     the 5-cycle.
@@ -390,9 +381,9 @@ def verify_lemma5(
     are sampled by witness-guided repair. Any counterexample lands in
     failures.
     """
-    if n_max > berge_max_n:
+    if n_max > DEFAULT_BERGE_MAX_N:
         raise CutoffExceeded(
-            f"this check needs the Berge cutoff ({berge_max_n}) >= n_max ({n_max})"
+            f"this check needs the Berge cutoff ({DEFAULT_BERGE_MAX_N}) >= n_max ({n_max})"
         )
     report = VerificationReport(
         "lemma5", {"n_max": n_max, "samples_per_n": samples_per_n, "seed": seed}
@@ -403,7 +394,7 @@ def verify_lemma5(
         report.total += 1
         if is_c5(g):
             report.bump(f"n={n}:c5")
-        elif is_berge_small(g, max_n=berge_max_n):
+        elif is_berge_small(g):
             report.bump(f"n={n}:berge")
         else:
             report.failures.append(

@@ -1,24 +1,25 @@
 """Weighted coloring of the prime quotients of a {P5, co-P5}-free graph.
 
-Every such quotient is the 5-cycle or perfect (Fouquet 1993). Both
-solvers here work over the quotient's vertices, maximal cliques and
-maximal stable sets, so their cost depends on the quotient's structure
-and not on its weights:
+Every such quotient is the 5-cycle or perfect (Fouquet 1993). A perfect
+one is C5-free, its holes of length 6 or more contain P5 and its
+antiholes of length 6 or more contain co-P5, so it is weakly chordal.
+The work of both solvers depends on the quotient's structure and not
+on its weights:
 
   chi_w_c5       chi_w = max(heaviest edge, ceil(W / 2)), W the total
                  weight; the multicoloring gives each of the five
                  maximal stable sets a block of consecutive colors
-  chi_w_perfect  chi_w = omega_w, the heaviest clique (Lovasz 1972, by
-                 the replication lemma); the multicoloring peels off
-                 stable sets that meet every heaviest clique, and a
-                 clique of weight omega_w proves it optimal
+  chi_w_perfect  weighted two-pair contraction (Hayward, Hoang and
+                 Maffray 1989): at most one step per non-edge, ending
+                 in a clique whose weight is chi_w, with colors lifted
+                 back through the contractions
 """
 
 from __future__ import annotations
 
 from .coloring import MultiColoring, Weights, normalize_weights
 from .errors import PreconditionError
-from .graph import Graph, bits_of, is_connected, iter_bits
+from .graph import Graph, bits_of, is_connected, iter_bits, reach
 
 
 def is_c5(g: Graph) -> bool:
@@ -64,62 +65,64 @@ def chi_w_c5(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
 
 
 def chi_w_perfect(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
-    """Weighted chromatic number of a perfect graph: the heaviest clique
-    omega_w, with a multicoloring on omega_w colors.
+    """Weighted chromatic number of a weakly chordal graph by weighted
+    two-pair contraction, with a multicoloring that meets it.
 
-    Each round takes the lexicographically first maximal stable set
-    that, cut down to the vertices with weight left, meets every
-    heaviest clique. That S gets t new colors, t the smallest weight
-    left on S or the gap between the heaviest clique and the heaviest
-    one S misses, whichever is less. Every heaviest clique then loses exactly t, so omega_w
-    falls by t. In a perfect graph such an S always exists; if none
-    does, g is not perfect and PreconditionError says so.
+    A two-pair is a non-adjacent x, y that N(x) & N(y) separates. Each
+    step takes one (see _two_pair) with t = min(w_x, w_y) and appends z
+    of weight t, joined to N(x) | N(y) and to whichever of x and y
+    keeps weight; the one that reaches 0 drops out. That is t
+    contractions of copy pairs in the clique blow-up, and a two-pair is
+    an even pair, so chi_w stays put. Each step removes a non-edge, so
+    the loop ends when no two-pair is left, and the vertices left must
+    form a clique whose weight is chi_w. Each of them takes a block of
+    consecutive colors, and x and y take z's colors in reverse merge
+    order. If the vertices left are no clique, g is not weakly chordal
+    and PreconditionError says so.
     """
-    weights = normalize_weights(g, w)
-    cliques = maximal_cliques(g)
-    stables = sorted(maximal_cliques(g.complement()), key=lambda m: list(iter_bits(m)))
-    colors: list[list[int]] = [[] for _ in range(g.n)]
-    omega = left = max(_weight(c, weights) for c in cliques)
-    while left:
-        alive = bits_of(v for v in range(g.n) if weights[v])
-        clique_weights = [_weight(c, weights) for c in cliques]
-        heaviest = [c for c, cw in zip(cliques, clique_weights) if cw == left]
-        s = next(
-            (st & alive for st in stables if all(st & alive & c for c in heaviest)),
-            None,
+    weight = normalize_weights(g, w)
+    nbrs = list(g.adj_masks)
+    alive = (1 << g.n) - 1
+    merged: list[tuple[int, int]] = []  # the pair contracted into vertex g.n + i
+    while pair := _two_pair(nbrs, alive):
+        x, y = pair
+        t = min(weight[x], weight[y])
+        weight[x] -= t
+        weight[y] -= t
+        kept = bits_of(v for v in pair if weight[v])
+        alive &= ~(1 << x | 1 << y) | kept
+        z = len(nbrs)
+        near = (nbrs[x] | nbrs[y] | kept) & alive
+        for v in iter_bits(near):
+            nbrs[v] |= 1 << z
+        nbrs.append(near)
+        weight.append(t)
+        merged.append(pair)
+        alive |= 1 << z
+    if any(alive & ~nbrs[v] != 1 << v for v in iter_bits(alive)):
+        raise PreconditionError(
+            "no two-pair is left but the rest is no clique, so the graph is not weakly chordal"
         )
-        if s is None:
-            raise PreconditionError(
-                "no stable set meets every heaviest clique, so the graph is not perfect"
-            )
-        missed = max((cw for c, cw in zip(cliques, clique_weights) if not c & s), default=0)
-        t = min(left - missed, min(weights[v] for v in iter_bits(s)))
-        new = range(omega - left + 1, omega - left + t + 1)
-        for v in iter_bits(s):
-            colors[v].extend(new)
-            weights[v] -= t
-        left -= t
-    return omega, MultiColoring(tuple(frozenset(cs) for cs in colors), omega)
+    colors: list[list[int]] = [[] for _ in nbrs]
+    k = 0
+    for v in iter_bits(alive):
+        colors[v] = list(range(k + 1, k + weight[v] + 1))
+        k += weight[v]
+    for z in reversed(range(g.n, len(nbrs))):
+        for v in merged[z - g.n]:
+            colors[v] += colors[z]
+    return k, MultiColoring(tuple(frozenset(colors[v]) for v in range(g.n)), k)
 
 
-def _weight(mask: int, weights: list[int]) -> int:
-    return sum(weights[v] for v in iter_bits(mask))
-
-
-def maximal_cliques(g: Graph) -> list[int]:
-    """Every maximal clique of g as a vertex bitmask: Bron-Kerbosch with
-    pivoting, on an explicit stack."""
-    out = []
-    stack = [(0, (1 << g.n) - 1, 0)]  # clique so far, candidates, excluded
-    while stack:
-        r, p, x = stack.pop()
-        if not p | x:
-            out.append(r)
-            continue
-        pivot = max(iter_bits(p | x), key=lambda v: (g.adj_bits(v) & p).bit_count())
-        for v in iter_bits(p & ~g.adj_bits(pivot)):
-            nbrs = g.adj_bits(v)
-            stack.append((r | 1 << v, p & nbrs, x & nbrs))
-            p &= ~(1 << v)
-            x |= 1 << v
-    return out
+def _two_pair(nbrs: list[int], alive: int) -> tuple[int, int] | None:
+    """A non-adjacent x < y of alive that lie in different components
+    of alive - (N(x) & N(y)), if any: the first x for the highest such
+    y, so a freshly contracted vertex is tried first."""
+    rest = alive
+    while rest:
+        y = rest.bit_length() - 1
+        rest ^= 1 << y
+        for x in iter_bits(rest & ~nbrs[y]):
+            if not reach(nbrs.__getitem__, 1 << y, alive & ~(nbrs[x] & nbrs[y])) >> x & 1:
+                return x, y
+    return None

@@ -11,7 +11,9 @@ import heapq
 import itertools
 import random
 
-from p5color.graph import Graph
+from p5color.coloring import MultiColoring, normalize_weights
+from p5color.errors import PreconditionError
+from p5color.graph import Graph, bits_of, iter_bits
 from p5color.pipeline import _all_graphs as all_graphs
 
 
@@ -308,3 +310,80 @@ def with_universal_and_isolated(g: Graph, rng: random.Random) -> Graph:
         if rng.random() < 0.5:
             edges |= {tuple(sorted((order[i], order[u]))) for u in range(i)}
     return Graph(n, edges)
+
+
+def matching_clique(m: int) -> Graph:
+    """M_m: a perfect matching a_i b_i (vertices i and m + i) and a
+    clique c_0 .. c_{m-1} (vertices 2m + i), with c_i joined to every
+    a_j and to every b_j but b_i. M_m and its complement are prime
+    {P5, co-P5}-free members; M_m has 2^m + m maximal stable sets, so
+    chi(M_m) = m + 1 and chi of the complement is m."""
+    edges = [(i, m + i) for i in range(m)]
+    edges += [(2 * m + i, 2 * m + j) for i in range(m) for j in range(i + 1, m)]
+    for i in range(m):
+        edges += [(j, 2 * m + i) for j in range(m)]
+        edges += [(m + j, 2 * m + i) for j in range(m) if j != i]
+    return Graph(3 * m, edges)
+
+
+def maximal_cliques(g: Graph) -> list[int]:
+    """Every maximal clique of g as a vertex bitmask: Bron-Kerbosch with
+    pivoting, on an explicit stack."""
+    out = []
+    stack = [(0, (1 << g.n) - 1, 0)]  # clique so far, candidates, excluded
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            out.append(r)
+            continue
+        pivot = max(iter_bits(p | x), key=lambda v: (g.adj_bits(v) & p).bit_count())
+        for v in iter_bits(p & ~g.adj_bits(pivot)):
+            nbrs = g.adj_bits(v)
+            stack.append((r | 1 << v, p & nbrs, x & nbrs))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return out
+
+
+def chi_w_perfect_reference(g: Graph, w: dict[int, int] | None) -> tuple[int, MultiColoring]:
+    """Weighted chromatic number of a perfect graph over its maximal
+    cliques and maximal stable sets: the heaviest clique omega_w, with a
+    multicoloring on omega_w colors.
+
+    Each round takes the lexicographically first maximal stable set
+    that, cut down to the vertices with weight left, meets every
+    heaviest clique. That S gets t new colors, t the smallest weight
+    left on S or the gap between the heaviest clique and the heaviest
+    one S misses, whichever is less. Every heaviest clique then loses
+    exactly t, so omega_w falls by t. In a perfect graph such an S
+    always exists; if none does, PreconditionError says so.
+    """
+    weights = normalize_weights(g, w)
+
+    def weight_of(mask: int) -> int:
+        return sum(weights[v] for v in iter_bits(mask))
+
+    cliques = maximal_cliques(g)
+    stables = sorted(maximal_cliques(g.complement()), key=lambda m: list(iter_bits(m)))
+    colors: list[list[int]] = [[] for _ in range(g.n)]
+    omega = left = max(weight_of(c) for c in cliques)
+    while left:
+        alive = bits_of(v for v in range(g.n) if weights[v])
+        clique_weights = [weight_of(c) for c in cliques]
+        heaviest = [c for c, cw in zip(cliques, clique_weights) if cw == left]
+        s = next(
+            (st & alive for st in stables if all(st & alive & c for c in heaviest)),
+            None,
+        )
+        if s is None:
+            raise PreconditionError(
+                "no stable set meets every heaviest clique, so the graph is not perfect"
+            )
+        missed = max((cw for c, cw in zip(cliques, clique_weights) if not c & s), default=0)
+        t = min(left - missed, min(weights[v] for v in iter_bits(s)))
+        new = range(omega - left + 1, omega - left + t + 1)
+        for v in iter_bits(s):
+            colors[v].extend(new)
+            weights[v] -= t
+        left -= t
+    return omega, MultiColoring(tuple(frozenset(cs) for cs in colors), omega)

@@ -225,6 +225,14 @@ def test_verify_lemma5_cli(capsys):
     assert payload["ok"] is True
 
 
+def test_verify_lemma5_past_the_berge_cutoff_exits_cutoff(capsys):
+    code = main(["verify", "lemma5", "--n-max", "17", "--samples", "0"])
+    assert code == EXIT_CUTOFF
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Berge cutoff (16) >= n_max (17)" in captured.err
+
+
 def test_edge_list_format_sniffing(tmp_path, capsys):
     path = tmp_path / "tri.edges"
     path.write_text("0 1\n1 2\n2 0\n")
@@ -265,7 +273,7 @@ def test_usage_errors_exit_usage(c5_file, tmp_path, monkeypatch):
     kpe = ["solve", "--class", "p5-kpe", "--p", "4"]
     assert main(kpe + ["--input", c5_file, "--weights", str(wpath)]) == EXIT_USAGE
     assert main(kpe + ["--input", str(tmp_path / "missing.col")]) == EXIT_USAGE
-    monkeypatch.setenv("P5COLOR_BERGE_N", "many")
+    monkeypatch.setenv("P5COLOR_ORACLE_N", "many")
     assert main(["solve", "--class", "p5-cop5", "--input", c5_file]) == EXIT_USAGE
 
 

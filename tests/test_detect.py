@@ -6,13 +6,11 @@ import random
 import pytest
 
 from p5color.detect import (
-    RamseyWitness,
     Witness,
     _co_p5_in,
     _p5_in,
     _quotient_violation,
     _twin_kernel,
-    bipartite_ramsey_witness,
     class_membership,
     find_class_violation,
     find_independent_triple,
@@ -219,49 +217,6 @@ def test_class_membership_is_hereditary():
         keep = [v for v in range(g.n) if rng.random() < 0.6]
         sub, _ = g.induced(keep)
         assert class_membership(sub, "p5-kpe", 4)
-
-
-def _bipartite(n: int, cross) -> Graph:
-    edges = [(i, n + j) for i in range(n) for j in range(n) if cross(i, j)]
-    return Graph(2 * n, edges)
-
-
-def test_ramsey_witness_complete_and_empty():
-    g = _bipartite(9, lambda i, j: True)
-    w = bipartite_ramsey_witness(g, range(9), range(9, 18), 2)
-    assert isinstance(w, RamseyWitness) and w.kind == "complete"
-    assert len(w.side_a) == len(w.side_b) == 2
-    g2 = _bipartite(9, lambda i, j: False)
-    w2 = bipartite_ramsey_witness(g2, range(9), range(9, 18), 2)
-    assert w2.kind == "empty"
-
-
-def test_ramsey_witness_random_bipartite_always_exists():
-    rng = random.Random(7)
-    for _ in range(30):
-        cross = {(i, j) for i in range(9) for j in range(9) if rng.random() < 0.5}
-        g = _bipartite(9, lambda i, j: (i, j) in cross)
-        w = bipartite_ramsey_witness(g, range(9), range(9, 18), 2)
-        assert len(w.side_a) == len(w.side_b) == 2
-        pairs = list(itertools.product(w.side_a, w.side_b))
-        if w.kind == "complete":
-            assert all(g.adjacent(u, v) for u, v in pairs)
-        else:
-            assert not any(g.adjacent(u, v) for u, v in pairs)
-
-
-def test_ramsey_witness_preconditions():
-    g = _bipartite(9, lambda i, j: True)
-    with pytest.raises(PreconditionError):
-        bipartite_ramsey_witness(g, range(8), range(8, 18), 2)  # unequal parts
-    with pytest.raises(PreconditionError):
-        bipartite_ramsey_witness(g, range(9), range(9, 18), 3)  # 9 <= 3^4
-    tri = Graph(6, [(0, 1)])
-    with pytest.raises(PreconditionError):
-        bipartite_ramsey_witness(tri, [0, 1, 2], [3, 4, 5], 2)  # part not independent
-    with pytest.raises(CutoffExceeded):
-        big = _bipartite(21, lambda i, j: False)
-        bipartite_ramsey_witness(big, range(21), range(21, 42), 2)
 
 
 def test_berge_longer_odd_holes_at_the_size_boundary():

@@ -21,12 +21,12 @@ from p5color.pipeline import _C5, _substitute, gen_p5_cop5, solve_p5_cop5, solve
 from helpers import random_graph
 
 COP5_MEMBERS = {
-    (20, 0): "1106e171b2d86d6d08e6d4648d851735466adbc9313aee85052972ed4b9ec775",
-    (20, 1): "afabf3304eb18c9aea5565296d8d02d40cd58e9ddd89759f2a37f072ce7ae1a2",
-    (20, 2): "f91df36b9d5f6b02f85cd0bc7b6c372f4755c6b702651f8b19c98171deb970d6",
-    (40, 0): "4ae05babbb257141121b6670c7db3ad00d35702ccba30b6b78f5b4c0e760ed35",
-    (40, 1): "0db3a5b1798ee4b999c36d5583a87fc878f5dc6f15f1aca7f9273309fab69de5",
-    (40, 2): "8b0de6112ae3746e7dcb4984be6d1b89eaf1092ca381e6cd6464da9882d7935d",
+    (20, 0): "cd83dec8428f9ff2c86e77221da22b931ccc829ad4a21c55532d810c79e4d076",
+    (20, 1): "f63b3a5dd50bd9004d83e7b2b0f2c2943137caef77a74857e9856f42e51c6255",
+    (20, 2): "70c440c276b54de72b2f47dcf03249d1af0d898857b27ee476352bd03ce3d48b",
+    (40, 0): "d6e4382a90b5bc66c99fff0a16d3edf19d07c97987a1c0531df54a86ce6809a5",
+    (40, 1): "f21861550a3b51391c048e34975192c5aa3c01c517fef7b8c279c7a5b9a82480",
+    (40, 2): "5d977de52531883e7d99f8831d85bd1793830366cf87ebe636648c3df6e7af1e",
 }
 C5_K3 = "251ee8e4cba87a57b115ddca593fc2ce1ec18dafb9762a1cd8584826e2a9c4d9"
 STAR_K1_30_P4 = "34487166b8859db0cde46c6dfc8f56c1a29cba0a33d7c02b194c469e1f6cdf77"

@@ -1,13 +1,16 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from p5color import pipeline
 from p5color.coloring import validate_coloring
 from p5color.detect import find_class_violation
 from p5color.errors import PreconditionError
-from p5color.graph import Graph, is_connected
+from p5color.graph import Graph, is_connected, iter_bits
 from p5color.modular import is_prime
 from p5color.oracle import chi_w_exact
 from p5color.pipeline import (
@@ -20,9 +23,9 @@ from p5color.pipeline import (
     gen_p5_cop5,
     solve_p5_cop5,
 )
-from p5color.prime import chi_w_c5, chi_w_perfect, is_c5, maximal_cliques
+from p5color.prime import chi_w_c5, chi_w_perfect, is_c5
 
-from helpers import all_graphs
+from helpers import all_graphs, chi_w_perfect_reference, matching_clique
 
 # the 5-cycle under two labellings, so the walk around its complement
 # does not just follow vertex ids
@@ -94,10 +97,67 @@ def test_perfect_route_refuses_a_graph_that_is_not_perfect():
         chi_w_perfect(Graph.cycle(7), None)
 
 
-def test_maximal_cliques_of_small_graphs():
-    assert sorted(maximal_cliques(Graph.path(4))) == [0b0011, 0b0110, 0b1100]
-    assert maximal_cliques(Graph.complete(4)) == [0b1111]
-    assert sorted(maximal_cliques(Graph.empty(3))) == [1, 2, 4]
+def test_perfect_route_matches_the_reference_on_matching_cliques():
+    # M_m and its complement have 2^m + m maximal stable sets or cliques,
+    # which the reference lists and the contraction does not
+    rng = random.Random(62)
+    for m in range(2, 9):
+        for g in (matching_clique(m), matching_clique(m).complement()):
+            w = {v: rng.randint(1, 5) for v in range(g.n)}
+            k, mc = chi_w_perfect(g, w)
+            validate_coloring(g, mc, w)
+            assert k == mc.k == chi_w_perfect_reference(g, w)[0]
+
+
+@pytest.mark.parametrize(("complement", "chi"), [(False, 51), (True, 50)])
+def test_matching_clique_m50_solves(complement, chi):
+    g = matching_clique(50)
+    if complement:
+        g = g.complement()
+    report = solve_p5_cop5(g)
+    assert report.chi == chi
+    assert [(r.route, r.size) for r in report.routes] == [(ROUTE_PERFECT_EXACT, 150)]
+    validate_coloring(g, report.coloring)
+    rng = random.Random(63)
+    w = {v: rng.randint(1, 1000) for v in range(g.n)}
+    started = time.perf_counter()
+    report = solve_p5_cop5(g, w)
+    assert time.perf_counter() - started < 1.0
+    validate_coloring(g, report.coloring, w)
+
+
+@st.composite
+def prime_split_graphs(draw):
+    """A connected prime split graph on at most 9 vertices, relabelled,
+    with weights 1..4: a clique K and stable vertices with distinct
+    non-empty neighbourhoods in K."""
+    k = draw(st.integers(2, 7))
+    masks = draw(
+        st.lists(st.integers(1, (1 << k) - 1), min_size=2, max_size=9 - k, unique=True)
+    )
+    n = k + len(masks)
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(u, k + i) for i, mask in enumerate(masks) for u in iter_bits(mask)]
+    order = draw(st.permutations(range(n)))
+    g = Graph(n, [(order[u], order[v]) for u, v in edges])
+    assume(is_connected(g) and is_prime(g))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return g, dict(enumerate(weights))
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+)
+@given(prime_split_graphs())
+def test_perfect_route_matches_oracle_on_prime_split_graphs(case):
+    # split graphs are {2K2, C4, C5}-free, hence {P5, co-P5}-free
+    g, w = case
+    k, mc = chi_w_perfect(g, w)
+    validate_coloring(g, mc, w)
+    assert k == mc.k == chi_w_exact(g, w)[0]
 
 
 def blowup(skeleton: Graph, k: int) -> Graph:
