@@ -1,9 +1,10 @@
 """Command-line surface: solve, decompose, generate, verify, oracle.
 
 Exit codes: 0 success, 2 input not in the declared class (witness
-printed), 3 parse error (a malformed graph or solve report, a report
-nested too deeply to read, or a weights file that is malformed or
-names a vertex the graph does not have), 4 desk-scale cutoff exceeded
+printed), 3 parse error (a malformed graph or solve report, a graph
+of more than sys.maxsize vertices by its DIMACS header or its largest
+edge-list id, a report nested too deeply to read, or a weights file
+that is malformed or names a vertex the graph does not have), 4 desk-scale cutoff exceeded
 (by an exact oracle, by `verify lemma5` with --n-max above the Berge
 check's 16 vertices, by the exponential exact-fallback route of
 `solve --class p5-kpe`, or by a modular decomposition tree too deep

@@ -21,8 +21,9 @@ The atoms are the C-blocks: maximal connected vertex sets without a
 clique separator. They come out as a flat tuple in gluing order, each
 with the separator it shares with the union of the atoms before it: a
 clique, empty for the first atom and at each new component. The pass
-works on vertex bitmasks of the input graph; only the per-atom solves
-and the validator take induced copies.
+works on vertex bitmasks of the input graph, and the composition reads
+each atom's rows for its solve straight off the input's adjacency
+masks; only the validator takes induced copies.
 """
 
 from __future__ import annotations
@@ -74,31 +75,36 @@ def _mcs_m(g: Graph, span: int) -> list[tuple[int, int]]:
     lighter levels, OR-ing each reached vertex's adjacency mask once;
     a vertex of weight w gains iff it is adjacent to v or to that set.
     """
+    adj = g.adj_masks
     buckets = [span] if span else []  # [w]: unnumbered vertices of weight w
     earlier = [0] * g.n  # H-neighbours numbered so far
     generators = []
     previous = -1
     while buckets:
         top = buckets[-1]
-        v = (top & -top).bit_length() - 1
-        buckets[-1] ^= 1 << v
+        low_v = top & -top
+        v = low_v.bit_length() - 1
+        buckets[-1] ^= low_v
         if len(buckets) - 1 <= previous:
             generators.append((v, earlier[v]))
         previous = len(buckets) - 1
-        reach_nbrs = g.adj_bits(v)
+        reach_nbrs = adj[v]
         reached = lighter = carry = 0
         for w, level in enumerate(buckets):
             lighter |= level
             gain = level & reach_nbrs
             buckets[w] = level & ~gain | carry
-            carry = gain
-            for u in iter_bits(gain):
-                earlier[u] |= 1 << v
-            frontier = gain
+            carry = frontier = gain
+            while gain:
+                low = gain & -gain
+                gain ^= low
+                earlier[low.bit_length() - 1] |= low_v
             while frontier:
                 reached |= frontier
-                for x in iter_bits(frontier):
-                    reach_nbrs |= g.adj_bits(x)
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach_nbrs |= adj[low.bit_length() - 1]
                 frontier = reach_nbrs & lighter & ~reached
         if carry:
             buckets.append(carry)
@@ -112,11 +118,18 @@ def build_tree(g: Graph) -> Atoms:
 
     Deterministic: MCS-M breaks ties by the smallest vertex id.
     """
+    adj = g.adj_masks
     rest = (1 << g.n) - 1
     atoms = []
     for x, sep in reversed(_mcs_m(g, rest)):
-        if is_clique(g, iter_bits(sep)):
-            comp = reach(g.adj_bits, 1 << x, rest & ~sep)
+        todo = sep
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if adj[low.bit_length() - 1] & sep != sep ^ low:
+                break
+        else:  # sep is a clique
+            comp = reach(adj.__getitem__, 1 << x, rest & ~sep)
             atoms.append(Atom(set_of(sep | comp), set_of(sep)))
             rest &= ~comp
     if rest:
@@ -159,16 +172,33 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
     """Compose per-atom chromatic numbers/colorings into one for g.
 
     leaf_chi is called once per atom, in atom order, on the subgraph the
-    atom's block induces (relabelled in increasing host order). chi(g)
-    is the max over the atoms. Each atom's colors are permuted to match
-    the colors already on its separator clique, and its other colors go
-    to the ones the separator does not use. Each atom's coloring is
-    validated; the solver validates the composed one on g.
+    atom's block induces (relabelled in increasing host order), whose
+    rows are read off the host's adjacency masks. chi(g) is the max over
+    the atoms. Each atom's colors are permuted to match the colors
+    already on its separator clique, and its other colors go to the ones
+    the separator does not use. Each atom's coloring is validated; the
+    solver validates the composed one on g.
     """
+    adj = g.adj_masks
     k = 0
-    color: dict[int, int] = {}
+    color = [0] * g.n  # host vertex -> composed color
+    where = [0] * g.n  # host vertex -> local id in the current atom
     for atom in atoms:
-        sub, ids = g.induced(atom.block)
+        ids = sorted(atom.block)
+        span = 0
+        for i, v in enumerate(ids):
+            where[v] = i
+            span |= 1 << v
+        rows = []
+        for v in ids:
+            row = 0
+            nbrs = adj[v] & span
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                row |= 1 << where[low.bit_length() - 1]
+            rows.append(row)
+        sub = Graph._from_masks(rows)
         k_atom, mc = leaf_chi(sub)
         try:
             validate_coloring(sub, mc)
@@ -177,13 +207,16 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
         if mc.k > k_atom:
             raise RuntimeError("leaf solver used more colors than it reported")
         k = max(k, k_atom)
-        local = {ids[v]: next(iter(mc.of(v))) for v in range(sub.n)}
-        perm = {local[q]: color[q] for q in atom.separator}
-        taken = set(perm.values())
+        local = [c for (c,) in mc.colors]
+        perm = [0] * (k_atom + 1)  # atom color -> host color, 0 while unset
+        for q in atom.separator:
+            perm[local[where[q]]] = color[q]
+        taken = set(perm)
         free = (c for c in range(1, k + 1) if c not in taken)
         for c in range(1, k_atom + 1):
-            if c not in perm:
+            if not perm[c]:
                 perm[c] = next(free)
-        for v, c in local.items():
+        for v, c in zip(ids, local):
             color[v] = perm[c]
-    return k, MultiColoring.from_singletons(color, g.n)
+    single = [frozenset((c,)) for c in range(k + 1)]
+    return k, MultiColoring(tuple([single[c] for c in color]), max(color, default=0))

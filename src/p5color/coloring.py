@@ -16,10 +16,6 @@ from .graph import Graph
 Weights = Mapping[int, int]
 
 
-def unit_weights(g: Graph) -> dict[int, int]:
-    return {v: 1 for v in g.vertices()}
-
-
 def normalize_weights(g: Graph, w: Weights | None) -> list[int]:
     """Weights as a dense list indexed by vertex; missing entries default
     to 1, values must be positive integers."""

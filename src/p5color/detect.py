@@ -50,12 +50,7 @@ from dataclasses import dataclass
 
 from . import modular
 from .errors import CutoffExceeded, PreconditionError
-from .graph import (
-    Graph,
-    bits_of,
-    iter_bits,
-    set_of,
-)
+from .graph import Graph, bits_of, set_of
 
 DEFAULT_BERGE_MAX_N = 16
 # each budgeted P5 / co-P5 kernel search may visit n * n // _BUDGET_DIVISOR
@@ -333,37 +328,63 @@ def find_induced_kp_minus_e(g: Graph, p: int) -> Witness | None:
     """
     if p < 3:
         raise PreconditionError(f"K_p-e needs p >= 3, got p={p}")
-    ends = bits_of(v for v in range(g.n) if g.degree(v) >= p - 2)
-    core = bits_of(v for v in iter_bits(ends) if g.degree(v) >= p - 1)
-    for x in iter_bits(ends):
-        near = g.adj_bits(x) & core
-        far = ends & ~g.adj_bits(x) & ~((2 << x) - 1)
+    adj = g.adj_masks
+    ends = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= p - 2)
+    core = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= p - 1)
+    xs = ends
+    while xs:
+        low_x = xs & -xs
+        xs ^= low_x
+        row = adj[low_x.bit_length() - 1]
+        far = ends & ~row & ~((low_x << 1) - 1)
+        if not far:
+            continue
+        near = row & core
         once = twice = 0  # far vertices with at least one / two neighbours in near
-        for z in iter_bits(near):
-            twice |= once & g.adj_bits(z)
-            once |= far & g.adj_bits(z)
-        for y in iter_bits(twice if p > 3 else once):
-            common = near & g.adj_bits(y)
+        zs = near
+        while zs:
+            low = zs & -zs
+            zs ^= low
+            nbrs = adj[low.bit_length() - 1]
+            twice |= once & nbrs
+            once |= far & nbrs
+        ys = twice if p > 3 else once
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
+            common = near & adj[y]
             if common.bit_count() >= p - 2:
-                clique = _lex_clique_in_mask(g, common, p - 2)
+                clique = _lex_clique_in_mask(adj, common, p - 2)
                 if clique is not None:
-                    return Witness(f"K{p}-e", (x, y, *clique))
+                    return Witness(f"K{p}-e", (low_x.bit_length() - 1, y, *clique))
     return None
 
 
-def _lex_clique_in_mask(g: Graph, mask: int, size: int) -> tuple[int, ...] | None:
-    """Lexicographically first clique of the given size inside mask."""
+def _lex_clique_in_mask(adj: tuple[int, ...], mask: int, size: int) -> tuple[int, ...] | None:
+    """Lexicographically first clique of the given size inside mask, for
+    neighbourhood masks adj: a depth-first search on an explicit stack of
+    (candidates left, vertex chosen) per level, candidates lowest bit
+    first."""
     if size == 0:
         return ()
-    cand = mask
-    while cand.bit_count() >= size:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        rest = _lex_clique_in_mask(g, cand & g.adj_bits(v), size - 1)
-        if rest is not None:
-            return (v, *rest)
-    return None
+    stack: list[tuple[int, int]] = []
+    cand, need = mask, size
+    while True:
+        if cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if need == 1:
+                return (*(u for _, u in stack), v)
+            stack.append((cand, v))
+            cand &= adj[v]
+            need -= 1
+        elif stack:
+            cand = stack.pop()[0]
+            need += 1
+        else:
+            return None
 
 
 def find_independent_triple(g: Graph) -> Witness | None:

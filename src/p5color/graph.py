@@ -10,6 +10,7 @@ rows.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import ParseError
@@ -81,9 +82,6 @@ class Graph:
         return frozenset(
             (u, v) for u, mask in enumerate(self._adj) for v in iter_bits(mask & ~((2 << u) - 1))
         )
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1)
@@ -211,12 +209,6 @@ def is_clique(g: Graph, subset: Iterable[int]) -> bool:
     return all(g.adj_bits(v) & mask == mask & ~(1 << v) for v in vs)
 
 
-def is_independent_set(g: Graph, subset: Iterable[int]) -> bool:
-    vs = sorted(set(subset))
-    mask = bits_of(vs)
-    return all(g.adj_bits(v) & mask == 0 for v in vs)
-
-
 # -- file formats ---------------------------------------------------------
 #
 # DIMACS .col: header "p edge n m", edge lines "e u v" (1-indexed); m
@@ -250,8 +242,8 @@ def parse_dimacs(text: str) -> Graph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
-            if n < 0:
-                raise ParseError(f"negative vertex count {n}", lineno)
+            if not 0 <= n <= sys.maxsize:
+                raise ParseError(f"vertex count {n} out of range", lineno)
             header = lineno
         elif parts[0] == "e":
             if n is None:
@@ -291,7 +283,7 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"malformed edge line {line!r}", lineno) from None
-        if u < 0 or v < 0:
+        if not (0 <= u < sys.maxsize and 0 <= v < sys.maxsize):
             raise ParseError(f"vertex id out of range in {line!r}", lineno)
         if u == v:
             raise ParseError(f"self-loop in {line!r}", lineno)

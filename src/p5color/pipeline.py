@@ -323,12 +323,7 @@ def _repaired(
 ) -> Graph | None:
     """Witness-guided repair: toggle random pairs inside the current
     forbidden-structure witness until find_witness finds none."""
-    edges = {
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < density
-    }
+    edges = set(_gnp(n, density, rng).edges)
     for _ in range(max_flips):
         g = Graph(n, edges)
         witness = find_witness(g)

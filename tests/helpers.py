@@ -11,9 +11,10 @@ import heapq
 import itertools
 import random
 
-from p5color.coloring import MultiColoring, normalize_weights
+from p5color.cliquesep import Atom
+from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
 from p5color.errors import PreconditionError
-from p5color.graph import Graph, bits_of, iter_bits
+from p5color.graph import Graph, bits_of, is_clique, iter_bits, reach, set_of
 from p5color.pipeline import _all_graphs as all_graphs
 
 
@@ -295,6 +296,99 @@ def mcs_m_reference(g: Graph, span: int) -> list[tuple[int, int]]:
                 weight[u] += 1
                 earlier[u] |= 1 << v
     return generators
+
+
+def build_tree_reference(g: Graph) -> tuple[Atom, ...]:
+    """The clique-minimal-separator atoms of g in gluing order: each
+    MCS-M generator (from mcs_m_reference), last numbered first, whose
+    earlier H-neighbours form a clique of g splits off that clique and
+    the component of the vertices left that holds the generator."""
+    rest = (1 << g.n) - 1
+    atoms = []
+    for x, sep in reversed(mcs_m_reference(g, rest)):
+        if is_clique(g, iter_bits(sep)):
+            comp = reach(g.adj_bits, 1 << x, rest & ~sep)
+            atoms.append(Atom(set_of(sep | comp), set_of(sep)))
+            rest &= ~comp
+    if rest:
+        atoms.append(Atom(set_of(rest), frozenset()))
+    return tuple(reversed(atoms))
+
+
+def chi_compose_reference(g: Graph, atoms, leaf_chi) -> tuple[int, MultiColoring]:
+    """Per-atom colorings glued along the separators, over relabelled
+    induced copies and dicts: each atom's colors are permuted to agree
+    with the colors already on its separator, and its other colors take
+    the smallest colors the separator does not use."""
+    k = 0
+    color: dict[int, int] = {}
+    for atom in atoms:
+        sub, ids = g.induced(atom.block)
+        k_atom, mc = leaf_chi(sub)
+        try:
+            validate_coloring(sub, mc)
+        except ValueError as exc:
+            raise RuntimeError(f"leaf solver returned an invalid coloring: {exc}") from exc
+        if mc.k > k_atom:
+            raise RuntimeError("leaf solver used more colors than it reported")
+        k = max(k, k_atom)
+        local = {ids[v]: next(iter(mc.of(v))) for v in range(sub.n)}
+        perm = {local[q]: color[q] for q in atom.separator}
+        taken = set(perm.values())
+        free = (c for c in range(1, k + 1) if c not in taken)
+        for c in range(1, k_atom + 1):
+            if c not in perm:
+                perm[c] = next(free)
+        for v, c in local.items():
+            color[v] = perm[c]
+    return k, MultiColoring.from_singletons(color, g.n)
+
+
+# -- {P5, Kp-e}-free members with many clique separators, as in the benchmark ----
+
+
+def star(leaves: int) -> tuple[int, frozenset, int]:
+    """K_{1,leaves}; chromatic number 2."""
+    return leaves + 1, frozenset((0, v) for v in range(1, leaves + 1)), 2
+
+
+def co_cycle(length: int) -> tuple[int, frozenset, int, int]:
+    """Complement of an odd cycle, O3-free and P5-free: (n, edges, chi,
+    omega) with chi = (length + 1) / 2 and omega = (length - 1) / 2."""
+    near = {(i, (i + 1) % length) for i in range(length)}
+    edges = frozenset(
+        (u, v)
+        for u in range(length)
+        for v in range(u + 1, length)
+        if (u, v) not in near and (v, u) not in near
+    )
+    return length, edges, (length + 1) // 2, (length - 1) // 2
+
+
+def co_andrasfai(k: int) -> tuple[int, frozenset, int, int]:
+    """Complement of the Andrasfai graph And(k) on 3k - 1 vertices:
+    O3-free and P5-free with chi = ceil((3k - 1) / 2) and omega = k."""
+    n = 3 * k - 1
+    edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n) if (v - u) % 3 != 1)
+    return n, edges, -(-n // 2), k
+
+
+def k33() -> tuple[int, frozenset, int, int]:
+    """K_{3,3}: it has independent triples, so its cone takes exact-fallback."""
+    return 6, frozenset((u, v) for u in range(3) for v in range(3, 6)), 2, 2
+
+
+def cone(blocks) -> tuple[int, frozenset, int, int]:
+    """Apex vertex 0 joined to a disjoint union of blocks: (n, edges,
+    chi, p) with p = omega + 3, the smallest p for which the cone is
+    {P5, Kp-e}-free."""
+    edges: set[tuple[int, int]] = set()
+    offset = 1
+    for bn, bedges, _, _ in blocks:
+        edges.update((offset + u, offset + v) for u, v in bedges)
+        edges.update((0, offset + v) for v in range(bn))
+        offset += bn
+    return offset, frozenset(edges), 1 + max(b[2] for b in blocks), max(b[3] for b in blocks) + 3
 
 
 def with_universal_and_isolated(g: Graph, rng: random.Random) -> Graph:

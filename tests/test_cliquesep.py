@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from p5color import cliquesep, detect
 from p5color.cli import EXIT_OK, main
 from p5color.cliquesep import (
     Atom,
@@ -14,12 +15,27 @@ from p5color.cliquesep import (
     tree_to_json,
     validate_tree,
 )
-from p5color.detect import find_induced_kp_minus_e
+from p5color.detect import Witness, find_independent_triple, find_induced_kp_minus_e
+from p5color.errors import NotInClass
 from p5color.graph import Graph, components, is_clique, is_connected, to_dimacs
+from p5color.matching import chi_o3_free
 from p5color.oracle import chi_exact
 from p5color.pipeline import solve_p5_kpe
 
-from helpers import all_graphs, has_clique_separator_bruteforce, mcs_m_reference, random_graph
+from helpers import (
+    all_graphs,
+    build_tree_reference,
+    chi_compose_reference,
+    co_andrasfai,
+    co_cycle,
+    cone,
+    has_clique_separator_bruteforce,
+    k33,
+    kp_minus_e_reference,
+    mcs_m_reference,
+    random_graph,
+    star,
+)
 
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -244,3 +260,81 @@ def test_star_k1_5000_solves_with_one_atom_per_edge():
     report = solve_p5_kpe(star, 4)
     assert report.chi == 2
     assert len(report.decomposition["atoms"]) == 5000
+
+
+def _members(rng: random.Random) -> list[tuple[str, Graph, int]]:
+    """The benchmark's {P5, Kp-e} shapes at its smallest and largest
+    sizes, each in its built order and in one seeded vertex order."""
+    shapes = []
+    for reps in (1, 5):
+        n, edges, _ = star(24 * reps)
+        shapes.append((f"star-K1,{n - 1}", n, edges, 4))
+        for label, blocks in (
+            ("co-odd-cycles", [co_cycle(11), co_cycle(13)] * reps),
+            ("co-andrasfai3", [co_andrasfai(3)] * (3 * reps)),
+            ("k33", [k33()] * (4 * reps)),
+        ):
+            n, edges, _, p = cone(blocks)
+            shapes.append((f"cone-{label}-n{n}", n, edges, p))
+    out = []
+    for name, n, edges, p in shapes:
+        order = list(range(n))
+        rng.shuffle(order)
+        out.append((name, Graph(n, edges), p))
+        out.append((f"{name}#shuffled", Graph(n, [(order[u], order[v]) for u, v in edges]), p))
+    return out
+
+
+def _leaf_chi(sub: Graph):
+    return chi_o3_free(sub) if find_independent_triple(sub) is None else chi_exact(sub)
+
+
+def _kpe_reference(g: Graph, p: int) -> Witness | None:
+    found = kp_minus_e_reference(g, p)
+    return None if found is None else Witness(f"K{p}-e", found)
+
+
+def _use_references(monkeypatch) -> None:
+    monkeypatch.setattr(cliquesep, "build_tree", build_tree_reference)
+    monkeypatch.setattr(cliquesep, "chi_compose", chi_compose_reference)
+    monkeypatch.setattr(detect, "find_induced_kp_minus_e", _kpe_reference)
+
+
+def _outcome(g: Graph, p: int):
+    try:
+        return solve_p5_kpe(g, p).to_json()
+    except NotInClass as exc:
+        return exc.witness
+
+
+def test_structured_members_match_the_references(monkeypatch):
+    """Atoms, composed colourings, Kp-e witnesses for every p up to the
+    member's own, and solve_p5_kpe reports all agree with the reference
+    decomposition, composition and Kp-e search."""
+    members = _members(random.Random(21))
+    assert {p for _, _, p in members} == {4, 9, 6, 5}
+    reports = []
+    for name, g, p in members:
+        atoms = build_tree(g)
+        assert atoms == build_tree_reference(g), name
+        assert chi_compose(g, atoms, _leaf_chi) == chi_compose_reference(g, atoms, _leaf_chi)
+        for q in range(3, p + 1):
+            assert find_induced_kp_minus_e(g, q) == _kpe_reference(g, q), (name, q)
+        reports.append(_outcome(g, p))
+    _use_references(monkeypatch)
+    assert [_outcome(g, p) for _, g, p in members] == reports
+
+
+def test_random_graphs_match_the_references(monkeypatch):
+    rng = random.Random(22)
+    cases = [(random_graph(rng.randint(0, 22), rng.random(), rng), rng.randint(3, 6)) for _ in range(400)]
+    outcomes = []
+    for g, p in cases:
+        atoms = build_tree(g)
+        assert atoms == build_tree_reference(g)
+        assert chi_compose(g, atoms, _leaf_chi) == chi_compose_reference(g, atoms, _leaf_chi)
+        outcomes.append(_outcome(g, p))
+    assert any(isinstance(o, dict) for o in outcomes)
+    assert any(isinstance(o, Witness) and o.pattern.startswith("K") for o in outcomes)
+    _use_references(monkeypatch)
+    assert [_outcome(g, p) for g, p in cases] == outcomes

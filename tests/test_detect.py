@@ -24,11 +24,11 @@ from p5color.detect import (
     p5_cop5_violation,
     witness_ok,
 )
-from p5color.errors import CutoffExceeded, PreconditionError
+from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
 from p5color.graph import Graph
 from p5color.modular import md_tree, validate_md_tree
 from p5color.oracle import independence_number_exact
-from p5color.pipeline import _substitute, gen_p5_cop5
+from p5color.pipeline import _substitute, gen_p5_cop5, solve_p5_kpe
 
 from helpers import (
     all_graphs,
@@ -87,6 +87,18 @@ def test_kp_minus_e_witnesses_match_the_reference():
     for g in graphs:
         for p in range(3, 7):
             assert _vertices(find_induced_kp_minus_e(g, p)) == kp_minus_e_reference(g, p)
+
+
+def test_kp_minus_e_search_is_not_bounded_by_the_recursion_limit():
+    """The clique search runs on an explicit stack, so a clique of
+    p - 2 = 1,098 vertices is found well past Python's recursion limit."""
+    g = Graph(1100, [(0, 1)]).complement()  # K_1100 minus the edge 01
+    w = find_induced_kp_minus_e(g, 1100)
+    assert w == Witness("K1100-e", tuple(range(1100)))
+    assert witness_ok(g, w)
+    with pytest.raises(NotInClass) as err:
+        solve_p5_kpe(g, 1100)
+    assert err.value.witness == w
 
 
 def _cone(blocks: list[Graph]) -> Graph:

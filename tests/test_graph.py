@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p5color.errors import ParseError
 from p5color.graph import (
@@ -79,6 +82,47 @@ def test_parse_edge_list_errors():
         parse_graph("0 -2\n", "edges")
     with pytest.raises(ParseError):
         parse_graph("0 1 2\n", "edges")
+
+
+# Only counts and ids past sys.maxsize: a smaller huge count would really
+# be allocated, one list slot per vertex.
+@pytest.mark.parametrize(
+    "text,fmt",
+    [
+        (f"p edge {sys.maxsize + 1} 0\n", "dimacs"),
+        ("p edge 99999999999999999999 0\n", "dimacs"),
+        (f"0 {sys.maxsize + 1}\n", "edges"),
+        ("99999999999999999999 1\n", "edges"),
+    ],
+)
+def test_parse_rejects_vertex_counts_past_sys_maxsize(text, fmt):
+    with pytest.raises(ParseError, match="out of range") as err:
+        parse_graph(text, fmt)
+    assert err.value.line == 1
+
+
+# Lines built from tokens: integers from a small range or past sys.maxsize,
+# never in between, so no parse allocates a huge vertex list, and digit-free
+# junk. Half the lines start with a line kind of one of the formats and go on
+# with integers alone, so whole graphs get through to the Graph constructor.
+_INTEGERS = st.integers(-10**4, 10**4) | st.integers(sys.maxsize + 1, 10**40)
+_JUNK = st.sampled_from(["p", "e", "c", "edge", "col", "#", "-", "+"]) | st.text(
+    st.characters(blacklist_categories=("Nd", "Cs")), min_size=1, max_size=4
+)
+_SHAPED = st.tuples(
+    st.sampled_from(["p edge", "p col", "e", ""]), st.lists(_INTEGERS.map(str), max_size=3)
+).map(lambda line: " ".join([line[0], *line[1]]))
+_LINES = st.lists(_SHAPED | st.lists(_INTEGERS.map(str) | _JUNK, max_size=5).map(" ".join), max_size=8)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lines=_LINES, fmt=st.sampled_from(["dimacs", "edges"]))
+def test_parse_graph_returns_a_graph_or_raises_parse_error(lines, fmt):
+    try:
+        g = parse_graph("\n".join(lines), fmt)
+    except ParseError:
+        return
+    assert isinstance(g, Graph)
 
 
 def test_graph_rejects_bad_edges():
