@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 input not in the declared class (witness
 printed), 3 parse error (a malformed graph or solve report, a graph
 of more than sys.maxsize vertices by its DIMACS header or its largest
 edge-list id, a report nested too deeply to read, or a weights file
-that is malformed or names a vertex the graph does not have), 4 desk-scale cutoff exceeded
+that is malformed or names a vertex the graph does not have, or any
+input file that does not decode as text), 4 desk-scale cutoff exceeded
 (by an exact oracle, by `verify lemma5` with --n-max above the Berge
 check's 16 vertices, by the exponential exact-fallback route of
 `solve --class p5-kpe`, or by a modular decomposition tree too deep
@@ -140,6 +141,9 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not {exc.encoding} text: {exc.reason}", line) from None
 
 
 def _load_graph(path: str, fmt: str | None) -> Graph:

@@ -129,7 +129,7 @@ def build_tree(g: Graph) -> Atoms:
             if adj[low.bit_length() - 1] & sep != sep ^ low:
                 break
         else:  # sep is a clique
-            comp = reach(adj.__getitem__, 1 << x, rest & ~sep)
+            comp = reach(adj, 1 << x, rest & ~sep)
             atoms.append(Atom(set_of(sep | comp), set_of(sep)))
             rest &= ~comp
     if rest:

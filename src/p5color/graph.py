@@ -11,7 +11,7 @@ rows.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ParseError
 
@@ -97,7 +97,15 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if self._nbrs is None:
-            self._nbrs = tuple(tuple(iter_bits(mask)) for mask in self._adj)
+            rows = []
+            for mask in self._adj:
+                row = []
+                while mask:
+                    low = mask & -mask
+                    row.append(low.bit_length() - 1)
+                    mask ^= low
+                rows.append(tuple(row))
+            self._nbrs = tuple(rows)
         return self._nbrs[v]
 
     def degree(self, v: int) -> int:
@@ -120,18 +128,7 @@ class Graph:
         for v in ids:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
-        local = {1 << v: i for i, v in enumerate(ids)}
-        among = bits_of(ids)
-        rows = [0] * len(ids)
-        for i, v in enumerate(ids):
-            later = self._adj[v] & among & ~((2 << v) - 1)
-            while later:
-                low = later & -later
-                j = local[low]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                later ^= low
-        return Graph._from_masks(rows), tuple(ids)
+        return Graph._from_masks(induced_rows(self._adj, ids)), tuple(ids)
 
     # -- dunder ---------------------------------------------------------------
 
@@ -155,6 +152,23 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def induced_rows(adj: Sequence[int], ids: Sequence[int]) -> list[int]:
+    """The rows of the subgraph that the rows adj induce on the distinct
+    vertices ids, relabelled so that local vertex i is ids[i]."""
+    local = {1 << v: i for i, v in enumerate(ids)}
+    among = sum(local)  # the bits are distinct
+    rows = []
+    for v in ids:
+        near = adj[v] & among
+        row = 0
+        while near:
+            low = near & -near
+            row |= 1 << local[low]
+            near ^= low
+        rows.append(row)
+    return rows
+
+
 def bits_of(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
@@ -163,36 +177,43 @@ def bits_of(vertices: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def components(g: Graph, mask: int | None = None) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by the vertex bitmask
     (all of g by default), ordered by smallest contained vertex id."""
     rest = (1 << g.n) - 1 if mask is None else mask
-    return [set_of(comp) for comp in component_masks(g.adj_bits, rest)]
+    return [set_of(comp) for comp in component_masks(g.adj_masks, rest)]
 
 
-def component_masks(nbrs: Callable[[int], int], mask: int) -> list[int]:
+def component_masks(adj: Sequence[int], mask: int) -> list[int]:
     """The components of the vertex bitmask mask under the neighborhood
-    bitmasks nbrs(v), as bitmasks ordered by smallest vertex."""
+    bitmasks adj[v], as bitmasks ordered by smallest vertex."""
     out = []
     while mask:
-        comp = reach(nbrs, mask & -mask, mask)
+        comp = reach(adj, mask & -mask, mask)
         mask &= ~comp
         out.append(comp)
     return out
 
 
-def reach(nbrs: Callable[[int], int], seed: int, mask: int) -> int:
+def reach(adj: Sequence[int], seed: int, mask: int) -> int:
     """Bitmask of the vertices of mask joined to the seed bitmask by
-    paths inside mask (the seed itself included), where nbrs(v) is the
-    neighborhood bitmask of v: g.adj_bits for a graph g."""
+    paths inside mask (the seed itself included), where adj[v] is the
+    neighborhood bitmask of v: g.adj_masks for a graph g."""
     comp = frontier = seed
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= nbrs(v)
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & mask & ~comp
         comp |= frontier
     return comp

@@ -3,33 +3,36 @@
 The tree has Parallel nodes (disconnected subgraphs), Series nodes
 (disconnected complements) and Prime nodes carrying the quotient graph
 on one representative per maximal proper module. A prime node's
-children come from partition refinement by neighborhoods, which leaves
+children come from partition refinement by splitters, which leaves
 only the child containing the smallest vertex to be closed, on a small
 quotient.
 
 Every node is a vertex bitmask of the input graph: components come
 from its adjacency masks and co-components from its complement masks
-(taken once), so no node builds a relabelled subgraph. Every tree walk
-uses an explicit stack, so trees as deep as the graph is large stay
-within Python's recursion limit.
+(taken once), and quotients are read off the rows of the
+representatives, so no node builds a relabelled subgraph. The
+composition computes every node's chromatic number bottom-up and then
+hands each child a palette top-down. Every tree walk uses an explicit
+stack, so trees as deep as the graph is large stay within Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
 
 from .coloring import MultiColoring, Weights, normalize_weights, validate_coloring
-from .graph import Graph, bits_of, component_masks, iter_bits, reach, set_of
+from .graph import Graph, bits_of, component_masks, induced_rows, reach
 
 
 @dataclass(frozen=True)
 class MDLeaf:
     vertex: int
+    span: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def span(self) -> frozenset[int]:
-        return frozenset([self.vertex])
+    def __post_init__(self):
+        object.__setattr__(self, "span", frozenset((self.vertex,)))
 
 
 @dataclass(frozen=True)
@@ -61,33 +64,26 @@ MDTree = MDLeaf | MDParallel | MDSeries | MDPrime
 def is_module(g: Graph, members: Iterable[int]) -> bool:
     """True iff every outside vertex sees all of members or none of them."""
     mask = bits_of(members)
-    for x in range(g.n):
-        if mask >> x & 1:
-            continue
-        inside = g.adj_bits(x) & mask
-        if inside != 0 and inside != mask:
-            return False
-    return True
+    return min_module(g.adj_masks, mask, (1 << g.n) - 1) == mask
 
 
-def min_module(nbrs: Callable[[int], int], seed: int, within: int) -> int:
+def min_module(adj: Sequence[int], seed: int, within: int) -> int:
     """Smallest module containing the seed of the graph on within whose
-    neighborhood bitmasks are nbrs(v): close under distinguishers.
-    Seed, within and the result are vertex bitmasks."""
-    mask = seed
-    changed = True
-    while changed:
-        changed = False
-        outside = within & ~mask
-        while outside:
-            low = outside & -outside
-            x = low.bit_length() - 1
-            outside ^= low
-            inside = nbrs(x) & mask
-            if inside != 0 and inside != mask:
-                mask |= low
-                changed = True
-    return mask
+    neighborhood bitmasks are adj[v]: add the vertices that see some but
+    not all of it, those in the OR of its rows and not in their AND,
+    until none is left. Seed, within and the result are bitmasks."""
+    module, add = 0, seed
+    some, every = 0, within
+    while add:
+        module |= add
+        while add:
+            low = add & -add
+            row = adj[low.bit_length() - 1]
+            some |= row
+            every &= row
+            add ^= low
+        add = some & ~every & within & ~module
+    return module
 
 
 def is_prime(g: Graph) -> bool:
@@ -95,50 +91,62 @@ def is_prime(g: Graph) -> bool:
     full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if min_module(g.adj_bits, 1 << u | 1 << v, full) != full:
+            if min_module(g.adj_masks, 1 << u | 1 << v, full) != full:
                 return False
     return True
 
 
-def _prime_children(g: Graph, span: int) -> list[int]:
-    """The maximal proper modules of g[span], by smallest vertex, when
-    g[span] and its complement are connected (Gallai's third case).
+def _prime_children(adj: Sequence[int], span: int) -> tuple[list[int], list[int]]:
+    """The maximal proper modules of the graph on span, by smallest
+    vertex, when it and its complement are connected (Gallai's third
+    case), and the rows of the quotient on their smallest vertices.
 
-    Refining span - {v}, v = min(span), by neighborhoods until every part
-    is a module gives the maximal modules avoiding v: the other children
-    and a split of M_v - {v}, M_v the child through v. M_v is the union
-    of the proper modules through v of the quotient on {v} and the parts.
+    Refining span - {v}, v = min(span), until every part is a module
+    gives the maximal modules avoiding v: the other children and a split
+    of M_v - {v}, M_v the child through v. A part whose rows' OR and AND
+    differ outside it is cut by the lowest such splitter. M_v is the
+    union of the proper modules through v of the quotient on {v} and the
+    parts.
     """
     low = span & -span
     rest = span ^ low
-    near = g.adj_bits(low.bit_length() - 1)
-    parts = [p for p in (rest & near, rest & ~near) if p]
-    pivots = rest
-    while pivots:
-        bit = pivots & -pivots
-        pivots ^= bit
-        near = g.adj_bits(bit.bit_length() - 1)
-        refined = []
-        for p in parts:
-            inside = p & near
-            if inside and inside != p and not p & bit:
-                refined += (inside, p ^ inside)
-                pivots |= p
-            else:
-                refined.append(p)
-        parts = refined
+    near = adj[low.bit_length() - 1]
+    todo = [p for p in (rest & near, rest & ~near) if p]
+    parts = []
+    while todo:
+        part = todo.pop()
+        if part & (part - 1) == 0:
+            parts.append(part)
+            continue
+        some, every, left = 0, span, part
+        while left:
+            bit = left & -left
+            row = adj[bit.bit_length() - 1]
+            some |= row
+            every &= row
+            left ^= bit
+        splitters = some & ~every & span & ~part
+        if splitters:
+            inside = part & adj[(splitters & -splitters).bit_length() - 1]
+            todo += (inside, part ^ inside)
+        else:
+            parts.append(part)
     parts.sort(key=lambda p: p & -p)
     # v and then the parts by smallest vertex: their reps ascend, so
     # quotient vertex i stands for the i-th of them
-    q = g.induced((m & -m).bit_length() - 1 for m in [low, *parts])[0].adj_masks
+    q = induced_rows(adj, [(m & -m).bit_length() - 1 for m in [low, *parts]])
     whole = (1 << len(q)) - 1
     closed = 1
     for i in range(1, len(q)):
-        m = min_module(q.__getitem__, 1 | 1 << i, whole)
-        if m != whole:
-            closed |= m
-    merged = low | sum(p for i, p in enumerate(parts, 1) if closed >> i & 1)  # disjoint
-    return [merged] + [p for i, p in enumerate(parts, 1) if not closed >> i & 1]
+        if not closed >> i & 1:  # a merged part's module is inside closed already
+            m = min_module(q, 1 | 1 << i, whole)
+            if m != whole:
+                closed |= m
+    if closed == 1:
+        return [low, *parts], q
+    kept = [i for i in range(1, len(q)) if not closed >> i & 1]
+    merged = low | sum(parts[i - 1] for i in range(1, len(q)) if closed >> i & 1)  # disjoint
+    return [merged] + [parts[i - 1] for i in kept], induced_rows(q, [0, *kept])
 
 
 # -- the tree ----------------------------------------------------------------
@@ -147,30 +155,35 @@ def _prime_children(g: Graph, span: int) -> list[int]:
 def md_tree(g: Graph) -> MDTree:
     if g.n < 1:
         raise ValueError("modular decomposition needs at least one vertex")
+    if g.n == 1:
+        return MDLeaf(0)
+    adj = g.adj_masks
     full = (1 << g.n) - 1
-    co = [full ^ g.adj_bits(v) ^ 1 << v for v in range(g.n)]
-    built: dict[int, MDTree] = {}
-    order: list[tuple[int, type, list[int]]] = []  # pre-order (span, kind, child spans)
-    stack = [full]
+    co = [full ^ row ^ 1 << v for v, row in enumerate(adj)]
+    built: dict[int, MDTree] = {}  # internal nodes; a leaf is built with its parent
+    order = []  # pre-order (span, kind, child spans, prime quotient rows)
+    stack: list[tuple[int, type | None]] = [(full, None)]  # (span, parent's kind)
     while stack:
-        span = stack.pop()
-        if span & (span - 1) == 0:
-            built[span] = MDLeaf(span.bit_length() - 1)
-            continue
-        kind, parts = MDParallel, component_masks(g.adj_bits, span)
+        span, above = stack.pop()
+        # a component is connected and a co-component co-connected
+        rows, kind = None, MDParallel
+        parts = [span] if above is MDParallel else component_masks(adj, span)
         if len(parts) == 1:
-            kind, parts = MDSeries, component_masks(co.__getitem__, span)
+            kind = MDSeries
+            parts = [span] if above is MDSeries else component_masks(co, span)
         if len(parts) == 1:
-            kind, parts = MDPrime, _prime_children(g, span)
-        order.append((span, kind, parts))
-        stack.extend(parts)
-    for span, kind, parts in reversed(order):
-        children = tuple(built.pop(p) for p in parts)
+            kind = MDPrime
+            parts, rows = _prime_children(adj, span)
+        order.append((span, kind, parts, rows))
+        stack += [(p, kind) for p in parts if p & (p - 1)]
+    for span, kind, parts, rows in reversed(order):
+        children = tuple([built.pop(p) if p & (p - 1) else MDLeaf(p.bit_length() - 1) for p in parts])
+        union = frozenset().union(*[c.span for c in children])
         if kind is MDPrime:
-            reps = tuple((p & -p).bit_length() - 1 for p in parts)  # ascending
-            built[span] = MDPrime(children, set_of(span), g.induced(reps)[0], reps)
+            reps = tuple([(p & -p).bit_length() - 1 for p in parts])  # ascending
+            built[span] = MDPrime(children, union, Graph._from_masks(rows), reps)
         else:
-            built[span] = kind(children, set_of(span))
+            built[span] = kind(children, union)
     return built[full]
 
 
@@ -179,7 +192,7 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
     if t.span != frozenset(range(g.n)):
         raise ValueError("root span must be the whole vertex set")
     full = (1 << g.n) - 1
-    co = [full ^ g.adj_bits(v) ^ 1 << v for v in range(g.n)]
+    co = [full ^ row ^ 1 << v for v, row in enumerate(g.adj_masks)]
     stack = [t]
     while stack:
         node = stack.pop()
@@ -197,15 +210,14 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
         if total != span:
             raise ValueError("child spans must partition the parent span")
         if isinstance(node, MDParallel):
-            if any(reach(g.adj_bits, m & -m, span) != m for m in masks):
+            if any(reach(g.adj_masks, m & -m, span) != m for m in masks):
                 raise ValueError("Parallel children must be the components")
         elif isinstance(node, MDSeries):
-            if any(reach(co.__getitem__, m & -m, span) != m for m in masks):
+            if any(reach(co, m & -m, span) != m for m in masks):
                 raise ValueError("Series children must be the co-components")
         else:
-            for m in masks:
-                if any(g.adj_bits(x) & m not in (0, m) for x in iter_bits(span & ~m)):
-                    raise ValueError("Prime children must be modules of the parent subgraph")
+            if any(min_module(g.adj_masks, m, span) != m for m in masks):
+                raise ValueError("Prime children must be modules of the parent subgraph")
             if node.quotient.n < 4:
                 raise ValueError("Prime quotient needs at least four vertices")
             if not is_prime(node.quotient):
@@ -256,13 +268,14 @@ def chi_w(
     prime_solver: PrimeSolver,
     tree: MDTree | None = None,
 ) -> tuple[int, MultiColoring]:
-    """Weighted chromatic number composed bottom-up over the modular
-    decomposition tree.
+    """Weighted chromatic number composed over the modular
+    decomposition tree: every node's k bottom-up, then each node's
+    palette (the host colors standing for its colors 1..k) top-down.
 
-    Parallel nodes take the max over children on a shared palette;
-    Series nodes sum children over disjoint palette segments; Prime
-    nodes solve the quotient under the children's weighted chromatic
-    numbers and expand each quotient color pool back into its child.
+    Parallel children share the palette; Series children take disjoint
+    segments of it; Prime nodes solve the quotient under the children's
+    k and give each child its quotient color pool, read through the
+    palette. A leaf takes the first w(v) colors of its palette.
 
     prime_solver receives the quotient, its weights and the host vertex
     standing for each quotient vertex (the node's reps). It must be
@@ -284,41 +297,44 @@ def chi_w(
         node = stack.pop()
         order.append(node)
         stack.extend(getattr(node, "children", ()))
-    solved: dict[int, tuple[int, dict[int, frozenset[int]]]] = {}
+    k_of: dict[int, int] = {}
+    pools: dict[int, MultiColoring] = {}
     for node in reversed(order):
-        if isinstance(node, MDLeaf):
+        kind = type(node)
+        if kind is MDLeaf:
             k = weights[node.vertex]
-            solved[id(node)] = k, {node.vertex: frozenset(range(1, k + 1))}
-            continue
-        kids = [solved.pop(id(c)) for c in node.children]
-        cmap: dict[int, frozenset[int]] = {}
-        if isinstance(node, MDParallel):
-            k = max(child_k for child_k, _ in kids)
-            for _, child_map in kids:
-                cmap.update(child_map)
-        elif isinstance(node, MDSeries):
-            k = 0
-            for child_k, child_map in kids:
-                cmap.update(
-                    {v: frozenset(c + k for c in cs) for v, cs in child_map.items()}
-                )
-                k += child_k
+        elif kind is MDParallel:
+            k = max(k_of[id(c)] for c in node.children)
+        elif kind is MDSeries:
+            k = sum(k_of[id(c)] for c in node.children)
         else:
-            w_star = {i: child_k for i, (child_k, _) in enumerate(kids)}
-            k, quot_mc = prime_solver(node.quotient, w_star, node.reps)
+            w_star = {i: k_of[id(c)] for i, c in enumerate(node.children)}
+            k, pools[id(node)] = prime_solver(node.quotient, w_star, node.reps)
             try:
-                validate_coloring(node.quotient, quot_mc, w_star)
+                validate_coloring(node.quotient, pools[id(node)], w_star)
             except ValueError as exc:
                 raise RuntimeError(
                     f"prime solver returned an invalid quotient coloring: {exc}"
                 ) from exc
-            for i, (child_k, child_map) in enumerate(kids):
-                pool = sorted(quot_mc.of(i))
-                rename = {c: pool[c - 1] for c in range(1, child_k + 1)}
-                cmap.update(
-                    {v: frozenset(rename[c] for c in cs) for v, cs in child_map.items()}
-                )
-        solved[id(node)] = k, cmap
+        k_of[id(node)] = k
 
-    k, cmap = solved[id(tree)]
-    return k, MultiColoring(tuple(cmap[v] for v in range(g.n)), k)
+    colors: list[frozenset[int]] = [frozenset()] * g.n
+    top = k_of[id(tree)]
+    down: list[tuple[MDTree, Sequence[int]]] = [(tree, range(1, top + 1))]
+    while down:
+        node, palette = down.pop()
+        kind = type(node)
+        if kind is MDLeaf:
+            colors[node.vertex] = frozenset(palette[: weights[node.vertex]])
+        elif kind is MDParallel:
+            down.extend((c, palette) for c in node.children)
+        elif kind is MDSeries:
+            start = 0
+            for c in node.children:
+                down.append((c, palette[start : start + k_of[id(c)]]))
+                start += k_of[id(c)]
+        else:
+            quot_mc = pools[id(node)]
+            for i, c in enumerate(node.children):
+                down.append((c, [palette[x - 1] for x in sorted(quot_mc.of(i))]))
+    return top, MultiColoring(tuple(colors), top)

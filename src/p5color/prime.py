@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from .coloring import MultiColoring, Weights, normalize_weights
 from .errors import PreconditionError
-from .graph import Graph, bits_of, is_connected, iter_bits, reach
+from .graph import Graph, bits_of, reach
 
 
 def is_c5(g: Graph) -> bool:
-    return g.n == 5 and all(g.degree(v) == 2 for v in range(5)) and is_connected(g)
+    adj = g.adj_masks
+    return g.n == 5 and all(row.bit_count() == 2 for row in adj) and reach(adj, 1, 31) == 31
 
 
 def chi_w_c5(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
@@ -92,20 +93,25 @@ def chi_w_perfect(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
         kept = bits_of(v for v in pair if weight[v])
         alive &= ~(1 << x | 1 << y) | kept
         z = len(nbrs)
-        near = (nbrs[x] | nbrs[y] | kept) & alive
-        for v in iter_bits(near):
-            nbrs[v] |= 1 << z
+        near = todo = (nbrs[x] | nbrs[y] | kept) & alive
+        while todo:
+            low = todo & -todo
+            nbrs[low.bit_length() - 1] |= 1 << z
+            todo ^= low
         nbrs.append(near)
         weight.append(t)
         merged.append(pair)
         alive |= 1 << z
-    if any(alive & ~nbrs[v] != 1 << v for v in iter_bits(alive)):
-        raise PreconditionError(
-            "no two-pair is left but the rest is no clique, so the graph is not weakly chordal"
-        )
     colors: list[list[int]] = [[] for _ in nbrs]
     k = 0
-    for v in iter_bits(alive):
+    while alive:
+        low = alive & -alive
+        v = low.bit_length() - 1
+        if alive & ~nbrs[v] != low:
+            raise PreconditionError(
+                "no two-pair is left but the rest is no clique, so the graph is not weakly chordal"
+            )
+        alive ^= low
         colors[v] = list(range(k + 1, k + weight[v] + 1))
         k += weight[v]
     for z in reversed(range(g.n, len(nbrs))):
@@ -122,7 +128,11 @@ def _two_pair(nbrs: list[int], alive: int) -> tuple[int, int] | None:
     while rest:
         y = rest.bit_length() - 1
         rest ^= 1 << y
-        for x in iter_bits(rest & ~nbrs[y]):
-            if not reach(nbrs.__getitem__, 1 << y, alive & ~(nbrs[x] & nbrs[y])) >> x & 1:
+        far = rest & ~nbrs[y]
+        while far:
+            low = far & -far
+            x = low.bit_length() - 1
+            if not reach(nbrs, 1 << y, alive & ~(nbrs[x] & nbrs[y])) & low:
                 return x, y
+            far ^= low
     return None

@@ -15,6 +15,7 @@ from p5color.cliquesep import Atom
 from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
 from p5color.errors import PreconditionError
 from p5color.graph import Graph, bits_of, is_clique, iter_bits, reach, set_of
+from p5color.modular import MDLeaf, MDParallel, MDSeries, md_tree
 from p5color.pipeline import _all_graphs as all_graphs
 
 
@@ -225,6 +226,57 @@ def md_tree_reference(g: Graph) -> dict:
     return build((1 << g.n) - 1)
 
 
+def chi_w_reference(g: Graph, w, prime_solver, tree=None) -> tuple[int, MultiColoring]:
+    """modular.chi_w as it was before its palette pass: each node's
+    vertex-to-color-set map is composed bottom-up, so every ancestor
+    rebuilds the frozensets of all the vertices below it. Same
+    prime_solver protocol, call order and quotient validation."""
+    if g.n < 1:
+        raise ValueError("weighted coloring needs at least one vertex")
+    weights = normalize_weights(g, w)
+    if tree is None:
+        tree = md_tree(g)
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(getattr(node, "children", ()))
+    solved: dict[int, tuple[int, dict[int, frozenset[int]]]] = {}
+    for node in reversed(order):
+        if isinstance(node, MDLeaf):
+            k = weights[node.vertex]
+            solved[id(node)] = k, {node.vertex: frozenset(range(1, k + 1))}
+            continue
+        kids = [solved.pop(id(c)) for c in node.children]
+        cmap: dict[int, frozenset[int]] = {}
+        if isinstance(node, MDParallel):
+            k = max(child_k for child_k, _ in kids)
+            for _, child_map in kids:
+                cmap.update(child_map)
+        elif isinstance(node, MDSeries):
+            k = 0
+            for child_k, child_map in kids:
+                cmap.update({v: frozenset(c + k for c in cs) for v, cs in child_map.items()})
+                k += child_k
+        else:
+            w_star = {i: child_k for i, (child_k, _) in enumerate(kids)}
+            k, quot_mc = prime_solver(node.quotient, w_star, node.reps)
+            try:
+                validate_coloring(node.quotient, quot_mc, w_star)
+            except ValueError as exc:
+                raise RuntimeError(
+                    f"prime solver returned an invalid quotient coloring: {exc}"
+                ) from exc
+            for i, (child_k, child_map) in enumerate(kids):
+                pool = sorted(quot_mc.of(i))
+                rename = {c: pool[c - 1] for c in range(1, child_k + 1)}
+                cmap.update({v: frozenset(rename[c] for c in cs) for v, cs in child_map.items()})
+        solved[id(node)] = k, cmap
+    k, cmap = solved[id(tree)]
+    return k, MultiColoring(tuple(cmap[v] for v in range(g.n)), k)
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -307,7 +359,7 @@ def build_tree_reference(g: Graph) -> tuple[Atom, ...]:
     atoms = []
     for x, sep in reversed(mcs_m_reference(g, rest)):
         if is_clique(g, iter_bits(sep)):
-            comp = reach(g.adj_bits, 1 << x, rest & ~sep)
+            comp = reach(g.adj_masks, 1 << x, rest & ~sep)
             atoms.append(Atom(set_of(sep | comp), set_of(sep)))
             rest &= ~comp
     if rest:

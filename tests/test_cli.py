@@ -1,6 +1,11 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from p5color.cli import (
     EXIT_CUTOFF,
@@ -320,3 +325,39 @@ def test_too_deep_report_is_a_parse_error(c5_file, tmp_path, capsys):
     code = main(["oracle", "validate", "--input", c5_file, "--report-file", str(report)])
     assert code == EXIT_PARSE_ERROR
     assert "nests too deeply" in capsys.readouterr().err
+
+
+# Every token ends in a separator, so digits never run together into a
+# vertex count large enough to allocate rows for tens of thousands of
+# vertices (a legal input this test does not mean to build).
+_TOKENS = [b"p ", b"edge ", b"col ", b"e ", b"c ", b"# ", b"-1 ", b"\n", b"\r\n", b"\t", b"\xff", b"\xc3", b"\x00"]
+_TOKENS += [b"%d%s" % (i, sep) for i in range(10) for sep in (b" ", b"\n")]
+_EXIT_CODES = {EXIT_OK, EXIT_NOT_IN_CLASS, EXIT_PARSE_ERROR, EXIT_CUTOFF, EXIT_USAGE, EXIT_INVALID_CERTIFICATE}
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    data=st.binary(max_size=64)
+    | st.lists(st.sampled_from(_TOKENS), max_size=40).map(b"".join)
+    | st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20).map(
+        lambda pairs: b"".join(b"%d %d\n" % pair for pair in pairs)
+    ),
+    suffix=st.sampled_from([".col", ".txt"]),
+    cls=st.sampled_from([["p5-cop5"], ["p5-kpe", "--p", "4"]]),
+)
+def test_solve_on_raw_bytes_ends_in_a_documented_exit_code(data, suffix, cls):
+    assume(not re.search(rb"\d{5}", data))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"graph{suffix}"
+        path.write_bytes(data)
+        out = str(Path(tmp) / "report.json")
+        code = main(["solve", "--class", *cls, "--input", str(path), "--out", out])
+    event(f"exit code {code}")
+    assert code in _EXIT_CODES
+
+
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.col"
+    path.write_bytes(b"p edge 2 1\ne 1 2\n\xff\n")
+    assert main(["solve", "--class", "p5-cop5", "--input", str(path)]) == EXIT_PARSE_ERROR
+    assert "line 3" in capsys.readouterr().err

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from p5color.coloring import validate_coloring
+from p5color import modular
+from p5color.coloring import MultiColoring, validate_coloring
 from p5color.graph import Graph
 from p5color.modular import (
     MDLeaf,
@@ -19,12 +20,13 @@ from p5color.modular import (
     validate_md_tree,
 )
 from p5color.oracle import chi_exact, chi_w_exact
-from p5color.pipeline import _BULL, _C5, _P4, _substitute, solve_p5_cop5
+from p5color.pipeline import _BULL, _C5, _P4, _substitute, gen_p5_cop5, solve_p5_cop5
 
 from helpers import (
     all_graphs,
     alternating_threshold,
     chi_w_bruteforce,
+    chi_w_reference,
     md_tree_reference,
     random_graph,
 )
@@ -231,3 +233,109 @@ def test_deep_tree_walks_stay_within_the_recursion_limit():
         node = node["children"][0]
     assert kinds == ["series", "parallel"] * 549 + ["series"]
     assert report.chi == 551  # a threshold graph is perfect
+
+
+def first_fit(calls):
+    """A prime solver that gives each quotient vertex in turn the w
+    smallest colors its earlier neighbours left free: proper, not
+    always optimal, and with pools that are not blocks. It records
+    every call it gets."""
+
+    def solve(q, w, reps):
+        calls.append((q, dict(w), reps))
+        colors = []
+        for v in range(q.n):
+            taken = set().union(*(colors[u] for u in q.neighbors(v) if u < v))
+            free = (c for c in itertools.count(1) if c not in taken)
+            colors.append(frozenset(itertools.islice(free, w[v])))
+        k = max(max(cs) for cs in colors)
+        return k, MultiColoring(tuple(colors), k)
+
+    return solve
+
+
+def post_order(tree):
+    """The nodes of a tree, children left to right before their parent."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(getattr(node, "children", ()))
+    return out[::-1]
+
+
+def assert_composition_matches_the_reference(g, w, tree):
+    calls, reference_calls = [], []
+    got = chi_w(g, w, first_fit(calls), tree)
+    assert got == chi_w_reference(g, w, first_fit(reference_calls), tree)
+    assert calls == reference_calls
+    validate_coloring(g, got[1], w)
+    for node in post_order(tree):
+        if isinstance(node, MDPrime):
+            assert node.quotient == g.induced(node.reps)[0]
+
+
+def test_chi_w_matches_the_reference_on_every_small_graph():
+    rng = random.Random(40)
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            w = {v: rng.randint(1, 4) for v in range(n)}
+            assert_composition_matches_the_reference(g, w, md_tree(g))
+
+
+def test_chi_w_matches_the_reference_on_random_graphs():
+    rng = random.Random(41)
+    for _ in range(2000):
+        n = rng.randint(1, 24)
+        g = random_graph(n, rng.random(), rng)
+        w = {v: rng.randint(1, 4) for v in range(n)}
+        assert_composition_matches_the_reference(g, w, md_tree(g))
+
+
+def test_member_solves_match_the_reference_composition(monkeypatch):
+    rng = random.Random(42)
+    for n in (5, 9, 20, 40, 80):
+        for seed in range(6):
+            g = gen_p5_cop5(n, seed)
+            for w in (None, {v: rng.randint(1, 4) for v in range(n)}):
+                report = solve_p5_cop5(g, w).to_json()
+                with monkeypatch.context() as patch:
+                    patch.setattr(modular, "chi_w", chi_w_reference)
+                    assert solve_p5_cop5(g, w).to_json() == report
+
+
+def test_chi_w_matches_the_reference_on_the_deep_threshold_graph():
+    assert sys.getrecursionlimit() <= 1000
+    g = alternating_threshold(1100)
+    w = {v: 1 + v % 3 for v in range(g.n)}
+    assert_composition_matches_the_reference(g, w, md_tree(g))
+
+
+def test_names_the_benchmark_tracer_swaps(monkeypatch):
+    # perfbench/spans.py wraps md_tree, chi_w and validate_coloring by
+    # their names in modular, and chi_w's prime_solver by its position
+    assert modular.validate_coloring is validate_coloring
+    c5_of_k2 = _substitute(_C5, [Graph.complete(2)] * 5)
+    member = _substitute(_C5, [c5_of_k2, Graph(1), _P4, Graph.complete(2), c5_of_k2])
+    checked = []
+
+    def counting_validate(q, mc, w=None):
+        checked.append(q)
+        validate_coloring(q, mc, w)
+
+    monkeypatch.setattr(modular, "validate_coloring", counting_validate)
+    for g, primes in ((c5_of_k2, 1), (member, 4)):
+        tree = modular.md_tree(g)
+        expected = [(node.quotient, node.reps) for node in post_order(tree) if isinstance(node, MDPrime)]
+        assert len(expected) == primes
+        seen = []
+
+        def wrapped(q, w, reps):
+            seen.append((q, reps))
+            return exact_prime_solver(q, w, reps)
+
+        checked.clear()
+        k, mc = modular.chi_w(g, None, wrapped)
+        assert seen == expected
+        assert checked == [q for q, _ in expected]
+        assert k == chi_w_exact(g, None)[0]

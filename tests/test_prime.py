@@ -3,13 +3,13 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from p5color import pipeline
+from p5color import oracle, pipeline
 from p5color.coloring import validate_coloring
 from p5color.detect import find_class_violation
-from p5color.errors import PreconditionError
+from p5color.errors import CutoffExceeded, PreconditionError
 from p5color.graph import Graph, is_connected, iter_bits
 from p5color.modular import is_prime
 from p5color.oracle import chi_w_exact
@@ -211,3 +211,46 @@ def test_cop5_solve_never_calls_the_weighted_oracle(monkeypatch):
         res = solve_p5_cop5(g, w)
         assert res.chi == chi_w_exact(g, w)[0]
         validate_coloring(g, res.coloring, w)
+
+
+# On some of these weighted blow-ups the oracle's greedy clique bound
+# sits below chi_w and its branch and bound runs to its full budget of
+# 10^6 nodes (15-45 s each); past this smaller budget an example checks
+# the certificate only.
+ORACLE_NODES = 5_000
+
+
+@st.composite
+def weighted_members(draw):
+    """A gen_p5_cop5 member on at most 12 vertices, with weights of total
+    at most 64 spread at random."""
+    n = draw(st.integers(1, 12))
+    g = gen_p5_cop5(n, draw(st.integers(0, 2**32 - 1)))
+    total = draw(st.integers(n, 64))
+    w = dict.fromkeys(range(n), 1)
+    for v in draw(st.lists(st.integers(0, n - 1), min_size=total - n, max_size=total - n)):
+        w[v] += 1
+    return g, w
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+)
+@given(weighted_members())
+def test_weighted_substitution_members_match_the_oracle(case):
+    g, w = case
+    report = solve_p5_cop5(g, w)
+    validate_coloring(g, report.coloring, w)
+    assert report.chi == report.coloring.k
+    search = oracle._chi_branch_and_bound
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_chi_branch_and_bound", lambda blow: search(blow, ORACLE_NODES))
+            k = chi_w_exact(g, w)[0]
+    except CutoffExceeded:
+        event("oracle past its node budget")
+        return
+    assert report.chi == k
