@@ -24,11 +24,14 @@ so the kernel is small. Kp-e has twins, so its detector searches the
 whole graph, skipping only vertices of too low degree.
 
 {P5, co-P5} membership decides in two stages. First the kernel P5
-search, then the co-P5 search, each within a budget of n * n // 2
-search nodes (at least 128), where a node is one (a, b, c) prefix or
-one (a, b, c, d) extension; near-members usually meet a witness within
-it. A search that runs out hands over to the prime quotients of the
-modular decomposition tree, which the {P5, co-P5} solver reuses. Take
+search, then the co-P5 search, each within a budget of 8 * n search
+nodes (at least 128), where a node is one (a, b, c) prefix or one
+(a, b, c, d) extension; near-members usually meet a witness within it.
+A search that runs out hands over to the prime quotients of the
+modular decomposition tree, which the {P5, co-P5} solver reuses. On a
+member no search can succeed, and the tree is near-linear in n and
+needed by the solve anyway, so the budget is kept linear too: a member
+pays at most about what the fallback costs before reaching it. Take
 the first witness W and the lowest tree node N whose span contains W.
 A child M of N is a module, so W & M is a module of G[W], and not all
 of W as N is lowest; P5 and co-P5 are prime, so W meets M in at most
@@ -53,10 +56,13 @@ from .errors import CutoffExceeded, PreconditionError
 from .graph import Graph, bits_of, set_of
 
 DEFAULT_BERGE_MAX_N = 16
-# each budgeted P5 / co-P5 kernel search may visit n * n // _BUDGET_DIVISOR
+# each budgeted P5 / co-P5 kernel search may visit _BUDGET_PER_VERTEX * n
 # search nodes, and at least _BUDGET_FLOOR, before membership falls back to
-# the prime quotients: below n = 16 a whole search costs less than the tree
-_BUDGET_DIVISOR = 2
+# the prime quotients; linear, like the fallback (see the module docstring).
+# Below n = 16 a whole search costs less than the tree. Against 8n, a budget
+# of 4n made the near-member benchmark about 10 % slower, and 16n kept only
+# about 60 % of the members' gain.
+_BUDGET_PER_VERTEX = 8
 _BUDGET_FLOOR = 128
 
 
@@ -223,12 +229,13 @@ def _quotient_violation(tree: modular.MDTree) -> Witness | None:
     node's reps, which increase with the quotient index, so the mapping
     keeps lexicographic order and the smallest mapped tuple over all
     quotients is the host's first witness (see the module docstring).
+    A prime quotient on four vertices is a P4 and holds neither pattern.
     """
     primes = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, modular.MDPrime):
+        if isinstance(node, modular.MDPrime) and node.quotient.n >= 5:
             primes.append(node)
         stack.extend(getattr(node, "children", ()))
     for pattern, search in (("P5", _p5_in), ("co-P5", _co_p5_in)):
@@ -247,12 +254,14 @@ def p5_cop5_violation(g: Graph) -> tuple[Witness | None, modular.MDTree | None]:
     decomposition tree of g when deciding needed it (else None).
 
     The twin-kernel P5 search, then the co-P5 search, each get
-    max(n * n // _BUDGET_DIVISOR, _BUDGET_FLOOR) search nodes. If either
-    runs out, the answer comes from the prime quotients of md_tree(g)
-    instead.
+    max(_BUDGET_PER_VERTEX * n, _BUDGET_FLOOR) search nodes, a budget
+    linear in n like the fallback. If either runs out, the answer comes
+    from the prime quotients of md_tree(g) instead; that is the same
+    first witness (see the module docstring), so the budget decides
+    only the cost, never the answer.
     """
     keep = _twin_kernel(g)
-    budget = max(g.n * g.n // _BUDGET_DIVISOR, _BUDGET_FLOOR)
+    budget = max(_BUDGET_PER_VERTEX * g.n, _BUDGET_FLOOR)
     try:
         return _p5_in(g, keep, budget) or _co_p5_in(g, keep, budget), None
     except _BudgetSpent:

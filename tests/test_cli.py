@@ -17,6 +17,7 @@ from p5color.cli import (
     main,
 )
 from p5color.graph import Graph, parse_graph, to_dimacs
+from p5color.pipeline import gen_p5_cop5, gen_p5_kpe
 
 from helpers import alternating_threshold
 
@@ -354,6 +355,26 @@ def test_solve_on_raw_bytes_ends_in_a_documented_exit_code(data, suffix, cls):
         code = main(["solve", "--class", *cls, "--input", str(path), "--out", out])
     event(f"exit code {code}")
     assert code in _EXIT_CODES
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    cls=st.sampled_from([["p5-cop5"], ["p5-kpe", "--p", "4"]]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_generated_members_round_trip_through_solve_and_validate(cls, n, seed):
+    g = gen_p5_cop5(n, seed) if cls[0] == "p5-cop5" else gen_p5_kpe(n, 4, seed).graph
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report, verdict = (Path(tmp) / name for name in ("g.col", "report.json", "v.json"))
+        path.write_text(to_dimacs(g))
+        solve = ["solve", "--class", *cls, "--input", str(path), "--out", str(report)]
+        assert main(solve) == EXIT_OK
+        validate = ["oracle", "validate", "--input", str(path), "--report-file", str(report)]
+        assert main(validate + ["--out", str(verdict)]) == EXIT_OK
+        chi = json.loads(report.read_text())["chi"]
+        result = json.loads(verdict.read_text())
+    assert result == {"valid": True, "chi_reported": chi, "colors_used": chi}
 
 
 def test_undecodable_input_is_a_parse_error(tmp_path, capsys):

@@ -406,7 +406,35 @@ def test_quotient_stage_matches_the_kernel_search_on_every_single_flip():
 def test_membership_hands_over_the_tree_once_the_budget_runs_out():
     assert p5_cop5_violation(Graph.path(6)) == (Witness("P5", (0, 1, 2, 3, 4)), None)
     assert p5_cop5_violation(Graph.complete(30)) == (None, None)  # empty kernel
-    g = gen_p5_cop5(160, 0)
+    for n in (40, 80, 160):
+        g = gen_p5_cop5(n, 0)
+        w, tree = p5_cop5_violation(g)
+        assert w is None and tree is not None
+        validate_md_tree(g, tree)
+
+
+def test_both_outcomes_of_the_race_on_flipped_members():
+    """A near-member whose kernel P5 search ends within max(8n, 128)
+    nodes returns no tree; one whose P5 search runs out returns its
+    co-P5 witness with the tree."""
+    graphs = list(flipped_members())
+    g = graphs[41]
+    assert g.n == 40
+    w = _p5_in(g, _twin_kernel(g), max(8 * g.n, 128))
+    assert w is not None and p5_cop5_violation(g) == (w, None)
+    g = graphs[42]
     w, tree = p5_cop5_violation(g)
-    assert w is None and tree is not None
+    assert w == kernel_violation(g) and w.pattern == "co-P5"
     validate_md_tree(g, tree)
+
+
+def test_budgeted_membership_matches_the_unbudgeted_kernel_search():
+    rng = random.Random(15)
+    graphs = list(flipped_members())
+    graphs += [random_graph(rng.randint(1, 40), rng.random(), rng) for _ in range(500)]
+    handed_over = 0
+    for g in graphs:
+        w, tree = p5_cop5_violation(g)
+        assert w == kernel_violation(g)
+        handed_over += tree is not None
+    assert handed_over >= 40
