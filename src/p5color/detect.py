@@ -23,10 +23,20 @@ complement. On members built by substitution most vertices have twins,
 so the kernel is small. Kp-e has twins, so its detector searches the
 whole graph, skipping only vertices of too low degree.
 
+The P5 search takes a, b, c, d, e lowest vertex first at each level.
+Once a and b are chosen, d and e can only lie in the far set: the
+vertices outside N[a] | N[b]. A pair whose far set holds fewer than
+two vertices is skipped. That cuts only branches that hold no P5, so
+the search meets the same first witness; the co-P5 search, on
+complement rows, is cut the same way.
+
 {P5, co-P5} membership decides in two stages. First the kernel P5
 search, then the co-P5 search, each within a budget of 8 * n search
-nodes (at least 128), where a node is one (a, b, c) prefix or one
-(a, b, c, d) extension; near-members usually meet a witness within it.
+nodes (at least 128), where a node is one (a, b) pair, one (a, b, c)
+prefix or one (a, b, c, d) extension. Pairs are charged whether
+skipped or not: otherwise a member, whose search cannot succeed,
+would spend its budget over more uncharged pairs and reach the
+fallback later. Near-members usually meet a witness within it.
 A search that runs out hands over to the prime quotients of the
 modular decomposition tree, which the {P5, co-P5} solver reuses. On a
 member no search can succeed, and the tree is near-linear in n and
@@ -59,9 +69,10 @@ DEFAULT_BERGE_MAX_N = 16
 # each budgeted P5 / co-P5 kernel search may visit _BUDGET_PER_VERTEX * n
 # search nodes, and at least _BUDGET_FLOOR, before membership falls back to
 # the prime quotients; linear, like the fallback (see the module docstring).
-# Below n = 16 a whole search costs less than the tree. Against 8n, a budget
-# of 4n made the near-member benchmark about 10 % slower, and 16n kept only
-# about 60 % of the members' gain.
+# A node is an (a, b) pair, pruned or not, an (a, b, c) prefix or an
+# (a, b, c, d) extension. Below n = 16 a whole search costs less than the
+# tree. Against 8n, a budget of 4n made the near-member benchmark about 10 %
+# slower, and 16n kept only about 60 % of the members' gain.
 _BUDGET_PER_VERTEX = 8
 _BUDGET_FLOOR = 128
 
@@ -163,10 +174,16 @@ def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int,
     keep). Each level takes its candidates lowest bit first; the fifth
     vertex is the lowest bit of the last candidate mask.
 
-    Every (a, b, c) prefix and every (a, b, c, d) extension visited
-    costs one node of the budget; _BudgetSpent is raised once more than
-    budget nodes are needed. The extensions of a prefix are charged
-    when the prefix is visited.
+    The d and e of a path through a, b lie in far, the vertices of keep
+    outside N[a] | N[b], so a pair (a, b) whose far set holds fewer
+    than two vertices is skipped: only branches without a witness are
+    cut, and the first witness stays first.
+
+    Every (a, b) pair, every (a, b, c) prefix and every (a, b, c, d)
+    extension visited costs one node of the budget. The pairs of a are
+    charged when a is taken and the extensions of a prefix when the
+    prefix is visited; _BudgetSpent is raised at the first prefix
+    reached with more than budget nodes charged.
     """
     cand_a = keep
     while cand_a:
@@ -175,18 +192,22 @@ def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int,
         a = low_a.bit_length() - 1
         ban_a = adj[a] | low_a
         cand_b = adj[a]
+        budget -= cand_b.bit_count()
         while cand_b:
             low_b = cand_b & -cand_b
             cand_b ^= low_b
             b = low_b.bit_length() - 1
             ban_b = ban_a | adj[b]
+            far = keep & ~ban_b
+            if far & (far - 1) == 0:
+                continue
             cand_c = adj[b] & ~ban_a
             while cand_c:
                 low_c = cand_c & -cand_c
                 cand_c ^= low_c
                 c = low_c.bit_length() - 1
                 ban_c = ban_b | adj[c]
-                cand_d = adj[c] & ~ban_b
+                cand_d = adj[c] & far
                 budget -= 1 + cand_d.bit_count()
                 if budget < 0:
                     raise _BudgetSpent

@@ -247,14 +247,27 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
 
 
 def parse_dimacs(text: str) -> Graph:
+    """One pass over the lines: each is split once, edge lines first,
+    and their 0-indexed ends go into one flat list that becomes the
+    adjacency rows after the last line. The first faulty line raises."""
     n = None
-    edges = []
+    ends: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"malformed edge line {raw.strip()!r}", lineno) from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex id out of range in {raw.strip()!r}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
+            ends += (u - 1, v - 1)
+        elif not parts or parts[0][0] == "c":
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        elif parts[0] == "p":
+            line = raw.strip()
             if n is not None:
                 raise ParseError("duplicate problem line", lineno)
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
@@ -269,22 +282,17 @@ def parse_dimacs(text: str) -> Graph:
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)
-            if len(parts) != 3:
-                raise ParseError(f"malformed edge line {line!r}", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"malformed edge line {line!r}", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range in {line!r}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop in {line!r}", lineno)
-            edges.append((u - 1, v - 1))
+            raise ParseError(f"malformed edge line {raw.strip()!r}", lineno)
         else:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
+            raise ParseError(f"unrecognized line {raw.strip()!r}", lineno)
     if n is None:
         raise ParseError("missing problem line", 0)
-    g = Graph(n, edges)
+    adj = [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    g = Graph._from_masks(adj)
     if g.m != m:
         raise ParseError(f"header declares {m} edges but {g.m} distinct edges follow", header)
     return g

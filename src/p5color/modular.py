@@ -7,12 +7,13 @@ children come from partition refinement by splitters, which leaves
 only the child containing the smallest vertex to be closed, on a small
 quotient.
 
-Every node is a vertex bitmask of the input graph: components come
-from its adjacency masks and co-components from its complement masks
-(taken once), and quotients are read off the rows of the
-representatives, so no node builds a relabelled subgraph. The
-composition computes every node's chromatic number bottom-up and then
-hands each child a palette top-down. Every tree walk uses an explicit
+Every node is a vertex bitmask of the input graph, and carries it as
+its mask: components come from the adjacency masks and co-components
+from the complement masks (taken once), and quotients are read off
+the rows of the representatives, so no node builds a relabelled
+subgraph or a vertex set. The composition computes every node's
+chromatic number bottom-up and then hands each child a palette
+top-down. Every tree walk uses an explicit
 stack, so trees as deep as the graph is large stay within Python's
 recursion limit.
 """
@@ -20,7 +21,7 @@ recursion limit.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coloring import MultiColoring, Weights, normalize_weights, validate_coloring
 from .graph import Graph, bits_of, component_masks, induced_rows, reach
@@ -29,28 +30,28 @@ from .graph import Graph, bits_of, component_masks, induced_rows, reach
 @dataclass(frozen=True)
 class MDLeaf:
     vertex: int
-    span: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "span", frozenset((self.vertex,)))
+    @property
+    def mask(self) -> int:
+        return 1 << self.vertex
 
 
 @dataclass(frozen=True)
 class MDParallel:
     children: tuple[MDTree, ...]
-    span: frozenset[int]
+    mask: int  # the vertices below, as a bitmask
 
 
 @dataclass(frozen=True)
 class MDSeries:
     children: tuple[MDTree, ...]
-    span: frozenset[int]
+    mask: int
 
 
 @dataclass(frozen=True)
 class MDPrime:
     children: tuple[MDTree, ...]
-    span: frozenset[int]
+    mask: int
     quotient: Graph  # quotient vertex i represents children[i]
     reps: tuple[int, ...]  # host vertex standing for children[i]
 
@@ -178,20 +179,19 @@ def md_tree(g: Graph) -> MDTree:
         stack += [(p, kind) for p in parts if p & (p - 1)]
     for span, kind, parts, rows in reversed(order):
         children = tuple([built.pop(p) if p & (p - 1) else MDLeaf(p.bit_length() - 1) for p in parts])
-        union = frozenset().union(*[c.span for c in children])
         if kind is MDPrime:
             reps = tuple([(p & -p).bit_length() - 1 for p in parts])  # ascending
-            built[span] = MDPrime(children, union, Graph._from_masks(rows), reps)
+            built[span] = MDPrime(children, span, Graph._from_masks(rows), reps)
         else:
-            built[span] = kind(children, union)
+            built[span] = kind(children, span)
     return built[full]
 
 
 def validate_md_tree(g: Graph, t: MDTree) -> None:
     """Raise ValueError unless t satisfies the decomposition invariants."""
-    if t.span != frozenset(range(g.n)):
-        raise ValueError("root span must be the whole vertex set")
     full = (1 << g.n) - 1
+    if t.mask != full:
+        raise ValueError("root span must be the whole vertex set")
     co = [full ^ row ^ 1 << v for v, row in enumerate(g.adj_masks)]
     stack = [t]
     while stack:
@@ -200,8 +200,8 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
             continue
         if len(node.children) < 2:
             raise ValueError("internal nodes need at least two children")
-        span = bits_of(node.span)
-        masks = [bits_of(c.span) for c in node.children]
+        span = node.mask
+        masks = [c.mask for c in node.children]
         total = 0
         for m in masks:
             if m & total:
@@ -224,8 +224,8 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
                 raise ValueError("Prime quotient must be prime")
             if len(node.reps) != len(node.children):
                 raise ValueError("one representative per child required")
-            for i, rep in enumerate(node.reps):
-                if rep not in node.children[i].span or rep != min(node.children[i].span):
+            for rep, m in zip(node.reps, masks):
+                if m & -m != 1 << rep:
                     raise ValueError("representative must be the child's smallest vertex")
             for i in range(len(node.reps)):
                 for j in range(i + 1, len(node.reps)):
@@ -240,18 +240,30 @@ _KINDS = {MDParallel: "parallel", MDSeries: "series", MDPrime: "prime"}
 def md_tree_to_json(t: MDTree) -> dict:
     root: dict = {}
     stack = [(t, root)]
+    inner = []  # (span, children's JSON) of the internal nodes, in pre-order
     while stack:
         node, out = stack.pop()
         if isinstance(node, MDLeaf):
             out.update(kind="vertex", vertex=node.vertex)
             continue
         out["kind"] = _KINDS[type(node)]
-        out["span"] = sorted(node.span)
+        out["span"] = span = []
         if isinstance(node, MDPrime):
             out["quotient_edges"] = sorted(map(list, node.quotient.edges))
             out["representatives"] = list(node.reps)
-        out["children"] = [{} for _ in node.children]
-        stack.extend(zip(node.children, out["children"]))
+        out["children"] = kids = [{} for _ in node.children]
+        stack.extend(zip(node.children, kids))
+        inner.append((span, kids))
+    # children before parents: each span is its children's merged, and
+    # sorting a concatenation of sorted runs is one C-level merge, much
+    # cheaper than walking the bits of the node's mask
+    for span, kids in reversed(inner):
+        for kid in kids:
+            if "span" in kid:
+                span += kid["span"]
+            else:
+                span.append(kid["vertex"])
+        span.sort()
     return root
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import sys
 
 from p5color.cliquesep import Atom
 from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
-from p5color.errors import PreconditionError
+from p5color.errors import ParseError, PreconditionError
 from p5color.graph import Graph, bits_of, is_clique, iter_bits, reach, set_of
 from p5color.modular import MDLeaf, MDParallel, MDSeries, md_tree
 from p5color.pipeline import _all_graphs as all_graphs
@@ -533,3 +534,104 @@ def chi_w_perfect_reference(g: Graph, w: dict[int, int] | None) -> tuple[int, Mu
             weights[v] -= t
         left -= t
     return omega, MultiColoring(tuple(frozenset(cs) for cs in colors), omega)
+
+
+# -- the P5 / co-P5 search and the DIMACS parser before their fast paths ----------
+
+
+def first_p5_reference(adj: list[int], keep: int) -> tuple[int, ...] | None:
+    """detect._first_p5 without its far-set prune or budget: the
+    lexicographically first vertex tuple of keep inducing P5 in path
+    order, for neighbourhood masks adj inside keep, every (a, b) pair
+    tried."""
+    cand_a = keep
+    while cand_a:
+        low_a = cand_a & -cand_a
+        cand_a ^= low_a
+        a = low_a.bit_length() - 1
+        ban_a = adj[a] | low_a
+        cand_b = adj[a]
+        while cand_b:
+            low_b = cand_b & -cand_b
+            cand_b ^= low_b
+            b = low_b.bit_length() - 1
+            ban_b = ban_a | adj[b]
+            cand_c = adj[b] & ~ban_a
+            while cand_c:
+                low_c = cand_c & -cand_c
+                cand_c ^= low_c
+                c = low_c.bit_length() - 1
+                ban_c = ban_b | adj[c]
+                cand_d = adj[c] & ~ban_b
+                while cand_d:
+                    low_d = cand_d & -cand_d
+                    cand_d ^= low_d
+                    d = low_d.bit_length() - 1
+                    last = adj[d] & ~ban_c
+                    if last:
+                        return a, b, c, d, (last & -last).bit_length() - 1
+    return None
+
+
+def parse_dimacs_reference(text: str) -> Graph:
+    """graph.parse_dimacs as it was before its single pass: (u, v)
+    tuples collected line by line and handed to Graph(n, edges)."""
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate problem line", lineno)
+            if len(parts) != 4 or parts[1] not in ("edge", "col"):
+                raise ParseError(f"malformed header {line!r}", lineno)
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"malformed header {line!r}", lineno) from None
+            if not 0 <= n <= sys.maxsize:
+                raise ParseError(f"vertex count {n} out of range", lineno)
+            header = lineno
+        elif parts[0] == "e":
+            if n is None:
+                raise ParseError("edge before problem line", lineno)
+            if len(parts) != 3:
+                raise ParseError(f"malformed edge line {line!r}", lineno)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"malformed edge line {line!r}", lineno) from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex id out of range in {line!r}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop in {line!r}", lineno)
+            edges.append((u - 1, v - 1))
+        else:
+            raise ParseError(f"unrecognized line {line!r}", lineno)
+    if n is None:
+        raise ParseError("missing problem line", 0)
+    g = Graph(n, edges)
+    if g.m != m:
+        raise ParseError(f"header declares {m} edges but {g.m} distinct edges follow", header)
+    return g
+
+
+# -- spiders ----------------------------------------------------------------
+
+
+def spider(legs: int, thick: bool, head: int = 0) -> Graph:
+    """A spider with legs >= 2: a clique k_0 .. k_{legs-1} (vertices
+    legs + i) and a stable set s_0 .. s_{legs-1} (vertices i), with s_i
+    joined to k_i alone (thin) or to every k_j but k_i (thick), plus a
+    head of `head` vertices joined to each other and to the whole clique
+    (vertices 2 legs + i). A split graph, hence perfect and
+    {P5, co-P5}-free; without a head it is prime."""
+    if legs < 2:
+        raise ValueError(f"a spider needs at least two legs, got {legs}")
+    core = range(legs, 2 * legs + head)
+    edges = [(u, v) for u in core for v in core if u < v]
+    edges += [(i, legs + j) for i in range(legs) for j in range(legs) if (i == j) != thick]
+    return Graph(2 * legs + head, edges)

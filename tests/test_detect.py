@@ -4,10 +4,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p5color.detect import (
     Witness,
+    _BudgetSpent,
     _co_p5_in,
+    _first_p5,
     _p5_in,
     _quotient_violation,
     _twin_kernel,
@@ -33,6 +37,7 @@ from p5color.pipeline import _substitute, gen_p5_cop5, solve_p5_kpe
 from helpers import (
     all_graphs,
     contains_induced,
+    first_p5_reference,
     kp_minus_e_reference,
     random_graph,
     with_universal_and_isolated,
@@ -306,9 +311,9 @@ def test_witnesses_skip_universal_and_isolated_vertices(first_on_five):
     assert found >= 60
 
 
-def flipped_members():
+def flipped_members(sizes=(20, 40)):
     """gen_p5_cop5 members with one seeded vertex pair flipped."""
-    for n in (20, 40):
+    for n in sizes:
         for seed in range(10):
             g = gen_p5_cop5(n, seed)
             rng = random.Random(seed)
@@ -430,7 +435,7 @@ def test_both_outcomes_of_the_race_on_flipped_members():
 
 def test_budgeted_membership_matches_the_unbudgeted_kernel_search():
     rng = random.Random(15)
-    graphs = list(flipped_members())
+    graphs = list(flipped_members((20, 40, 80)))
     graphs += [random_graph(rng.randint(1, 40), rng.random(), rng) for _ in range(500)]
     handed_over = 0
     for g in graphs:
@@ -438,3 +443,84 @@ def test_budgeted_membership_matches_the_unbudgeted_kernel_search():
         assert w == kernel_violation(g)
         handed_over += tree is not None
     assert handed_over >= 40
+
+
+# -- the far-set prune ------------------------------------------------------------
+
+
+def rows_and_complement_rows(g: Graph, keep: int) -> tuple[list[int], list[int]]:
+    """The rows the P5 and the co-P5 search run on, inside keep."""
+    return (
+        [m & keep for m in g.adj_masks],
+        [keep & ~(m | 1 << v) for v, m in enumerate(g.adj_masks)],
+    )
+
+
+def assert_pruned_search_matches_the_reference(g: Graph, keep: int) -> int:
+    """Both searches of g without a budget; returns the witnesses found."""
+    found = 0
+    for rows in rows_and_complement_rows(g, keep):
+        path = _first_p5(rows, keep)
+        assert path == first_p5_reference(rows, keep)
+        found += path is not None
+    return found
+
+
+def graphs_on_seven(stride: int):
+    """Every stride-th labelled graph on seven vertices, by edge code."""
+    pairs = list(itertools.combinations(range(7), 2))
+    for code in range(0, 1 << len(pairs), stride):
+        yield Graph(7, [pair for i, pair in enumerate(pairs) if code >> i & 1])
+
+
+def test_pruned_search_matches_the_reference_on_small_graphs():
+    # every graph on seven vertices takes about 40 s, so that size is
+    # sampled; a graph's complement rows are the rows of its complement
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    graphs += graphs_on_seven(17)
+    found = sum(assert_pruned_search_matches_the_reference(g, (1 << g.n) - 1) for g in graphs)
+    assert found >= 100_000
+
+
+def test_pruned_search_matches_the_reference_on_random_graphs():
+    rng = random.Random(16)
+    found = 0
+    for _ in range(3000):
+        g = random_graph(rng.randint(1, 16), rng.random(), rng)
+        found += assert_pruned_search_matches_the_reference(g, (1 << g.n) - 1)
+    assert found >= 2000
+
+
+def test_pruned_search_matches_the_reference_on_every_single_flip():
+    found = 0
+    for n in (20, 40):
+        for seed in range(3):
+            g = gen_p5_cop5(n, seed)
+            for pair in itertools.combinations(range(n), 2):
+                h = Graph(n, g.edges ^ {pair})
+                found += assert_pruned_search_matches_the_reference(h, _twin_kernel(h))
+    assert found >= 1000
+
+
+@st.composite
+def searches(draw):
+    """Rows of a graph on at most 12 vertices or of its complement,
+    inside the whole vertex set or the twin kernel, and a budget."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    code = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
+    keep = draw(st.sampled_from([(1 << n) - 1, _twin_kernel(g)]))
+    rows = draw(st.sampled_from(rows_and_complement_rows(g, keep)))
+    return rows, keep, draw(st.integers(0, 600))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(searches())
+def test_budgeted_search_returns_the_first_witness_or_runs_out(case):
+    rows, keep, budget = case
+    try:
+        path = _first_p5(rows, keep, budget)
+    except _BudgetSpent:
+        return
+    assert path == first_p5_reference(rows, keep)

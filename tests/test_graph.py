@@ -16,7 +16,7 @@ from p5color.graph import (
     to_edge_list,
 )
 
-from helpers import all_graphs, random_graph
+from helpers import all_graphs, parse_dimacs_reference, random_graph
 
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -115,14 +115,44 @@ _SHAPED = st.tuples(
 _LINES = st.lists(_SHAPED | st.lists(_INTEGERS.map(str) | _JUNK, max_size=5).map(" ".join), max_size=8)
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(lines=_LINES, fmt=st.sampled_from(["dimacs", "edges"]))
-def test_parse_graph_returns_a_graph_or_raises_parse_error(lines, fmt):
+def _outcome(parse, text):
+    """The parsed graph, or the ParseError's text and line."""
     try:
-        g = parse_graph("\n".join(lines), fmt)
-    except ParseError:
-        return
-    assert isinstance(g, Graph)
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A header with a small vertex count, edge lines within it that may
+    repeat an edge in either order, and a declared edge count that is
+    right half the time. Comments, blank lines, stray whitespace,
+    self-loops, lines out of range or malformed, and a few lines of
+    _LINES go between."""
+    n = draw(st.integers(0, 6))
+    ids = st.integers(1, max(n, 1))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=12)) if n > 1 else []
+    m = len({frozenset(p) for p in pairs}) if draw(st.booleans()) else draw(st.integers(0, 12))
+    lines = [f"p edge {n} {m}", *(f"e {u} {v}" for u, v in pairs)]
+    extra = st.sampled_from(
+        ["", "c a comment", "  ", "e", "e 1", "e 1 2 3", "e 1 x", "e 1 1", "p edge 1 0", "e 0 1", f"e 1 {n + 1}"]
+    )
+    for line in draw(st.lists(extra | _LINES.map(" ".join), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    pad = st.sampled_from(["", " ", "\t"])
+    return "\n".join(draw(pad) + line + draw(pad) for line in lines)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(text=_LINES.map("\n".join) | dimacs_texts(), fmt=st.sampled_from(["dimacs", "edges"]))
+def test_parse_graph_returns_a_graph_or_raises_parse_error(text, fmt):
+    # a DIMACS text parses to the graph, or fails with the error, that the
+    # line-by-line reference parser gives
+    got = _outcome(lambda t: parse_graph(t, fmt), text)
+    assert isinstance(got, (Graph, tuple))
+    if fmt == "dimacs":
+        assert got == _outcome(parse_dimacs_reference, text)
 
 
 def test_graph_rejects_bad_edges():

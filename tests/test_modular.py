@@ -1,12 +1,13 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
 from p5color import modular
 from p5color.coloring import MultiColoring, validate_coloring
-from p5color.graph import Graph
+from p5color.graph import Graph, iter_bits
 from p5color.modular import (
     MDLeaf,
     MDParallel,
@@ -58,7 +59,7 @@ def test_is_prime():
 def test_md_tree_c4_series_of_parallels():
     t = md_tree(C4)
     assert isinstance(t, MDSeries)
-    assert sorted(sorted(c.span) for c in t.children) == [[0, 2], [1, 3]]
+    assert sorted(c.mask for c in t.children) == [0b0101, 0b1010]
     assert all(isinstance(c, MDParallel) for c in t.children)
     validate_md_tree(C4, t)
 
@@ -84,6 +85,24 @@ def test_md_tree_single_vertex():
         md_tree(Graph.empty(0))
 
 
+def test_validate_md_tree_rejects_broken_masks_and_reps():
+    g = _substitute(_C5, [Graph.complete(2), Graph(1), _P4, Graph.empty(2), Graph(1)])
+    t = md_tree(g)
+    validate_md_tree(g, t)
+    first = t.children[0]
+    assert isinstance(t, MDPrime) and isinstance(first, MDSeries)
+    shrunk = replace(first, mask=first.mask & (first.mask - 1))
+    broken = {
+        "root span": replace(t, mask=t.mask >> 1),
+        "disjoint": replace(t, children=(first, first, *t.children[2:])),
+        "partition": replace(t, children=(shrunk, *t.children[1:])),
+        "smallest vertex": replace(t, reps=(t.reps[1], t.reps[0], *t.reps[2:])),
+    }
+    for message, bad in broken.items():
+        with pytest.raises(ValueError, match=message):
+            validate_md_tree(g, bad)
+
+
 def test_md_tree_validates_on_random_graphs():
     rng = random.Random(20)
     for _ in range(60):
@@ -92,7 +111,7 @@ def test_md_tree_validates_on_random_graphs():
 
 
 def _canonical(t, relabel):
-    span = tuple(sorted(relabel[v] for v in t.span))
+    span = tuple(sorted(relabel[v] for v in iter_bits(t.mask)))
     if isinstance(t, MDLeaf):
         return ("leaf", span)
     kind = type(t).__name__
@@ -313,7 +332,8 @@ def test_chi_w_matches_the_reference_on_the_deep_threshold_graph():
 
 def test_names_the_benchmark_tracer_swaps(monkeypatch):
     # perfbench/spans.py wraps md_tree, chi_w and validate_coloring by
-    # their names in modular, and chi_w's prime_solver by its position
+    # their names in modular, and chi_w's prime_solver by its position;
+    # it counts nodes through their children and quotients
     assert modular.validate_coloring is validate_coloring
     c5_of_k2 = _substitute(_C5, [Graph.complete(2)] * 5)
     member = _substitute(_C5, [c5_of_k2, Graph(1), _P4, Graph.complete(2), c5_of_k2])
@@ -326,6 +346,13 @@ def test_names_the_benchmark_tracer_swaps(monkeypatch):
     monkeypatch.setattr(modular, "validate_coloring", counting_validate)
     for g, primes in ((c5_of_k2, 1), (member, 4)):
         tree = modular.md_tree(g)
+        for node in post_order(tree):
+            if not isinstance(node, MDLeaf):
+                assert isinstance(node.children, tuple) and len(node.children) >= 2
+            if isinstance(node, MDPrime):
+                assert isinstance(node.quotient, Graph) and node.quotient.n == len(node.children)
+            else:
+                assert getattr(node, "quotient", None) is None
         expected = [(node.quotient, node.reps) for node in post_order(tree) if isinstance(node, MDPrime)]
         assert len(expected) == primes
         seen = []

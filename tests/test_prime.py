@@ -25,7 +25,7 @@ from p5color.pipeline import (
 )
 from p5color.prime import chi_w_c5, chi_w_perfect, is_c5
 
-from helpers import all_graphs, chi_w_perfect_reference, matching_clique
+from helpers import all_graphs, chi_w_perfect_reference, matching_clique, spider
 
 # the 5-cycle under two labellings, so the walk around its complement
 # does not just follow vertex ids
@@ -220,31 +220,53 @@ def test_cop5_solve_never_calls_the_weighted_oracle(monkeypatch):
 ORACLE_NODES = 5_000
 
 
-@st.composite
-def weighted_members(draw):
-    """A gen_p5_cop5 member on at most 12 vertices, with weights of total
-    at most 64 spread at random."""
-    n = draw(st.integers(1, 12))
-    g = gen_p5_cop5(n, draw(st.integers(0, 2**32 - 1)))
+def spread(draw, n: int) -> dict[int, int]:
+    """Weights on n vertices, at least 1 each and of total at most 64,
+    spread at random."""
     total = draw(st.integers(n, 64))
     w = dict.fromkeys(range(n), 1)
     for v in draw(st.lists(st.integers(0, n - 1), min_size=total - n, max_size=total - n)):
         w[v] += 1
-    return g, w
+    return w
+
+
+@st.composite
+def weighted_members(draw):
+    """A gen_p5_cop5 member on at most 12 vertices, with weights of total
+    at most 64 spread at random; spiders come as False."""
+    n = draw(st.integers(1, 12))
+    g = gen_p5_cop5(n, draw(st.integers(0, 2**32 - 1)))
+    return g, spread(draw, n), False
+
+
+@st.composite
+def weighted_spiders(draw):
+    """A thin or thick spider with two to five legs and a clique head,
+    on at most 10 vertices, relabelled, with weights as above; True
+    marks it a spider."""
+    legs = draw(st.integers(2, 5))
+    g = spider(legs, draw(st.booleans()), draw(st.integers(0, 10 - 2 * legs)))
+    order = draw(st.permutations(range(g.n)))
+    g = Graph(g.n, [(order[u], order[v]) for u, v in g.edges])
+    return g, spread(draw, g.n), True
 
 
 @settings(
-    max_examples=200,
+    max_examples=400,
     derandomize=True,
     database=None,
     deadline=None,
 )
-@given(weighted_members())
+@given(weighted_members() | weighted_spiders())
 def test_weighted_substitution_members_match_the_oracle(case):
-    g, w = case
+    g, w, is_spider = case
     report = solve_p5_cop5(g, w)
     validate_coloring(g, report.coloring, w)
     assert report.chi == report.coloring.k
+    if is_spider:
+        # a split graph is perfect, so its prime quotients are too
+        event("spider")
+        assert {r.route for r in report.routes} == {ROUTE_PERFECT_EXACT}
     search = oracle._chi_branch_and_bound
     try:
         with pytest.MonkeyPatch.context() as patch:
