@@ -8,16 +8,18 @@ that is malformed or names a vertex the graph does not have, or any
 input file that does not decode as text), 4 desk-scale cutoff exceeded
 (by an exact oracle, by `verify lemma5` with --n-max above the Berge
 check's 16 vertices, by the exponential exact-fallback route of
-`solve --class p5-kpe`, or by a modular decomposition tree too deep
-for a JSON report: about 495 levels under the default recursion
+`solve --class p5-kpe`, by `generate --class p5-kpe` running out of
+rejection-sampling attempts, or by a modular decomposition tree too
+deep for a JSON report: about 495 levels under the default recursion
 limit, with the depth named in the message; the {P5, co-P5} solve has
 no weight cutoff, and `--max-total-weight` bounds `oracle chiw` only),
 5 usage error (an argument the parser refuses, options that do not go
-together, a cutoff that is not positive, an unreadable input file or a
-non-integer P5COLOR_* variable), 6 a certificate that `oracle
-validate` finds invalid (the reason is printed). Reports are JSON and
-byte-stable for a fixed (input, seed, config); timings are included
-only on request.
+together, a value out of its range: --n, --n-max or a cutoff below 1,
+--p below 3, or `verify lemma4` with --n-max below 2; an unreadable
+input file, or a P5COLOR_* variable that is not an integer of at least
+1), 6 a certificate that `oracle validate` finds invalid (the reason
+is printed). Reports are JSON and byte-stable for a fixed (input,
+seed, config); timings are included only on request.
 """
 
 from __future__ import annotations
@@ -51,14 +53,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
+_POSITIVE, _P = _at_least(1), _at_least(3)
+
+
 def _env_cutoff(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"environment variable {name} must be an integer") from None
+        return _POSITIVE(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"environment variable {name} must be an integer >= 1") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +90,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_cutoffs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--oracle-n",
-        type=int,
+        type=_POSITIVE,
         default=_env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CHI_MAX_N),
         help="exact solver vertex cutoff",
     )
@@ -90,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the class pipeline on one graph")
     p_solve.add_argument("--class", dest="class_name", required=True,
                          choices=["p5-cop5", "p5-kpe"])
-    p_solve.add_argument("--p", type=int, help="the p of Kp-e")
+    p_solve.add_argument("--p", type=_P, help="the p of Kp-e")
     p_solve.add_argument("--weights", help="weights file: lines 'vertex weight'")
     p_solve.add_argument("--report", choices=["json", "text"], default="json")
     p_solve.add_argument("--timings", action="store_true",
@@ -105,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit random class members (DIMACS)")
     p_gen.add_argument("--class", dest="class_name", required=True,
                        choices=["p5-cop5", "p5-kpe"])
-    p_gen.add_argument("--p", type=int)
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--p", type=_P)
+    p_gen.add_argument("--n", type=_POSITIVE, required=True)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--density", type=float, default=0.2)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -114,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a structural verifier")
     p_ver.add_argument("what", choices=["lemma4", "lemma5", "gyarfas", "oracle"])
-    p_ver.add_argument("--p", type=int, default=4)
+    p_ver.add_argument("--p", type=_P, default=4)
     p_ver.add_argument("--samples", type=int, default=200)
-    p_ver.add_argument("--n-max", type=int, default=9)
+    p_ver.add_argument("--n-max", type=_POSITIVE, default=9)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out")
 
@@ -128,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoffs(p_or)
     p_or.add_argument(
         "--max-total-weight",
-        type=int,
+        type=_POSITIVE,
         default=_env_cutoff("P5COLOR_MAX_TOTAL_WEIGHT", DEFAULT_MAX_TOTAL_WEIGHT),
         help="weighted oracle (chiw) total-weight cutoff",
     )
@@ -188,8 +204,6 @@ def _solve_text(report: pipeline.SolveReport) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.oracle_n <= 0:
-        raise UsageError("cutoff --oracle-n must be positive")
     if args.class_name == "p5-kpe":
         if args.p is None:
             raise UsageError("class p5-kpe needs --p")
@@ -218,7 +232,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.kind == "cliquesep":
         payload = cliquesep.tree_to_json(cliquesep.build_tree(g))
     else:
-        payload = modular.md_tree_to_json(modular.md_tree(g))
+        payload = modular.md_tree_to_json(modular.md_tree(g)) if g.n else {}
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -250,23 +264,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    sizes = {"samples": args.samples, "n_max": args.n_max, "seed": args.seed}
     if args.what == "lemma4":
-        report = pipeline.verify_lemma4(
-            p=args.p, samples=args.samples, n_max=args.n_max, seed=args.seed
-        )
-        payload = report.to_json()
+        if args.n_max < 2:
+            raise UsageError("verify lemma4 needs --n-max >= 2")
+        payload = pipeline.verify_lemma4(p=args.p, **sizes).to_json()
     elif args.what == "lemma5":
-        report = pipeline.verify_lemma5(
+        payload = pipeline.verify_lemma5(
             n_max=args.n_max, samples_per_n=args.samples, seed=args.seed
-        )
-        payload = report.to_json()
+        ).to_json()
     elif args.what == "gyarfas":
-        report = pipeline.verify_gyarfas(
-            samples=args.samples, n_max=args.n_max, seed=args.seed
-        )
-        payload = report.to_json()
+        payload = pipeline.verify_gyarfas(**sizes).to_json()
     else:
-        payload = _oracle_crosscheck(samples=args.samples, n_max=args.n_max, seed=args.seed)
+        payload = _oracle_crosscheck(**sizes)
     _emit(payload, args.out)
     return EXIT_OK if payload.get("ok", True) else 1
 

@@ -20,10 +20,11 @@ no scan for the next vertex.
 The atoms are the C-blocks: maximal connected vertex sets without a
 clique separator. They come out as a flat tuple in gluing order, each
 with the separator it shares with the union of the atoms before it: a
-clique, empty for the first atom and at each new component. The pass
-works on vertex bitmasks of the input graph, and the composition reads
-each atom's rows for its solve straight off the input's adjacency
-masks; only the validator takes induced copies.
+clique, empty for the first atom and at each new component. Atoms are
+pairs of vertex bitmasks of the input graph. The composition reads
+each atom's rows straight off the input's adjacency masks and hands
+the leaf solver that relabelled subgraph with the host ids it stands
+for, as modular.chi_w hands its prime solver a quotient.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, validate_coloring
-from .graph import Graph, bits_of, is_clique, iter_bits, reach, set_of
+from .graph import Graph, induced_rows, is_clique, iter_bits, reach
 
 
 @dataclass(frozen=True)
 class Atom:
-    """A C-block and the clique it shares with the earlier atoms."""
+    """A C-block and the clique it shares with the earlier atoms, both as
+    bitmasks of host vertices."""
 
-    block: frozenset[int]
-    separator: frozenset[int]
+    block: int
+    separator: int
 
 
 Atoms = tuple[Atom, ...]
@@ -54,7 +56,8 @@ def tree_leaves(atoms: Atoms) -> list[Atom]:
 def tree_to_json(atoms: Atoms) -> dict:
     return {
         "atoms": [
-            {"block": sorted(a.block), "separator": sorted(a.separator)} for a in atoms
+            {"block": list(iter_bits(a.block)), "separator": list(iter_bits(a.separator))}
+            for a in atoms
         ]
     }
 
@@ -130,10 +133,10 @@ def build_tree(g: Graph) -> Atoms:
                 break
         else:  # sep is a clique
             comp = reach(adj, 1 << x, rest & ~sep)
-            atoms.append(Atom(set_of(sep | comp), set_of(sep)))
+            atoms.append(Atom(sep | comp, sep))
             rest &= ~comp
     if rest:
-        atoms.append(Atom(set_of(rest), frozenset()))
+        atoms.append(Atom(rest, 0))
     return tuple(reversed(atoms))
 
 
@@ -142,22 +145,21 @@ def validate_tree(g: Graph, atoms: Atoms) -> None:
     and no atom has a clique separator."""
     seen = 0
     for atom in atoms:
-        block, sep = bits_of(atom.block), bits_of(atom.separator)
+        block, sep = atom.block, atom.separator
+        shown = list(iter_bits(sep))
         if block & seen != sep:
             raise ValueError(
-                f"atom {sorted(atom.block)} must meet the earlier atoms exactly "
-                f"in its separator {sorted(atom.separator)}"
+                f"atom {list(iter_bits(block))} must meet the earlier atoms exactly "
+                f"in its separator {shown}"
             )
-        if not is_clique(g, atom.separator):
-            raise ValueError(f"separator {sorted(atom.separator)} is not a clique")
+        if not is_clique(g, iter_bits(sep)):
+            raise ValueError(f"separator {shown} is not a clique")
         for v in iter_bits(block & ~sep):
             if g.adj_bits(v) & seen & ~sep:
-                raise ValueError(
-                    f"vertex {v} has an edge across the separator {sorted(atom.separator)}"
-                )
-        sub, _ = g.induced(atom.block)
+                raise ValueError(f"vertex {v} has an edge across the separator {shown}")
+        sub, _ = g.induced(iter_bits(block))
         if len(build_tree(sub)) != 1:
-            raise ValueError(f"atom {sorted(atom.block)} has a clique separator")
+            raise ValueError(f"atom {list(iter_bits(block))} has a clique separator")
         seen |= block
     if seen != (1 << g.n) - 1:
         raise ValueError("atoms do not cover the vertex set")
@@ -165,41 +167,33 @@ def validate_tree(g: Graph, atoms: Atoms) -> None:
 
 # -- chromatic composition ----------------------------------------------------------
 
-LeafSolver = Callable[[Graph], tuple[int, MultiColoring]]
+LeafSolver = Callable[[Graph, tuple[int, ...]], tuple[int, MultiColoring]]
 
 
 def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, MultiColoring]:
     """Compose per-atom chromatic numbers/colorings into one for g.
 
-    leaf_chi is called once per atom, in atom order, on the subgraph the
-    atom's block induces (relabelled in increasing host order), whose
-    rows are read off the host's adjacency masks. chi(g) is the max over
-    the atoms. Each atom's colors are permuted to match the colors
-    already on its separator clique, and its other colors go to the ones
-    the separator does not use. Each atom's coloring is validated; the
-    solver validates the composed one on g.
+    leaf_chi(sub, ids) is called once per atom, in atom order, on the
+    subgraph sub that the atom's block induces, read off the host's
+    adjacency masks; local vertex i of sub is host vertex ids[i], the
+    block's i-th lowest vertex. chi(g) is the max over the atoms. Each
+    atom's colors are permuted to match the colors already on its
+    separator clique, and its other colors go to the ones the separator
+    does not use. Each atom's coloring is validated; the solver
+    validates the composed one on g.
     """
     adj = g.adj_masks
     k = 0
     color = [0] * g.n  # host vertex -> composed color
-    where = [0] * g.n  # host vertex -> local id in the current atom
     for atom in atoms:
-        ids = sorted(atom.block)
-        span = 0
-        for i, v in enumerate(ids):
-            where[v] = i
-            span |= 1 << v
-        rows = []
-        for v in ids:
-            row = 0
-            nbrs = adj[v] & span
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                row |= 1 << where[low.bit_length() - 1]
-            rows.append(row)
-        sub = Graph._from_masks(rows)
-        k_atom, mc = leaf_chi(sub)
+        block = todo = atom.block
+        ids = []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            ids.append(low.bit_length() - 1)
+        sub = Graph._from_masks(induced_rows(adj, ids))
+        k_atom, mc = leaf_chi(sub, tuple(ids))
         try:
             validate_coloring(sub, mc)
         except ValueError as exc:
@@ -209,8 +203,11 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
         k = max(k, k_atom)
         local = [c for (c,) in mc.colors]
         perm = [0] * (k_atom + 1)  # atom color -> host color, 0 while unset
-        for q in atom.separator:
-            perm[local[where[q]]] = color[q]
+        todo = atom.separator
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            perm[local[(block & (low - 1)).bit_count()]] = color[low.bit_length() - 1]
         taken = set(perm)
         free = (c for c in range(1, k + 1) if c not in taken)
         for c in range(1, k_atom + 1):

@@ -229,10 +229,6 @@ def max_independent_set_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> froze
     return max_clique_exact(g.complement(), max_n)
 
 
-def independence_number_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> int:
-    return len(max_independent_set_exact(g, max_n))
-
-
 # -- exhaustive matching oracle --------------------------------------------------
 
 

@@ -39,7 +39,7 @@ from .detect import (
     is_berge_small,
     p5_cop5_violation,
 )
-from .errors import CutoffExceeded, NotInClass
+from .errors import CutoffExceeded, NotInClass, NotO3Free
 from .graph import Graph, is_connected, iter_bits
 from .matching import chi_o3_free
 from .oracle import DEFAULT_CHI_MAX_N, chi_exact, clique_number_exact, greedy_clique
@@ -173,16 +173,13 @@ def solve_p5_kpe(
     atoms = cliquesep.build_tree(g)
     routes: list[RouteRecord] = []
     solved: dict[Graph, tuple[int, MultiColoring, str]] = {}
-    blocks = (tuple(sorted(atom.block)) for atom in atoms)
 
-    def leaf_chi(sub: Graph) -> tuple[int, MultiColoring]:
-        # chi_compose calls this once per atom, in atom order
-        block = next(blocks)
+    def leaf_chi(sub: Graph, block: tuple[int, ...]) -> tuple[int, MultiColoring]:
         if sub not in solved:
-            if find_independent_triple(sub) is None:
+            try:
                 k, mc = chi_o3_free(sub)
                 route = ROUTE_O3_MATCHING
-            else:
+            except NotO3Free:
                 try:
                     k, mc = chi_exact(sub, max_n=oracle_max_n)
                 except CutoffExceeded as exc:
@@ -219,8 +216,9 @@ class GenResult(NamedTuple):
     attempts: int
 
 
-class GenerationTimeout(RuntimeError):
-    """Rejection sampling ran out of attempts; try another density."""
+class GenerationTimeout(CutoffExceeded):
+    """Rejection sampling ran out of attempts; try another density. A
+    cutoff on work like the others, so the CLI exits 4 on it."""
 
 
 def _gnp(n: int, density: float, rng: random.Random) -> Graph:
@@ -448,7 +446,7 @@ def verify_lemma4(
         n = rng.randint(2, n_max)
         g = gen_p5_kpe(n, p, rng.randrange(2**32), density=density).graph
         for atom in cliquesep.build_tree(g):
-            sub, _ = g.induced(atom.block)
+            sub, _ = g.induced(iter_bits(atom.block))
             if sub.n < 2:
                 continue
             blocks_seen += 1

@@ -15,7 +15,7 @@ import sys
 from p5color.cliquesep import Atom
 from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
 from p5color.errors import ParseError, PreconditionError
-from p5color.graph import Graph, bits_of, is_clique, iter_bits, reach, set_of
+from p5color.graph import Graph, bits_of, is_clique, iter_bits, reach
 from p5color.modular import MDLeaf, MDParallel, MDSeries, md_tree
 from p5color.pipeline import _all_graphs as all_graphs
 
@@ -361,10 +361,10 @@ def build_tree_reference(g: Graph) -> tuple[Atom, ...]:
     for x, sep in reversed(mcs_m_reference(g, rest)):
         if is_clique(g, iter_bits(sep)):
             comp = reach(g.adj_masks, 1 << x, rest & ~sep)
-            atoms.append(Atom(set_of(sep | comp), set_of(sep)))
+            atoms.append(Atom(sep | comp, sep))
             rest &= ~comp
     if rest:
-        atoms.append(Atom(set_of(rest), frozenset()))
+        atoms.append(Atom(rest, 0))
     return tuple(reversed(atoms))
 
 
@@ -376,8 +376,8 @@ def chi_compose_reference(g: Graph, atoms, leaf_chi) -> tuple[int, MultiColoring
     k = 0
     color: dict[int, int] = {}
     for atom in atoms:
-        sub, ids = g.induced(atom.block)
-        k_atom, mc = leaf_chi(sub)
+        sub, ids = g.induced(iter_bits(atom.block))
+        k_atom, mc = leaf_chi(sub, ids)
         try:
             validate_coloring(sub, mc)
         except ValueError as exc:
@@ -386,7 +386,7 @@ def chi_compose_reference(g: Graph, atoms, leaf_chi) -> tuple[int, MultiColoring
             raise RuntimeError("leaf solver used more colors than it reported")
         k = max(k, k_atom)
         local = {ids[v]: next(iter(mc.of(v))) for v in range(sub.n)}
-        perm = {local[q]: color[q] for q in atom.separator}
+        perm = {local[q]: color[q] for q in iter_bits(atom.separator)}
         taken = set(perm.values())
         free = (c for c in range(1, k + 1) if c not in taken)
         for c in range(1, k_atom + 1):

@@ -112,7 +112,7 @@ def test_criterion_2_weighted_oracle_equivalence():
 def test_criterion_3_lemma1_composition(separator_pool):
     mismatches = 0
     for g in separator_pool:
-        k, mc = chi_compose(g, build_tree(g), lambda sub: chi_exact(sub))
+        k, mc = chi_compose(g, build_tree(g), lambda sub, ids: chi_exact(sub))
         validate_coloring(g, mc)
         if k != chi_exact(g)[0]:
             mismatches += 1

@@ -17,7 +17,8 @@ from p5color.cli import (
     main,
 )
 from p5color.graph import Graph, parse_graph, to_dimacs
-from p5color.pipeline import gen_p5_cop5, gen_p5_kpe
+from p5color import pipeline
+from p5color.pipeline import GenerationTimeout, gen_p5_cop5, gen_p5_kpe
 
 from helpers import alternating_threshold
 
@@ -299,6 +300,53 @@ def test_env_cutoff_override(tmp_path, capsys, monkeypatch):
     path.write_text(to_dimacs(Graph.empty(12)))
     monkeypatch.setenv("P5COLOR_ORACLE_N", "6")
     assert main(["oracle", "chi", "--input", str(path)]) == EXIT_CUTOFF
+
+
+def _timeout(n, p, seed, density=0.2):
+    raise GenerationTimeout(f"no {{P5, K{p}-e}}-free graph on {n} vertices accepted")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("solve --class p5-kpe --p 2 --input C5", EXIT_USAGE),
+        ("P5COLOR_ORACLE_N=0 oracle chi --input C5", EXIT_USAGE),
+        ("generate --class p5-cop5 --n 0", EXIT_USAGE),
+        ("generate --class p5-kpe --p 2 --n 5", EXIT_USAGE),
+        ("generate --class p5-kpe --p 4 --n 30 --seed 1", EXIT_CUTOFF),
+        ("verify lemma4 --p 2", EXIT_USAGE),
+        ("verify lemma4 --n-max 1", EXIT_USAGE),
+        ("verify gyarfas --n-max 0", EXIT_USAGE),
+        ("verify oracle --n-max 0", EXIT_USAGE),
+        ("decompose --kind modular --input EMPTY", EXIT_OK),
+        *((f"oracle {op} --oracle-n {n} --input C5", EXIT_USAGE)
+          for op in ("chi", "omega", "alpha") for n in (0, -3)),
+        ("oracle chiw --max-total-weight 0 --input C5", EXIT_USAGE),
+        ("P5COLOR_MAX_TOTAL_WEIGHT=0 oracle chiw --input C5", EXIT_USAGE),
+    ],
+)
+def test_out_of_range_input_exits_with_its_documented_code(
+    c5_file, tmp_path, capsys, monkeypatch, argv, code
+):
+    """Out-of-range values, a graph without vertices and a generator out
+    of attempts each end in their documented exit code, not a traceback."""
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    # stands in for the 11 s of rejection sampling that runs out of attempts
+    monkeypatch.setattr(pipeline, "gen_p5_kpe", _timeout)
+    args = []
+    for arg in argv.split():
+        if "=" in arg:
+            monkeypatch.setenv(*arg.split("="))
+        else:
+            args.append({"C5": c5_file, "EMPTY": str(empty)}.get(arg, arg))
+    assert main(args) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert json.loads(captured.out) == {}  # as `solve` reports the tree
+    else:
+        prefix = "usage error: " if code == EXIT_USAGE else "cutoff exceeded: "
+        assert captured.err.startswith(prefix)
 
 
 @pytest.fixture(scope="module")

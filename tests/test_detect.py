@@ -31,7 +31,7 @@ from p5color.detect import (
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
 from p5color.graph import Graph
 from p5color.modular import md_tree, validate_md_tree
-from p5color.oracle import independence_number_exact
+from p5color.oracle import max_independent_set_exact
 from p5color.pipeline import _substitute, gen_p5_cop5, solve_p5_kpe
 
 from helpers import (
@@ -161,7 +161,7 @@ def test_o3_free_iff_independence_number_at_most_two():
     rng = random.Random(3)
     for _ in range(60):
         g = random_graph(rng.randint(1, 9), rng.random(), rng)
-        assert is_o3_free(g) == (independence_number_exact(g) <= 2)
+        assert is_o3_free(g) == (len(max_independent_set_exact(g)) <= 2)
 
 
 def test_berge_known_cases():

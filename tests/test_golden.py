@@ -18,7 +18,7 @@ from p5color.graph import Graph
 from p5color.modular import md_tree, md_tree_to_json
 from p5color.pipeline import _C5, _substitute, gen_p5_cop5, solve_p5_cop5, solve_p5_kpe
 
-from helpers import random_graph
+from helpers import co_andrasfai, co_cycle, cone, k33, random_graph
 
 COP5_MEMBERS = {
     (20, 0): "cd83dec8428f9ff2c86e77221da22b931ccc829ad4a21c55532d810c79e4d076",
@@ -31,6 +31,7 @@ COP5_MEMBERS = {
 C5_K3 = "251ee8e4cba87a57b115ddca593fc2ce1ec18dafb9762a1cd8584826e2a9c4d9"
 STAR_K1_30_P4 = "34487166b8859db0cde46c6dfc8f56c1a29cba0a33d7c02b194c469e1f6cdf77"
 RANDOM_TREES = "2bf7158a45c5afb6b3c36aae38fb9def88434e29f7ebf2585cc8d510cfb9d7d9"
+KPE_CONE = "20e1147809a0c5116cead28aae2fbae4d9e5afdc2f49b671de049a326a23ec09"
 
 
 def digest(payload) -> str:
@@ -51,6 +52,15 @@ def test_c5_clique_blowup_report():
 def test_star_kpe_report():
     star = Graph(31, [(0, v) for v in range(1, 31)])
     assert digest(solve_p5_kpe(star, 4).to_json()) == STAR_K1_30_P4
+
+
+def test_kpe_cone_report_with_both_routes():
+    n, edges, _, p = cone([co_cycle(11), k33(), co_andrasfai(3), k33(), co_cycle(13)])
+    order = random.Random(16).sample(range(n), n)
+    report = solve_p5_kpe(Graph(n, [(order[u], order[v]) for u, v in edges]), p).to_json()
+    assert (n, p, report["chi"], len(report["tree"]["atoms"])) == (45, 9, 8, 5)
+    assert {r["route"] for r in report["routes"]} == {"o3-matching", "exact-fallback"}
+    assert digest(report) == KPE_CONE
 
 
 def test_random_decomposition_trees():
