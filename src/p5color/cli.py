@@ -15,11 +15,13 @@ limit, with the depth named in the message; the {P5, co-P5} solve has
 no weight cutoff, and `--max-total-weight` bounds `oracle chiw` only),
 5 usage error (an argument the parser refuses, options that do not go
 together, a value out of its range: --n, --n-max or a cutoff below 1,
---p below 3, or `verify lemma4` with --n-max below 2; an unreadable
-input file, or a P5COLOR_* variable that is not an integer of at least
-1), 6 a certificate that `oracle validate` finds invalid (the reason
-is printed). Reports are JSON and byte-stable for a fixed (input,
-seed, config); timings are included only on request.
+--p below 3, or `verify lemma4` with --n-max below 2; --weights with
+an `oracle` op other than chiw or validate; an unreadable input file,
+an output path that cannot be written, or a P5COLOR_* variable that is
+not an integer of at least 1), 6 a certificate that `oracle validate`
+finds invalid (the reason is printed). Reports are JSON and
+byte-stable for a fixed (input, seed, config); timings are included
+only on request.
 """
 
 from __future__ import annotations
@@ -187,10 +189,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
             f"the modular decomposition tree is {depth} levels deep, more than "
             "a JSON report can nest"
         ) from None
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
+    _write(text, out_path)
+
+
+def _write(text: str, path: str | Path | None) -> None:
+    """Write text to the file at path, or to stdout without one."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _solve_text(report: pipeline.SolveReport) -> str:
@@ -217,11 +227,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         report = pipeline.solve_p5_kpe(g, args.p, oracle_max_n=args.oracle_n)
     if args.report == "text":
-        text = _solve_text(report)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(_solve_text(report), args.out)
     else:
         _emit(report.to_json(include_timings=args.timings), args.out)
     return EXIT_OK
@@ -240,7 +246,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.class_name == "p5-kpe" and args.p is None:
         raise UsageError("class p5-kpe needs --p")
-    instances = []
+    texts = []
     for i in range(args.count):
         seed = args.seed + i
         if args.class_name == "p5-cop5":
@@ -248,18 +254,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             attempts = 1
         else:
             g, attempts = pipeline.gen_p5_kpe(args.n, args.p, seed, density=args.density)
-        instances.append((seed, attempts, g))
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for seed, attempts, g in instances:
-            name = f"{args.class_name}-n{args.n}-s{seed}.col"
-            header = f"c class={args.class_name} seed={seed} attempts={attempts}\n"
-            (out_dir / name).write_text(header + to_dimacs(g))
+        header = f"c class={args.class_name} seed={seed} attempts={attempts}\n"
+        texts.append((seed, header + to_dimacs(g)))
+    if not args.out_dir:
+        _write("".join(text for _, text in texts), None)
         return EXIT_OK
-    for seed, attempts, g in instances:
-        sys.stdout.write(f"c class={args.class_name} seed={seed} attempts={attempts}\n")
-        sys.stdout.write(to_dimacs(g))
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_dir}: {exc.strerror}") from None
+    for seed, text in texts:
+        _write(text, out_dir / f"{args.class_name}-n{args.n}-s{seed}.col")
     return EXIT_OK
 
 
@@ -306,6 +312,8 @@ def _oracle_crosscheck(samples: int, n_max: int, seed: int) -> dict:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.weights is not None and args.op not in ("chiw", "validate"):
+        raise UsageError(f"--weights only applies to oracle chiw and validate, not {args.op}")
     g = _load_graph(args.input, args.format)
     weights = _load_weights(args.weights, g)
     if args.op == "chi":

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from . import modular
 from .errors import CutoffExceeded, PreconditionError
-from .graph import Graph, bits_of, set_of
+from .graph import Graph, first_clique
 
 DEFAULT_BERGE_MAX_N = 16
 # each budgeted P5 / co-P5 kernel search may visit _BUDGET_PER_VERTEX * n
@@ -298,50 +298,42 @@ def find_induced_c5(g: Graph) -> Witness | None:
 
 
 def _find_hole(g: Graph, length: int) -> tuple[int, ...] | None:
-    """Induced cycle of the given length, as a tuple in cyclic order.
+    """Lexicographically first induced cycle of the given length (at
+    least 3), as a tuple in cyclic order, or None.
 
     The tuple starts at the cycle's smallest vertex; orientation is fixed
-    by requiring the second vertex to be smaller than the last. Two
-    banned masks are tracked because the closing vertex must avoid the
-    interior's neighborhoods yet meet the start's.
+    by requiring the second vertex to be smaller than the last. Induced
+    paths from each start are grown depth first on an explicit stack of
+    (candidates left, banned_all, banned_mid) per path vertex, lowest
+    candidate first. Two banned masks are tracked because the closing
+    vertex must avoid the interior's neighborhoods yet meet the start's:
+    banned_all is the path and the neighborhoods of all but its tip,
+    banned_mid the path and the neighborhoods of all but its two ends.
     """
-
-    def extend(
-        path: list[int], banned_all: int, banned_mid: int
-    ) -> tuple[int, ...] | None:
-        first = path[0]
-        tip = path[-1]
-        if len(path) == length - 1:
-            cand = g.adj_bits(tip) & g.adj_bits(first) & ~banned_mid
-            while cand:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                cand ^= low
-                if v > path[1]:
-                    return (*path, v)
-            return None
-        cand = g.adj_bits(tip) & ~banned_all
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if v < first:
+    adj = g.adj_masks
+    for first in range(g.n - length + 1):
+        above = ~((2 << first) - 1)
+        path = [first]
+        stack = [(adj[first] & above, 1 << first, 1 << first)]
+        while stack:
+            cand, banned_all, banned_mid = stack[-1]
+            if not cand:
+                stack.pop()
+                path.pop()
                 continue
-            found = extend(
-                path + [v],
-                banned_all | g.adj_bits(tip) | low,
-                banned_mid | low | (g.adj_bits(tip) if len(path) >= 2 else 0),
-            )
-            if found is not None:
-                return found
-        return None
-
-    if g.n < length:
-        return None
-    for start in range(g.n):
-        found = extend([start], 1 << start, 1 << start)
-        if found is not None:
-            return found
+            low = cand & -cand
+            stack[-1] = (cand ^ low, banned_all, banned_mid)
+            near_tip = adj[path[-1]]
+            banned_all |= near_tip | low
+            banned_mid |= low | (near_tip if len(path) >= 2 else 0)
+            path.append(low.bit_length() - 1)
+            if len(path) < length - 1:
+                stack.append((adj[path[-1]] & above & ~banned_all, banned_all, banned_mid))
+                continue
+            close = adj[path[-1]] & adj[first] & ~banned_mid & ~((2 << path[1]) - 1)
+            if close:
+                return (*path, (close & -close).bit_length() - 1)
+            path.pop()
     return None
 
 
@@ -385,36 +377,10 @@ def find_induced_kp_minus_e(g: Graph, p: int) -> Witness | None:
             y = low.bit_length() - 1
             common = near & adj[y]
             if common.bit_count() >= p - 2:
-                clique = _lex_clique_in_mask(adj, common, p - 2)
+                clique = first_clique(adj, common, p - 2)
                 if clique is not None:
                     return Witness(f"K{p}-e", (low_x.bit_length() - 1, y, *clique))
     return None
-
-
-def _lex_clique_in_mask(adj: tuple[int, ...], mask: int, size: int) -> tuple[int, ...] | None:
-    """Lexicographically first clique of the given size inside mask, for
-    neighbourhood masks adj: a depth-first search on an explicit stack of
-    (candidates left, vertex chosen) per level, candidates lowest bit
-    first."""
-    if size == 0:
-        return ()
-    stack: list[tuple[int, int]] = []
-    cand, need = mask, size
-    while True:
-        if cand.bit_count() >= need:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if need == 1:
-                return (*(u for _, u in stack), v)
-            stack.append((cand, v))
-            cand &= adj[v]
-            need -= 1
-        elif stack:
-            cand = stack.pop()[0]
-            need += 1
-        else:
-            return None
 
 
 def find_independent_triple(g: Graph) -> Witness | None:
@@ -445,10 +411,11 @@ def is_o3_free(g: Graph) -> bool:
 def find_odd_hole_or_antihole(
     g: Graph, max_n: int = DEFAULT_BERGE_MAX_N
 ) -> Witness | None:
-    """First induced odd hole of g or of its complement, length >= 5.
+    """First induced odd hole of g or of its complement, length >= 5:
+    by length, g before its complement, the lexicographically first
+    cycle of _find_hole.
 
-    Enumeration over vertex subsets; refuses graphs beyond max_n rather
-    than approximating.
+    Refuses graphs beyond max_n rather than approximating.
     """
     if g.n > max_n:
         raise CutoffExceeded(
@@ -456,42 +423,15 @@ def find_odd_hole_or_antihole(
         )
     co = g.complement()
     for length in range(5, g.n + 1, 2):
-        hole = _hole_on_some_subset(g, length)
+        hole = _find_hole(g, length)
         if hole is not None:
             return Witness(f"C{length}", hole)
         # co-C5 is again C5, so length 5 needs only one side
         if length >= 7:
-            anti = _hole_on_some_subset(co, length)
+            anti = _find_hole(co, length)
             if anti is not None:
                 return Witness(f"co-C{length}", anti)
     return None
-
-
-def _hole_on_some_subset(g: Graph, length: int) -> tuple[int, ...] | None:
-    """Scan subsets of the given size for one inducing a chordless cycle."""
-    for subset in itertools.combinations(range(g.n), length):
-        mask = bits_of(subset)
-        if all((g.adj_bits(v) & mask).bit_count() == 2 for v in subset):
-            cyc = _walk_cycle(g, subset, mask)
-            if cyc is not None:
-                return cyc
-    return None
-
-
-def _walk_cycle(g: Graph, subset: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
-    """Cyclic order of a 2-regular induced subgraph, if it is one cycle."""
-    start = subset[0]
-    first_two = sorted(set_of(g.adj_bits(start) & mask))
-    order = [start, first_two[0]]
-    while len(order) < len(subset):
-        nbrs = set_of(g.adj_bits(order[-1]) & mask)
-        nxt = [x for x in nbrs if x != order[-2]]
-        if len(nxt) != 1 or nxt[0] in order:
-            return None
-        order.append(nxt[0])
-    if not g.adjacent(order[-1], start):
-        return None
-    return tuple(order)
 
 
 def is_berge_small(g: Graph, max_n: int = DEFAULT_BERGE_MAX_N) -> bool:

@@ -219,6 +219,34 @@ def reach(adj: Sequence[int], seed: int, mask: int) -> int:
     return comp
 
 
+def first_clique(adj: Sequence[int], mask: int, size: int) -> tuple[int, ...] | None:
+    """Lexicographically first clique of the given size inside the vertex
+    bitmask mask, in increasing order, for neighbourhood bitmasks adj;
+    None if there is none. A depth-first search on an explicit stack of
+    (candidates left, vertex chosen) per level, candidates lowest bit
+    first; a level with fewer candidates than vertices still needed is
+    left at once."""
+    if size == 0:
+        return ()
+    stack: list[tuple[int, int]] = []
+    cand, need = mask, size
+    while True:
+        if cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if need == 1:
+                return (*(u for _, u in stack), v)
+            stack.append((cand, v))
+            cand &= adj[v]
+            need -= 1
+        elif stack:
+            cand = stack.pop()[0]
+            need += 1
+        else:
+            return None
+
+
 def is_connected(g: Graph) -> bool:
     return len(components(g)) <= 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .coloring import MultiColoring, Weights, normalize_weights
 from .errors import CutoffExceeded
-from .graph import Graph
+from .graph import Graph, first_clique
 
 DEFAULT_CHI_MAX_N = 24
 DEFAULT_MAX_TOTAL_WEIGHT = 64
@@ -193,31 +193,14 @@ def chi_w_exact(
 
 
 def max_clique_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> frozenset[int]:
-    """A maximum clique, by branch and bound with a size-bound prune."""
+    """The lexicographically first maximum clique: the first clique one
+    larger than the best so far, searched for until there is none."""
     if g.n > max_n:
         raise CutoffExceeded(f"max_clique_exact: n={g.n} exceeds cutoff {max_n}")
-    best = list(greedy_clique(g))
-    current: list[int] = []
-
-    def expand(cand: int) -> None:
-        nonlocal best
-        if len(current) + cand.bit_count() <= len(best):
-            return
-        if not cand:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        while cand:
-            if len(current) + cand.bit_count() <= len(best):
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            current.append(v)
-            expand(cand & g.adj_bits(v))
-            current.pop()
-
-    expand((1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    best: tuple[int, ...] = ()
+    while (larger := first_clique(g.adj_masks, full, len(best) + 1)) is not None:
+        best = larger
     return frozenset(best)
 
 

@@ -312,6 +312,27 @@ def kp_minus_e_reference(g: Graph, p: int) -> tuple[int, ...] | None:
     return None
 
 
+def first_hole_reference(g: Graph, length: int) -> tuple[int, ...] | None:
+    """The lexicographically first induced cycle of the given length in
+    cyclic order from its smallest vertex, the second vertex smaller
+    than the last: every vertex subset of that size whose induced
+    subgraph is connected and 2-regular, walked from its minimum."""
+    best = None
+    for subset in itertools.combinations(range(g.n), length):
+        nbrs = {v: [u for u in subset if g.adjacent(u, v)] for v in subset}
+        if any(len(near) != 2 for near in nbrs.values()):
+            continue
+        order = [subset[0], nbrs[subset[0]][0]]
+        while len(order) < length:
+            nxt = [u for u in nbrs[order[-1]] if u != order[-2]][0]
+            if nxt == order[0]:
+                break  # a shorter cycle closed: the subset is not connected
+            order.append(nxt)
+        if len(order) == length and (best is None or tuple(order) < best):
+            best = tuple(order)
+    return best
+
+
 def mcs_m_reference(g: Graph, span: int) -> list[tuple[int, int]]:
     """MCS-M generators (vertex, mask of its earlier H-neighbours) in
     numbering order, by a max scan for the next vertex (ties to the

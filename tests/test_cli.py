@@ -295,6 +295,32 @@ def test_usage_errors_exit_usage(c5_file, tmp_path, monkeypatch):
     assert main(["solve", "--class", "p5-cop5", "--input", c5_file]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--class", "p5-cop5", "--input", "C5", "--out", "MISSING/x.json"],
+        ["solve", "--class", "p5-cop5", "--input", "C5", "--report", "text", "--out", "MISSING/x.json"],
+        ["decompose", "--kind", "modular", "--input", "C5", "--out", "MISSING/x.json"],
+        ["oracle", "chi", "--input", "C5", "--out", "MISSING/x.json"],
+        ["verify", "lemma5", "--n-max", "5", "--samples", "0", "--out", "MISSING/x.json"],
+        ["generate", "--class", "p5-cop5", "--n", "5", "--out-dir", "C5/sub"],
+        *(["oracle", op, "--input", "C5", "--weights", "WEIGHTS"] for op in ("chi", "omega", "alpha", "matching")),
+    ],
+    ids=[
+        "solve-json-out", "solve-text-out", "decompose-out", "oracle-out", "verify-out",
+        "generate-out-dir", "oracle-chi-weights", "oracle-omega-weights",
+        "oracle-alpha-weights", "oracle-matching-weights",
+    ],
+)
+def test_unwritable_output_and_unused_weights_exit_usage(c5_file, tmp_path, capsys, argv):
+    weights = tmp_path / "w.txt"
+    weights.write_text("0 3\n")
+    where = {"C5": c5_file, "MISSING": str(tmp_path / "missing"), "WEIGHTS": str(weights)}
+    argv = [re.sub("C5|MISSING|WEIGHTS", lambda m: where[m.group()], arg) for arg in argv]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_env_cutoff_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.col"
     path.write_text(to_dimacs(Graph.empty(12)))

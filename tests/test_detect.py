@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from p5color.detect import (
     Witness,
     _BudgetSpent,
     _co_p5_in,
+    _find_hole,
     _first_p5,
     _p5_in,
     _quotient_violation,
@@ -37,6 +39,7 @@ from p5color.pipeline import _substitute, gen_p5_cop5, solve_p5_kpe
 from helpers import (
     all_graphs,
     contains_induced,
+    first_hole_reference,
     first_p5_reference,
     kp_minus_e_reference,
     random_graph,
@@ -241,6 +244,55 @@ def test_berge_longer_odd_holes_at_the_size_boundary():
     w = find_odd_hole_or_antihole(Graph.cycle(9))
     assert w.pattern == "C9" and witness_ok(Graph.cycle(9), w)
     assert is_berge_small(Graph.cycle(8))
+
+
+def planted_hole(n: int, length: int, p: float, rng: random.Random) -> Graph:
+    """A random graph on n vertices, edge probability p, in which length
+    random vertices induce a cycle."""
+    vs = rng.sample(range(n), length)
+    cycle = {frozenset((vs[i - 1], vs[i])) for i in range(length)}
+    on = set(vs)
+    return Graph(n, [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if frozenset((u, v)) in cycle or not {u, v} <= on and rng.random() < p
+    ])
+
+
+def test_hole_search_finds_the_first_cycle_of_the_brute_force():
+    rng = random.Random(2017)
+    cases = [random_graph(rng.randint(5, 10), rng.random(), rng) for _ in range(150)]
+    cases += [
+        planted_hole(rng.randint(length, 10), length, 0.6 * rng.random(), rng)
+        for length in (7, 9)
+        for _ in range(30)
+    ]
+    found = Counter()
+    for g in cases:
+        for h in (g, g.complement()):
+            for length in (5, 7, 9):
+                hole = _find_hole(h, length)
+                assert hole == first_hole_reference(h, length)
+                found[length] += hole is not None
+    assert min(found.values()) >= 30, found
+
+
+def test_berge_check_finds_a_witness_exactly_when_the_brute_force_does():
+    rng = random.Random(2018)
+    cases = [random_graph(rng.randint(5, 7), rng.uniform(0.25, 0.6), rng) for _ in range(40)]
+    cases += [planted_hole(rng.randint(5, 8), 5, 0.5 * rng.random(), rng) for _ in range(10)]
+    cases += [planted_hole(rng.randint(7, 8), 7, 0.5 * rng.random(), rng) for _ in range(10)]
+    cases += [g.complement() for g in cases[-10:]]
+    patterns = Counter()
+    for g in cases:
+        odd = [Graph.cycle(length) for length in range(5, g.n + 1, 2)]
+        brute = any(contains_induced(g, c) or contains_induced(g, c.complement()) for c in odd)
+        w = find_odd_hole_or_antihole(g)
+        assert (w is not None) == brute
+        assert w is None or witness_ok(g, w)
+        patterns[w and w.pattern] += 1
+    assert patterns[None] >= 10 and patterns["C5"] >= 10, patterns
+    assert patterns["C7"] and patterns["co-C7"], patterns
 
 
 # -- P5 / co-P5 witnesses: lexicographically first, twin-free -----------------

@@ -16,7 +16,16 @@ import pytest
 from p5color.cliquesep import build_tree, tree_to_json
 from p5color.graph import Graph
 from p5color.modular import md_tree, md_tree_to_json
-from p5color.pipeline import _C5, _substitute, gen_p5_cop5, solve_p5_cop5, solve_p5_kpe
+from p5color.pipeline import (
+    _C5,
+    _substitute,
+    gen_p5_cop5,
+    solve_p5_cop5,
+    solve_p5_kpe,
+    verify_gyarfas,
+    verify_lemma4,
+    verify_lemma5,
+)
 
 from helpers import co_andrasfai, co_cycle, cone, k33, random_graph
 
@@ -99,3 +108,27 @@ def test_report_without_coloring(name):
     payload = REPORTS[name]().to_json()
     del payload["coloring"]
     assert digest(payload) == REPORTS_WITHOUT_COLORING[name]
+
+
+# The verifiers' reports count what the Berge check and the clique oracle
+# decide, so a change to either search must keep these.
+VERIFIERS = {
+    "lemma5": (
+        lambda: verify_lemma5(n_max=9, samples_per_n=150, seed=1007),
+        "4873785ea6407262e20b15906e7ab204f70a6d6f429652003f81465e248a6b44",
+    ),
+    "lemma4": (
+        lambda: verify_lemma4(p=4, samples=200, n_max=12, seed=1008),
+        "0439d0177a77526e33650f1c46d71b7694a9907145052218e1826fc77cb62892",
+    ),
+    "gyarfas": (
+        lambda: verify_gyarfas(samples=500, n_max=12, seed=0),
+        "f3f8ce1c2da61a6dbac635ee2aea7bde3e3663d6a61754a4c4c552499c18be45",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_verifier_report(name):
+    run, expected = VERIFIERS[name]
+    assert digest(run().to_json()) == expected

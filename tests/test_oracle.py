@@ -105,6 +105,20 @@ def test_max_clique_is_a_clique_and_maximum():
         assert len(clique) == best
 
 
+def test_max_clique_and_independent_set_are_the_lexicographically_first_maximum_ones():
+    rng = random.Random(2019)
+    for _ in range(500):
+        g = random_graph(rng.randint(0, 10), rng.random(), rng)
+        for h, found in ((g, max_clique_exact(g)), (g.complement(), max_independent_set_exact(g))):
+            first = next(
+                s
+                for r in range(h.n, -1, -1)
+                for s in itertools.combinations(range(h.n), r)
+                if is_clique(h, s)
+            )
+            assert tuple(sorted(found)) == first
+
+
 def test_independence_ops_are_complement_cliques():
     g = Graph.cycle(5)
     s = max_independent_set_exact(g)
