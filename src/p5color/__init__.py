@@ -19,7 +19,6 @@ from .detect import (
 from .errors import CutoffExceeded, NotInClass, NotO3Free, ParseError, PreconditionError
 from .graph import (
     Graph,
-    components,
     is_clique,
     is_connected,
     parse_graph,
@@ -60,7 +59,6 @@ __all__ = [
     "chi_w_exact",
     "class_membership",
     "clique_number_exact",
-    "components",
     "find_class_violation",
     "find_independent_triple",
     "find_induced_c5",

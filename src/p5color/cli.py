@@ -6,8 +6,7 @@ of more than sys.maxsize vertices by its DIMACS header or its largest
 edge-list id, a report nested too deeply to read, or a weights file
 that is malformed or names a vertex the graph does not have, or any
 input file that does not decode as text), 4 desk-scale cutoff exceeded
-(by an exact oracle, by `verify lemma5` with --n-max above the Berge
-check's 16 vertices, by the exponential exact-fallback route of
+(by an exact oracle, by the exponential exact-fallback route of
 `solve --class p5-kpe`, by `generate --class p5-kpe` running out of
 rejection-sampling attempts, or by a modular decomposition tree too
 deep for a JSON report: about 495 levels under the default recursion
@@ -15,10 +14,12 @@ limit, with the depth named in the message; the {P5, co-P5} solve has
 no weight cutoff, and `--max-total-weight` bounds `oracle chiw` only),
 5 usage error (an argument the parser refuses, options that do not go
 together, a value out of its range: --n, --n-max or a cutoff below 1,
---p below 3, or `verify lemma4` with --n-max below 2; --weights with
-an `oracle` op other than chiw or validate; an unreadable input file,
-an output path that cannot be written, or a P5COLOR_* variable that is
-not an integer of at least 1), 6 a certificate that `oracle validate`
+--p below 3, or `verify lemma4` with --n-max below 2; an option the
+command ignores, such as --oracle-n with class p5-cop5, --timings with
+--report text, or --weights with an `oracle` op other than chiw or
+validate; an unreadable input file, an output path that cannot be
+written, or a P5COLOR_* variable that is not an integer of at least 1,
+read only by a command that uses it), 6 a certificate that `oracle validate`
 finds invalid (the reason is printed). Reports are JSON and
 byte-stable for a fixed (input, seed, config); timings are included
 only on request.
@@ -79,6 +80,13 @@ def _env_cutoff(name: str, default: int) -> int:
         raise UsageError(f"environment variable {name} must be an integer >= 1") from None
 
 
+def _unused(option: str, value, where: str) -> None:
+    """Refuse an option the command would ignore: one given a value
+    (anything but None or an unset flag) outside where it applies."""
+    if value is not None and value is not False:
+        raise UsageError(f"{option} only applies to {where}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="graph file")
     parser.add_argument(
@@ -93,8 +101,7 @@ def _add_cutoffs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--oracle-n",
         type=_POSITIVE,
-        default=_env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CHI_MAX_N),
-        help="exact solver vertex cutoff",
+        help=f"exact solver vertex cutoff (default: P5COLOR_ORACLE_N or {DEFAULT_CHI_MAX_N})",
     )
 
 
@@ -126,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p", type=_P)
     p_gen.add_argument("--n", type=_POSITIVE, required=True)
     p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--density", type=float, default=0.2)
+    p_gen.add_argument("--density", type=float, help="edge density for class p5-kpe (default 0.2)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-dir", help="write one .col per instance here")
 
     p_ver = sub.add_parser("verify", help="run a structural verifier")
     p_ver.add_argument("what", choices=["lemma4", "lemma5", "gyarfas", "oracle"])
-    p_ver.add_argument("--p", type=_P, default=4)
+    p_ver.add_argument("--p", type=_P, help="the p of Kp-e for lemma4 (default 4)")
     p_ver.add_argument("--samples", type=int, default=200)
     p_ver.add_argument("--n-max", type=_POSITIVE, default=9)
     p_ver.add_argument("--seed", type=int, default=0)
@@ -147,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument(
         "--max-total-weight",
         type=_POSITIVE,
-        default=_env_cutoff("P5COLOR_MAX_TOTAL_WEIGHT", DEFAULT_MAX_TOTAL_WEIGHT),
-        help="weighted oracle (chiw) total-weight cutoff",
+        help="weighted oracle (chiw) total-weight cutoff "
+        f"(default: P5COLOR_MAX_TOTAL_WEIGHT or {DEFAULT_MAX_TOTAL_WEIGHT})",
     )
 
     return parser
@@ -219,13 +226,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise UsageError("class p5-kpe needs --p")
         if args.weights is not None:
             raise UsageError("weights are only supported for class p5-cop5")
-    elif args.p is not None:
-        raise UsageError("--p only applies to class p5-kpe")
+        oracle_n = args.oracle_n or _env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CHI_MAX_N)
+    else:
+        _unused("--p", args.p, "class p5-kpe")
+        _unused("--oracle-n", args.oracle_n, "class p5-kpe")
+    if args.report == "text":
+        _unused("--timings", args.timings, "--report json")
     g = _load_graph(args.input, args.format)
     if args.class_name == "p5-cop5":
         report = pipeline.solve_p5_cop5(g, _load_weights(args.weights, g))
     else:
-        report = pipeline.solve_p5_kpe(g, args.p, oracle_max_n=args.oracle_n)
+        report = pipeline.solve_p5_kpe(g, args.p, oracle_max_n=oracle_n)
     if args.report == "text":
         _write(_solve_text(report), args.out)
     else:
@@ -246,6 +257,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.class_name == "p5-kpe" and args.p is None:
         raise UsageError("class p5-kpe needs --p")
+    if args.class_name == "p5-cop5":
+        _unused("--p", args.p, "class p5-kpe")
+        _unused("--density", args.density, "class p5-kpe")
     texts = []
     for i in range(args.count):
         seed = args.seed + i
@@ -253,7 +267,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             g = pipeline.gen_p5_cop5(args.n, seed)
             attempts = 1
         else:
-            g, attempts = pipeline.gen_p5_kpe(args.n, args.p, seed, density=args.density)
+            density = 0.2 if args.density is None else args.density
+            g, attempts = pipeline.gen_p5_kpe(args.n, args.p, seed, density=density)
         header = f"c class={args.class_name} seed={seed} attempts={attempts}\n"
         texts.append((seed, header + to_dimacs(g)))
     if not args.out_dir:
@@ -271,10 +286,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     sizes = {"samples": args.samples, "n_max": args.n_max, "seed": args.seed}
+    if args.what != "lemma4":
+        _unused("--p", args.p, "verify lemma4")
     if args.what == "lemma4":
         if args.n_max < 2:
             raise UsageError("verify lemma4 needs --n-max >= 2")
-        payload = pipeline.verify_lemma4(p=args.p, **sizes).to_json()
+        payload = pipeline.verify_lemma4(p=4 if args.p is None else args.p, **sizes).to_json()
     elif args.what == "lemma5":
         payload = pipeline.verify_lemma5(
             n_max=args.n_max, samples_per_n=args.samples, seed=args.seed
@@ -312,21 +329,31 @@ def _oracle_crosscheck(samples: int, n_max: int, seed: int) -> dict:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.weights is not None and args.op not in ("chiw", "validate"):
-        raise UsageError(f"--weights only applies to oracle chiw and validate, not {args.op}")
+    if args.op not in ("chiw", "validate"):
+        _unused("--weights", args.weights, "oracle chiw and validate")
+    if args.op in ("chi", "omega", "alpha"):
+        oracle_n = args.oracle_n or _env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CHI_MAX_N)
+    else:
+        _unused("--oracle-n", args.oracle_n, "oracle chi, omega and alpha")
+    if args.op == "chiw":
+        max_total = args.max_total_weight or _env_cutoff("P5COLOR_MAX_TOTAL_WEIGHT", DEFAULT_MAX_TOTAL_WEIGHT)
+    else:
+        _unused("--max-total-weight", args.max_total_weight, "oracle chiw")
+    if args.op != "validate":
+        _unused("--report-file", args.report_file, "oracle validate")
     g = _load_graph(args.input, args.format)
     weights = _load_weights(args.weights, g)
     if args.op == "chi":
-        k, mc = oracle.chi_exact(g, max_n=args.oracle_n)
+        k, mc = oracle.chi_exact(g, max_n=oracle_n)
         _emit({"chi": k, "coloring": mc.to_json()}, args.out)
     elif args.op == "chiw":
-        k, mc = oracle.chi_w_exact(g, weights, max_total_weight=args.max_total_weight)
+        k, mc = oracle.chi_w_exact(g, weights, max_total_weight=max_total)
         _emit({"chi_w": k, "coloring": mc.to_json()}, args.out)
     elif args.op == "omega":
-        clique = sorted(oracle.max_clique_exact(g, max_n=args.oracle_n))
+        clique = sorted(oracle.max_clique_exact(g, max_n=oracle_n))
         _emit({"omega": len(clique), "clique": clique}, args.out)
     elif args.op == "alpha":
-        indep = sorted(oracle.max_independent_set_exact(g, max_n=args.oracle_n))
+        indep = sorted(oracle.max_independent_set_exact(g, max_n=oracle_n))
         _emit({"alpha": len(indep), "independent_set": indep}, args.out)
     elif args.op == "matching":
         matched = sorted(map(list, max_matching(g)))

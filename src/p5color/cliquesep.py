@@ -56,7 +56,7 @@ def tree_leaves(atoms: Atoms) -> list[Atom]:
 def tree_to_json(atoms: Atoms) -> dict:
     return {
         "atoms": [
-            {"block": list(iter_bits(a.block)), "separator": list(iter_bits(a.separator))}
+            {"block": iter_bits(a.block), "separator": iter_bits(a.separator)}
             for a in atoms
         ]
     }
@@ -146,20 +146,20 @@ def validate_tree(g: Graph, atoms: Atoms) -> None:
     seen = 0
     for atom in atoms:
         block, sep = atom.block, atom.separator
-        shown = list(iter_bits(sep))
+        shown = iter_bits(sep)
         if block & seen != sep:
             raise ValueError(
-                f"atom {list(iter_bits(block))} must meet the earlier atoms exactly "
+                f"atom {iter_bits(block)} must meet the earlier atoms exactly "
                 f"in its separator {shown}"
             )
         if not is_clique(g, iter_bits(sep)):
             raise ValueError(f"separator {shown} is not a clique")
         for v in iter_bits(block & ~sep):
-            if g.adj_bits(v) & seen & ~sep:
+            if g.adj_masks[v] & seen & ~sep:
                 raise ValueError(f"vertex {v} has an edge across the separator {shown}")
         sub, _ = g.induced(iter_bits(block))
         if len(build_tree(sub)) != 1:
-            raise ValueError(f"atom {list(iter_bits(block))} has a clique separator")
+            raise ValueError(f"atom {iter_bits(block)} has a clique separator")
         seen |= block
     if seen != (1 << g.n) - 1:
         raise ValueError("atoms do not cover the vertex set")

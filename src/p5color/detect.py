@@ -384,20 +384,12 @@ def find_induced_kp_minus_e(g: Graph, p: int) -> Witness | None:
 
 
 def find_independent_triple(g: Graph) -> Witness | None:
-    """An independent set of size 3, or None if g is O3-free."""
+    """The lexicographically first independent set of size 3, a triangle
+    of the complement, or None if g is O3-free."""
     full = (1 << g.n) - 1
-    for u in range(g.n):
-        non_u = full & ~g.adj_bits(u) & ~((1 << (u + 1)) - 1)
-        cand_v = non_u
-        while cand_v:
-            low = cand_v & -cand_v
-            v = low.bit_length() - 1
-            cand_v ^= low
-            third = non_u & ~g.adj_bits(v) & ~((1 << (v + 1)) - 1)
-            if third:
-                w = (third & -third).bit_length() - 1
-                return Witness("O3", (u, v, w))
-    return None
+    co = [full ^ row ^ 1 << v for v, row in enumerate(g.adj_masks)]
+    triple = first_clique(co, full, 3)
+    return Witness("O3", triple) if triple is not None else None
 
 
 def is_o3_free(g: Graph) -> bool:

@@ -1,11 +1,9 @@
 """Immutable simple undirected graphs with dense 0-indexed vertex ids.
 
-The adjacency is the per-vertex bitmask rows (O(1) adjacency tests,
-cheap set algebra for the detectors and decompositions); sorted
-neighbor tuples (cheap iteration for the matching and the exact
-solvers) are built from them on the first neighbors() call. The edge
-set, the edge count, equality and hashing are all derived from the
-rows.
+A graph is its vertex count and its per-vertex adjacency bitmask rows
+(O(1) adjacency tests, cheap set algebra for the detectors and
+decompositions); the edge set, the edge count, equality and hashing
+are all derived from the rows.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ class Graph:
     adjacency is symmetric.
     """
 
-    __slots__ = ("n", "_adj", "_nbrs")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -38,7 +36,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._nbrs: tuple[tuple[int, ...], ...] | None = None  # built on first use
 
     @classmethod
     def _from_masks(cls, adj: Sequence[int]) -> Graph:
@@ -47,7 +44,6 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(adj)
         g._adj = tuple(adj)
-        g._nbrs = None
         return g
 
     # -- construction helpers -------------------------------------------------
@@ -86,27 +82,10 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1)
 
-    def adj_bits(self, v: int) -> int:
-        """Neighborhood of v as a bitmask."""
-        return self._adj[v]
-
     @property
     def adj_masks(self) -> tuple[int, ...]:
         """Every vertex's neighborhood bitmask, indexed by vertex."""
         return self._adj
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if self._nbrs is None:
-            rows = []
-            for mask in self._adj:
-                row = []
-                while mask:
-                    low = mask & -mask
-                    row.append(low.bit_length() - 1)
-                    mask ^= low
-                rows.append(tuple(row))
-            self._nbrs = tuple(rows)
-        return self._nbrs[v]
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
@@ -144,12 +123,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def iter_bits(mask: int):
+def iter_bits(mask: int) -> list[int]:
     """The vertices of a bitmask, in increasing order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def induced_rows(adj: Sequence[int], ids: Sequence[int]) -> list[int]:
@@ -176,20 +157,22 @@ def bits_of(vertices: Iterable[int]) -> int:
     return mask
 
 
-def set_of(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
-def components(g: Graph, mask: int | None = None) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by the vertex bitmask
-    (all of g by default), ordered by smallest contained vertex id."""
-    rest = (1 << g.n) - 1 if mask is None else mask
-    return [set_of(comp) for comp in component_masks(g.adj_masks, rest)]
+def substitute(skeleton: Graph, parts: Sequence[Graph]) -> Graph:
+    """The graph that replaces each vertex i of the skeleton by the
+    module parts[i]: part i's vertices come after those of parts before
+    it, and two parts are fully joined when their skeleton vertices are
+    adjacent."""
+    offsets, blocks = [], []  # each part's first vertex and vertex bitmask
+    total = 0
+    for part in parts:
+        offsets.append(total)
+        blocks.append(((1 << part.n) - 1) << total)
+        total += part.n
+    rows = []
+    for i, part in enumerate(parts):
+        joined = sum(blocks[j] for j in iter_bits(skeleton.adj_masks[i]))
+        rows += [mask << offsets[i] | joined for mask in part.adj_masks]
+    return Graph._from_masks(rows)
 
 
 def component_masks(adj: Sequence[int], mask: int) -> list[int]:
@@ -199,6 +182,26 @@ def component_masks(adj: Sequence[int], mask: int) -> list[int]:
     while mask:
         comp = reach(adj, mask & -mask, mask)
         mask &= ~comp
+        out.append(comp)
+    return out
+
+
+def co_component_masks(adj: Sequence[int], mask: int) -> list[int]:
+    """The components of the complement of the graph on the vertex
+    bitmask mask, for neighborhood bitmasks adj, as bitmasks ordered by
+    smallest vertex. A search on the complement that steps from v to the
+    unvisited vertices outside adj[v], so no complement row is built."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        mask ^= comp
+        while frontier and mask:
+            low = frontier & -frontier
+            frontier ^= low
+            step = mask & ~adj[low.bit_length() - 1]
+            mask ^= step
+            frontier |= step
+            comp |= step
         out.append(comp)
     return out
 
@@ -248,14 +251,14 @@ def first_clique(adj: Sequence[int], mask: int, size: int) -> tuple[int, ...] | 
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return len(component_masks(g.adj_masks, (1 << g.n) - 1)) <= 1
 
 
 def is_clique(g: Graph, subset: Iterable[int]) -> bool:
     """True iff all pairs in subset are adjacent; empty and singletons count."""
     vs = sorted(set(subset))
     mask = bits_of(vs)
-    return all(g.adj_bits(v) & mask == mask & ~(1 << v) for v in vs)
+    return all(g.adj_masks[v] & mask == mask & ~(1 << v) for v in vs)
 
 
 # -- file formats ---------------------------------------------------------

@@ -14,7 +14,7 @@ from collections import deque
 from .coloring import MultiColoring
 from .detect import find_independent_triple
 from .errors import NotO3Free
-from .graph import Graph
+from .graph import Graph, iter_bits
 
 Matching = frozenset  # of (u, v) pairs with u < v
 
@@ -32,6 +32,7 @@ def validate_matching(g: Graph, matching: Matching) -> None:
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching of g."""
     n = g.n
+    nbrs = [iter_bits(row) for row in g.adj_masks]  # every augmenting search walks them
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -69,7 +70,7 @@ def max_matching(g: Graph) -> Matching:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in g.neighbors(v):
+            for to in nbrs[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -103,7 +104,7 @@ def max_matching(g: Graph) -> Matching:
     # greedy warm start cuts down augmentation rounds
     for v in range(n):
         if match[v] == -1:
-            for u in g.neighbors(v):
+            for u in nbrs[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v

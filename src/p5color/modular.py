@@ -8,14 +8,13 @@ only the child containing the smallest vertex to be closed, on a small
 quotient.
 
 Every node is a vertex bitmask of the input graph, and carries it as
-its mask: components come from the adjacency masks and co-components
-from the complement masks (taken once), and quotients are read off
-the rows of the representatives, so no node builds a relabelled
-subgraph or a vertex set. The composition computes every node's
-chromatic number bottom-up and then hands each child a palette
-top-down. Every tree walk uses an explicit
-stack, so trees as deep as the graph is large stay within Python's
-recursion limit.
+its mask: components and co-components come from searches over the
+adjacency masks, which build no complement rows, and quotients are
+read off the rows of the representatives, so no node builds a
+relabelled subgraph or a vertex set. The composition computes every
+node's chromatic number bottom-up and then hands each child a palette
+top-down. Every tree walk uses an explicit stack, so trees as deep
+as the graph is large stay within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, Weights, normalize_weights, validate_coloring
-from .graph import Graph, bits_of, component_masks, induced_rows, reach
+from .graph import Graph, bits_of, co_component_masks, component_masks, induced_rows
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,6 @@ def md_tree(g: Graph) -> MDTree:
         return MDLeaf(0)
     adj = g.adj_masks
     full = (1 << g.n) - 1
-    co = [full ^ row ^ 1 << v for v, row in enumerate(adj)]
     built: dict[int, MDTree] = {}  # internal nodes; a leaf is built with its parent
     order = []  # pre-order (span, kind, child spans, prime quotient rows)
     stack: list[tuple[int, type | None]] = [(full, None)]  # (span, parent's kind)
@@ -171,7 +169,7 @@ def md_tree(g: Graph) -> MDTree:
         parts = [span] if above is MDParallel else component_masks(adj, span)
         if len(parts) == 1:
             kind = MDSeries
-            parts = [span] if above is MDSeries else component_masks(co, span)
+            parts = [span] if above is MDSeries else co_component_masks(adj, span)
         if len(parts) == 1:
             kind = MDPrime
             parts, rows = _prime_children(adj, span)
@@ -192,7 +190,6 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
     full = (1 << g.n) - 1
     if t.mask != full:
         raise ValueError("root span must be the whole vertex set")
-    co = [full ^ row ^ 1 << v for v, row in enumerate(g.adj_masks)]
     stack = [t]
     while stack:
         node = stack.pop()
@@ -210,10 +207,10 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
         if total != span:
             raise ValueError("child spans must partition the parent span")
         if isinstance(node, MDParallel):
-            if any(reach(g.adj_masks, m & -m, span) != m for m in masks):
+            if set(component_masks(g.adj_masks, span)) != set(masks):
                 raise ValueError("Parallel children must be the components")
         elif isinstance(node, MDSeries):
-            if any(reach(co, m & -m, span) != m for m in masks):
+            if set(co_component_masks(g.adj_masks, span)) != set(masks):
                 raise ValueError("Series children must be the co-components")
         else:
             if any(min_module(g.adj_masks, m, span) != m for m in masks):

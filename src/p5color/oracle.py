@@ -7,9 +7,11 @@ silently approximate.
 
 from __future__ import annotations
 
+import itertools
+
 from .coloring import MultiColoring, Weights, normalize_weights
 from .errors import CutoffExceeded
-from .graph import Graph, first_clique
+from .graph import Graph, first_clique, iter_bits, substitute
 
 DEFAULT_CHI_MAX_N = 24
 DEFAULT_MAX_TOTAL_WEIGHT = 64
@@ -46,9 +48,10 @@ def _chi_branch_and_bound(
     if g.m == 0:
         return 1, {v: 1 for v in range(n)}
 
+    nbrs = [iter_bits(row) for row in g.adj_masks]  # walked at every search node
     clique = greedy_clique(g)
     lower = len(clique)
-    upper, greedy = _dsatur_greedy(g)
+    upper, greedy = _dsatur_greedy(nbrs)
     if lower == upper:
         return upper, greedy
 
@@ -72,13 +75,13 @@ def _chi_branch_and_bound(
             )
         if used >= best_k:
             return
-        v = _most_saturated(g, color, order_pool)
+        v = _most_saturated(nbrs, color, order_pool)
         if v is None:
             best_k = used
             best = {u: color[u] for u in range(n)}
             return
         seen = 0
-        for u in g.neighbors(v):
+        for u in nbrs[v]:
             if color[u]:
                 seen |= 1 << color[u]
         limit = min(used + 1, best_k - 1)
@@ -93,29 +96,29 @@ def _chi_branch_and_bound(
     return best_k, best
 
 
-def _most_saturated(g: Graph, color: list[int], pool: list[int]) -> int | None:
+def _most_saturated(nbrs: list[list[int]], color: list[int], pool: list[int]) -> int | None:
     """Uncolored vertex with the most distinctly-colored neighbors; ties
-    broken by degree, then by id."""
+    broken by degree, then by id. nbrs[v] lists the neighbors of v."""
     best_v = None
     best_key = None
     for v in pool:
         if color[v]:
             continue
-        sat = len({color[u] for u in g.neighbors(v) if color[u]})
-        key = (-sat, -g.degree(v), v)
+        sat = len({color[u] for u in nbrs[v] if color[u]})
+        key = (-sat, -len(nbrs[v]), v)
         if best_key is None or key < best_key:
             best_key = key
             best_v = v
     return best_v
 
 
-def _dsatur_greedy(g: Graph) -> tuple[int, dict[int, int]]:
-    n = g.n
+def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, dict[int, int]]:
+    n = len(nbrs)
     color = [0] * n
     for _ in range(n):
-        v = _most_saturated(g, color, list(range(n)))
+        v = _most_saturated(nbrs, color, list(range(n)))
         assert v is not None
-        seen = {color[u] for u in g.neighbors(v) if color[u]}
+        seen = {color[u] for u in nbrs[v] if color[u]}
         c = 1
         while c in seen:
             c += 1
@@ -131,7 +134,7 @@ def greedy_clique(g: Graph) -> frozenset[int]:
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     start = order[0]
     clique = [start]
-    cand = g.adj_bits(start)
+    cand = g.adj_masks[start]
     while cand:
         pick = None
         for v in order:
@@ -140,7 +143,7 @@ def greedy_clique(g: Graph) -> frozenset[int]:
                 break
         assert pick is not None
         clique.append(pick)
-        cand &= g.adj_bits(pick)
+        cand &= g.adj_masks[pick]
     return frozenset(clique)
 
 
@@ -154,9 +157,10 @@ def chi_w_exact(
 ) -> tuple[int, MultiColoring]:
     """Exact weighted chromatic number via the blow-up reduction.
 
-    Each vertex v becomes a clique of w(v) copies and copies of adjacent
-    vertices are fully joined; the blow-up's chromatic number equals
-    chi_w, and the copy colors are gathered back into color sets.
+    Each vertex v is substituted by a clique of w(v) copies, so copies
+    of adjacent vertices are fully joined; the blow-up's chromatic
+    number equals chi_w, and the copy colors are gathered back into
+    color sets.
     """
     weights = normalize_weights(g, w)
     total = sum(weights)
@@ -164,28 +168,9 @@ def chi_w_exact(
         raise CutoffExceeded(
             f"chi_w_exact: total weight {total} exceeds cutoff {max_total_weight}"
         )
-    offsets = [0] * g.n
-    acc = 0
-    for v in range(g.n):
-        offsets[v] = acc
-        acc += weights[v]
-    copies_of = [
-        range(offsets[v], offsets[v] + weights[v]) for v in range(g.n)
-    ]
-    blow_edges = []
-    for v in range(g.n):
-        blow_edges += [
-            (a, b)
-            for i, a in enumerate(copies_of[v])
-            for b in list(copies_of[v])[i + 1 :]
-        ]
-    for u, v in g.edges:
-        blow_edges += [(a, b) for a in copies_of[u] for b in copies_of[v]]
-    blow = Graph(total, blow_edges)
-    k, assignment = _chi_branch_and_bound(blow)
-    colors = tuple(
-        frozenset(assignment[c] for c in copies_of[v]) for v in range(g.n)
-    )
+    k, assignment = _chi_branch_and_bound(substitute(g, [Graph.complete(wt) for wt in weights]))
+    copies = (assignment[c] for c in range(total))  # v's copies follow those of 0..v-1
+    colors = tuple(frozenset(itertools.islice(copies, wt)) for wt in weights)
     return k, MultiColoring(colors, k)
 
 
@@ -220,6 +205,7 @@ def max_matching_bruteforce(g: Graph, max_n: int = DEFAULT_MATCHING_MAX_N) -> in
     vertex: leave it exposed or match it to each free neighbor."""
     if g.n > max_n:
         raise CutoffExceeded(f"max_matching_bruteforce: n={g.n} exceeds cutoff {max_n}")
+    adj = g.adj_masks
 
     def best_from(free: int) -> int:
         if not free:
@@ -228,7 +214,7 @@ def max_matching_bruteforce(g: Graph, max_n: int = DEFAULT_MATCHING_MAX_N) -> in
         v = low.bit_length() - 1
         rest = free ^ low
         best = best_from(rest)  # v stays exposed
-        cand = g.adj_bits(v) & rest
+        cand = adj[v] & rest
         while cand:
             lowu = cand & -cand
             u = lowu.bit_length() - 1

@@ -31,16 +31,17 @@ from typing import NamedTuple
 from . import cliquesep, modular
 from .coloring import MultiColoring, Weights, validate_coloring
 from .detect import (
-    DEFAULT_BERGE_MAX_N,
     Witness,
     find_class_violation,
     find_independent_triple,
+    find_induced_c5,
     find_induced_p5,
-    is_berge_small,
     p5_cop5_violation,
 )
+# unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
+from .detect import is_berge_small  # noqa: F401
 from .errors import CutoffExceeded, NotInClass, NotO3Free
-from .graph import Graph, is_connected, iter_bits
+from .graph import Graph, is_connected, iter_bits, substitute
 from .matching import chi_o3_free
 from .oracle import DEFAULT_CHI_MAX_N, chi_exact, clique_number_exact, greedy_clique
 # unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
@@ -244,20 +245,6 @@ _C5 = Graph.cycle(5)
 _BULL = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 
 
-def _substitute(skeleton: Graph, parts: list[Graph]) -> Graph:
-    offsets, blocks = [], []  # each part's first vertex and vertex bitmask
-    total = 0
-    for part in parts:
-        offsets.append(total)
-        blocks.append(((1 << part.n) - 1) << total)
-        total += part.n
-    rows = []
-    for i, part in enumerate(parts):
-        joined = sum(blocks[j] for j in iter_bits(skeleton.adj_bits(i)))
-        rows += [mask << offsets[i] | joined for mask in part.adj_masks]
-    return Graph._from_masks(rows)
-
-
 def gen_p5_cop5(n: int, seed: int) -> Graph:
     """A random {P5, co-P5}-free graph on n vertices by modular
     substitution into prime class skeletons; membership is re-verified
@@ -287,7 +274,7 @@ def _build_cop5(n: int, rng: random.Random) -> Graph:
         skeleton = {"p4": _P4, "c5": _C5, "bull": _BULL}[op]
         count = skeleton.n
     sizes = _random_split(n, count, rng)
-    return _substitute(skeleton, [_build_cop5(s, rng) for s in sizes])
+    return substitute(skeleton, [_build_cop5(s, rng) for s in sizes])
 
 
 def gen_p5_kpe(
@@ -372,12 +359,10 @@ def verify_lemma5(
 
     Sizes up to exhaustive_up_to are enumerated completely; larger sizes
     are sampled by witness-guided repair. Any counterexample lands in
-    failures.
+    failures. A member is Berge exactly when it has no induced 5-cycle:
+    every hole and antihole on six or more vertices contains P5 or
+    co-P5.
     """
-    if n_max > DEFAULT_BERGE_MAX_N:
-        raise CutoffExceeded(
-            f"this check needs the Berge cutoff ({DEFAULT_BERGE_MAX_N}) >= n_max ({n_max})"
-        )
     report = VerificationReport(
         "lemma5", {"n_max": n_max, "samples_per_n": samples_per_n, "seed": seed}
     )
@@ -387,7 +372,7 @@ def verify_lemma5(
         report.total += 1
         if is_c5(g):
             report.bump(f"n={n}:c5")
-        elif is_berge_small(g):
+        elif find_induced_c5(g) is None:
             report.bump(f"n={n}:berge")
         else:
             report.failures.append(

@@ -15,7 +15,7 @@ import sys
 from p5color.cliquesep import Atom
 from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
 from p5color.errors import ParseError, PreconditionError
-from p5color.graph import Graph, bits_of, is_clique, iter_bits, reach
+from p5color.graph import Graph, bits_of, is_clique, is_connected, iter_bits, reach
 from p5color.modular import MDLeaf, MDParallel, MDSeries, md_tree
 from p5color.pipeline import _all_graphs as all_graphs
 
@@ -65,7 +65,7 @@ def is_colorable(g: Graph, k: int) -> bool:
         if v == g.n:
             return True
         for c in range(1, k + 1):
-            if all(color[u] != c for u in g.neighbors(v)):
+            if all(color[u] != c for u in iter_bits(g.adj_masks[v])):
                 color[v] = c
                 if go(v + 1):
                     return True
@@ -105,7 +105,7 @@ def _set_colorable(g: Graph, weights: list[int], k: int) -> bool:
         if v == g.n:
             return True
         for cs in choices[v]:
-            if all(not (cs & assigned[u]) for u in g.neighbors(v) if u < v):
+            if all(not (cs & assigned[u]) for u in iter_bits(g.adj_masks[v]) if u < v):
                 assigned[v] = cs
                 if go(v + 1):
                     return True
@@ -117,8 +117,6 @@ def _set_colorable(g: Graph, weights: list[int], k: int) -> bool:
 
 def has_clique_separator_bruteforce(g: Graph) -> bool:
     """Any clique subset whose removal disconnects, by scanning all subsets."""
-    from p5color.graph import components, is_clique
-
     for r in range(0, max(g.n - 1, 0)):
         for s in itertools.combinations(range(g.n), r):
             if not is_clique(g, s):
@@ -127,9 +125,22 @@ def has_clique_separator_bruteforce(g: Graph) -> bool:
             if len(rest) < 2:
                 continue
             sub, _ = g.induced(rest)
-            if len(components(sub)) >= 2:
+            if not is_connected(sub):
                 return True
     return False
+
+
+def blowup_reference(g: Graph, weights: list[int]) -> Graph:
+    """The clique blow-up of g, built from an edge list: vertex v becomes
+    the weights[v] consecutive copies after those of 0..v-1, copies of
+    one vertex form a clique, and copies of adjacent vertices are fully
+    joined."""
+    starts = list(itertools.accumulate(weights, initial=0))
+    copies_of = [range(starts[v], starts[v + 1]) for v in range(g.n)]
+    edges = [pair for copies in copies_of for pair in itertools.combinations(copies, 2)]
+    for u, v in g.edges:
+        edges += [(a, b) for a in copies_of[u] for b in copies_of[v]]
+    return Graph(starts[-1], edges)
 
 
 def max_matching_by_edge_subsets(g: Graph) -> int:
@@ -161,7 +172,7 @@ def md_tree_reference(g: Graph) -> dict:
         while grown:
             grown = False
             for x in members(within & ~mask):
-                inside = g.adj_bits(x) & mask
+                inside = g.adj_masks[x] & mask
                 if inside and inside != mask:
                     mask |= 1 << x
                     grown = True
@@ -205,10 +216,10 @@ def md_tree_reference(g: Graph) -> dict:
         if span & (span - 1) == 0:
             return {"kind": "vertex", "vertex": span.bit_length() - 1}
         out: dict = {"span": members(span)}
-        parts = split(span, g.adj_bits)
+        parts = split(span, lambda x: g.adj_masks[x])
         out["kind"] = "parallel"
         if len(parts) == 1:
-            parts = split(span, lambda x: ~g.adj_bits(x) & ~(1 << x))
+            parts = split(span, lambda x: ~g.adj_masks[x] & ~(1 << x))
             out["kind"] = "series"
         if len(parts) == 1:
             parts = maximal_modules(span)
@@ -298,7 +309,7 @@ def kp_minus_e_reference(g: Graph, p: int) -> tuple[int, ...] | None:
         if mask.bit_count() < size:
             return None
         for v in _bits(mask):
-            rest = lex_clique(mask & g.adj_bits(v) & ~((1 << (v + 1)) - 1), size - 1)
+            rest = lex_clique(mask & g.adj_masks[v] & ~((1 << (v + 1)) - 1), size - 1)
             if rest is not None:
                 return (v, *rest)
         return None
@@ -306,7 +317,7 @@ def kp_minus_e_reference(g: Graph, p: int) -> tuple[int, ...] | None:
     for x in range(g.n):
         for y in range(x + 1, g.n):
             if not g.adjacent(x, y):
-                clique = lex_clique(g.adj_bits(x) & g.adj_bits(y), p - 2)
+                clique = lex_clique(g.adj_masks[x] & g.adj_masks[y], p - 2)
                 if clique is not None:
                     return (x, y, *clique)
     return None
@@ -353,7 +364,7 @@ def mcs_m_reference(g: Graph, span: int) -> list[tuple[int, int]]:
         # best[u]: least largest interior weight over u..v paths, -1 for an edge
         best = {}
         heap: list[tuple[int, int]] = []
-        for u in _bits(g.adj_bits(v) & unnumbered):
+        for u in _bits(g.adj_masks[v] & unnumbered):
             best[u] = -1
             heapq.heappush(heap, (-1, u))
         while heap:
@@ -361,7 +372,7 @@ def mcs_m_reference(g: Graph, span: int) -> list[tuple[int, int]]:
             if cost > best[x]:
                 continue
             through = max(cost, weight[x])
-            for y in _bits(g.adj_bits(x) & unnumbered):
+            for y in _bits(g.adj_masks[x] & unnumbered):
                 if y not in best or through < best[y]:
                     best[y] = through
                     heapq.heappush(heap, (through, y))
@@ -504,9 +515,9 @@ def maximal_cliques(g: Graph) -> list[int]:
         if not p | x:
             out.append(r)
             continue
-        pivot = max(iter_bits(p | x), key=lambda v: (g.adj_bits(v) & p).bit_count())
-        for v in iter_bits(p & ~g.adj_bits(pivot)):
-            nbrs = g.adj_bits(v)
+        pivot = max(iter_bits(p | x), key=lambda v: (g.adj_masks[v] & p).bit_count())
+        for v in iter_bits(p & ~g.adj_masks[pivot]):
+            nbrs = g.adj_masks[v]
             stack.append((r | 1 << v, p & nbrs, x & nbrs))
             p &= ~(1 << v)
             x |= 1 << v

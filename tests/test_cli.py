@@ -243,12 +243,10 @@ def test_verify_lemma5_cli(capsys):
     assert payload["ok"] is True
 
 
-def test_verify_lemma5_past_the_berge_cutoff_exits_cutoff(capsys):
+def test_verify_lemma5_has_no_size_cutoff(capsys):
     code = main(["verify", "lemma5", "--n-max", "17", "--samples", "0"])
-    assert code == EXIT_CUTOFF
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Berge cutoff (16) >= n_max (17)" in captured.err
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_edge_list_format_sniffing(tmp_path, capsys):
@@ -292,7 +290,7 @@ def test_usage_errors_exit_usage(c5_file, tmp_path, monkeypatch):
     assert main(kpe + ["--input", c5_file, "--weights", str(wpath)]) == EXIT_USAGE
     assert main(kpe + ["--input", str(tmp_path / "missing.col")]) == EXIT_USAGE
     monkeypatch.setenv("P5COLOR_ORACLE_N", "many")
-    assert main(["solve", "--class", "p5-cop5", "--input", c5_file]) == EXIT_USAGE
+    assert main(kpe + ["--input", c5_file]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -319,6 +317,45 @@ def test_unwritable_output_and_unused_weights_exit_usage(c5_file, tmp_path, caps
     argv = [re.sub("C5|MISSING|WEIGHTS", lambda m: where[m.group()], arg) for arg in argv]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "command,extra,code",
+    [
+        ("solve --class p5-cop5 --input C5", "--oracle-n 6", EXIT_USAGE),
+        ("solve --class p5-cop5 --report text --input C5", "--timings", EXIT_USAGE),
+        *((f"verify {what} --n-max 5 --samples 1", "--p 4", EXIT_USAGE) for what in ("lemma5", "gyarfas", "oracle")),
+        ("generate --class p5-cop5 --n 5", "--density 0.5", EXIT_USAGE),
+        ("generate --class p5-cop5 --n 5", "--p 4", EXIT_USAGE),
+        ("oracle matching --input C5", "--oracle-n 6", EXIT_USAGE),
+        ("oracle validate --input C5 --report-file REPORT", "--oracle-n 6", EXIT_USAGE),
+        ("oracle chiw --input C5", "--oracle-n 6", EXIT_USAGE),
+        *((f"oracle {op} --input C5", "--max-total-weight 10", EXIT_USAGE)
+          for op in ("chi", "omega", "alpha", "matching", "validate --report-file REPORT")),
+        ("oracle chi --input C5", "--report-file REPORT", EXIT_USAGE),
+        # a variable is read only by a command that uses it
+        ("decompose --kind modular --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
+        ("solve --class p5-cop5 --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
+        ("oracle chiw --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
+        ("oracle chi --input C5", "P5COLOR_MAX_TOTAL_WEIGHT=0", EXIT_OK),
+    ],
+)
+def test_an_option_the_command_ignores_exits_usage(c5_file, tmp_path, capsys, monkeypatch, command, extra, code):
+    """The command exits 0 alone, and with the extra option or variable
+    it exits with the given code."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"chi": 3, "coloring": {"0": [1], "1": [2], "2": [1], "3": [2], "4": [3]}}))
+    where = {"C5": c5_file, "REPORT": str(report)}
+    args = [where.get(arg, arg) for arg in command.split()]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    if "=" in extra:
+        monkeypatch.setenv(*extra.split("="))
+        assert main(args) == code
+    else:
+        assert main(args + extra.split()) == code
+    if code == EXIT_USAGE:
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_env_cutoff_override(tmp_path, capsys, monkeypatch):

@@ -31,10 +31,10 @@ from p5color.detect import (
     witness_ok,
 )
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
-from p5color.graph import Graph
+from p5color.graph import Graph, substitute
 from p5color.modular import md_tree, validate_md_tree
 from p5color.oracle import max_independent_set_exact
-from p5color.pipeline import _substitute, gen_p5_cop5, solve_p5_kpe
+from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
 
 from helpers import (
     all_graphs,
@@ -165,6 +165,20 @@ def test_o3_free_iff_independence_number_at_most_two():
     for _ in range(60):
         g = random_graph(rng.randint(1, 9), rng.random(), rng)
         assert is_o3_free(g) == (len(max_independent_set_exact(g)) <= 2)
+
+
+def test_independent_triple_is_the_first_one_of_the_brute_force():
+    rng = random.Random(18)
+    for _ in range(300):
+        g = random_graph(rng.randint(0, 12), rng.random(), rng)
+        for h in (g, g.complement()):
+            first = next(
+                (t for t in itertools.combinations(range(h.n), 3)
+                 if not any(h.adjacent(u, v) for u, v in itertools.combinations(t, 2))),
+                None,
+            )
+            witness = find_independent_triple(h)
+            assert (witness and witness.vertices) == first
 
 
 def test_berge_known_cases():
@@ -380,12 +394,12 @@ def twin_heavy_graphs():
     for skeleton in (Graph.path(5), Graph.path(5).complement(), Graph.path(6)):
         for _ in range(15):
             parts = [gen_p5_cop5(rng.randint(1, 4), rng.randrange(1000)) for _ in range(skeleton.n)]
-            yield _substitute(skeleton, parts)
+            yield substitute(skeleton, parts)
 
 
 def smaller_twin(g: Graph, v: int) -> int | None:
     for u in range(v):
-        if g.adj_bits(u) & ~(1 << v) == g.adj_bits(v) & ~(1 << u):
+        if g.adj_masks[u] & ~(1 << v) == g.adj_masks[v] & ~(1 << u):
             return u
     return None
 

@@ -14,11 +14,10 @@ import random
 import pytest
 
 from p5color.cliquesep import build_tree, tree_to_json
-from p5color.graph import Graph
+from p5color.graph import Graph, substitute
 from p5color.modular import md_tree, md_tree_to_json
 from p5color.pipeline import (
     _C5,
-    _substitute,
     gen_p5_cop5,
     solve_p5_cop5,
     solve_p5_kpe,
@@ -54,7 +53,7 @@ def test_cop5_member_report(n, seed):
 
 
 def test_c5_clique_blowup_report():
-    g = _substitute(_C5, [Graph.complete(3)] * 5)
+    g = substitute(_C5, [Graph.complete(3)] * 5)
     assert digest(solve_p5_cop5(g).to_json()) == C5_K3
 
 
@@ -88,7 +87,7 @@ REPORTS = {
         f"cop5-n{n}-s{seed}": (lambda n=n, seed=seed: solve_p5_cop5(gen_p5_cop5(n, seed)))
         for n, seed in COP5_MEMBERS
     },
-    "C5[K3]": lambda: solve_p5_cop5(_substitute(_C5, [Graph.complete(3)] * 5)),
+    "C5[K3]": lambda: solve_p5_cop5(substitute(_C5, [Graph.complete(3)] * 5)),
     "K1,30 p=4": lambda: solve_p5_kpe(Graph(31, [(0, v) for v in range(1, 31)]), 4),
 }
 REPORTS_WITHOUT_COLORING = {

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from p5color.errors import ParseError
 from p5color.graph import (
     Graph,
-    components,
+    co_component_masks,
+    component_masks,
     is_clique,
     is_connected,
+    iter_bits,
     parse_graph,
+    substitute,
     to_dimacs,
     to_edge_list,
 )
 
-from helpers import all_graphs, parse_dimacs_reference, random_graph
+from helpers import all_graphs, blowup_reference, parse_dimacs_reference, random_graph
 
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -201,34 +204,34 @@ def test_induced_out_of_range():
         Graph.path(3).induced([0, 7])
 
 
+def _components(g):
+    return component_masks(g.adj_masks, (1 << g.n) - 1)
+
+
 def test_components_o3():
-    assert components(Graph.empty(3)) == [
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({2}),
-    ]
+    assert _components(Graph.empty(3)) == [0b001, 0b010, 0b100]
 
 
 def test_components_k3_plus_k2():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    assert [sorted(c) for c in components(g)] == [[0, 1, 2], [3, 4]]
+    assert _components(g) == [0b00111, 0b11000]
 
 
 def test_components_connected():
-    assert components(Graph.path(6)) == [frozenset(range(6))]
+    assert _components(Graph.path(6)) == [0b111111]
 
 
 def test_components_is_partition_without_crossing_edges():
     rng = random.Random(1)
     for _ in range(40):
         g = random_graph(rng.randint(1, 10), 0.25, rng)
-        comps = components(g)
-        seen = set()
+        comps = _components(g)
+        seen = 0
         for c in comps:
             assert not (c & seen)
             seen |= c
-        assert seen == set(range(g.n))
-        lookup = {v: i for i, c in enumerate(comps) for v in c}
+        assert seen == (1 << g.n) - 1
+        lookup = {v: i for i, c in enumerate(comps) for v in iter_bits(c)}
         assert all(lookup[u] == lookup[v] for u, v in g.edges)
 
 
@@ -252,7 +255,7 @@ def test_roundtrip_both_formats():
 
 def test_neighbors_sorted_and_adjacent_consistent():
     g = Graph(5, [(3, 1), (1, 0), (4, 1)])
-    assert g.neighbors(1) == (0, 3, 4)
+    assert list(iter_bits(g.adj_masks[1])) == [0, 3, 4]
     assert g.adjacent(1, 3) and g.adjacent(3, 1) and not g.adjacent(0, 4)
     assert g.degree(1) == 3
 
@@ -301,7 +304,6 @@ def _check_derived(g, subsets):
         sub, ids = g.induced(subset)
         assert ids == tuple(sorted(set(subset)))
         assert sub == _induced_from_edges(g, ids) and hash(sub) == hash(_induced_from_edges(g, ids))
-        assert all(sub.neighbors(i) == tuple(j for j in range(sub.n) if sub.adjacent(i, j)) for i in range(sub.n))
 
 
 def test_complement_and_induced_match_edge_list_construction_on_small_graphs():
@@ -317,3 +319,19 @@ def test_complement_and_induced_match_edge_list_construction_on_random_graphs():
         g = random_graph(rng.randint(0, 24), rng.random(), rng)
         picks = [rng.randrange(g.n) for _ in range(g.n)] if g.n else []
         _check_derived(g, [range(g.n), range(0, g.n, 2), picks, picks[::-1] * 2])
+
+
+def test_co_components_are_the_components_of_the_complement_rows():
+    rng = random.Random(6)
+    for _ in range(1000):
+        g = random_graph(rng.randint(0, 16), rng.random(), rng)
+        span = rng.getrandbits(g.n)
+        assert co_component_masks(g.adj_masks, span) == component_masks(g.complement().adj_masks, span)
+
+
+def test_substitution_of_cliques_is_the_edge_list_blow_up():
+    rng = random.Random(7)
+    for _ in range(300):
+        g = random_graph(rng.randint(0, 9), rng.random(), rng)
+        weights = [rng.randint(1, 5) for _ in range(g.n)]
+        assert substitute(g, [Graph.complete(w) for w in weights]) == blowup_reference(g, weights)

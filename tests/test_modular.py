@@ -7,7 +7,7 @@ import pytest
 
 from p5color import modular
 from p5color.coloring import MultiColoring, validate_coloring
-from p5color.graph import Graph, iter_bits
+from p5color.graph import Graph, iter_bits, substitute
 from p5color.modular import (
     MDLeaf,
     MDParallel,
@@ -21,7 +21,7 @@ from p5color.modular import (
     validate_md_tree,
 )
 from p5color.oracle import chi_exact, chi_w_exact
-from p5color.pipeline import _BULL, _C5, _P4, _substitute, gen_p5_cop5, solve_p5_cop5
+from p5color.pipeline import _BULL, _C5, _P4, gen_p5_cop5, solve_p5_cop5
 
 from helpers import (
     all_graphs,
@@ -86,7 +86,7 @@ def test_md_tree_single_vertex():
 
 
 def test_validate_md_tree_rejects_broken_masks_and_reps():
-    g = _substitute(_C5, [Graph.complete(2), Graph(1), _P4, Graph.empty(2), Graph(1)])
+    g = substitute(_C5, [Graph.complete(2), Graph(1), _P4, Graph.empty(2), Graph(1)])
     t = md_tree(g)
     validate_md_tree(g, t)
     first = t.children[0]
@@ -221,11 +221,11 @@ def _nested_members():
     k = Graph.complete
     for skeleton in (_P4, _C5, _BULL):
         for size in (1, 2, 5):
-            yield _substitute(skeleton, [k(size)] * skeleton.n)
-    c5_of_k2 = _substitute(_C5, [k(2)] * 5)
-    p4_of_mixed = _substitute(_P4, [Graph.empty(2), k(3), c5_of_k2, Graph.path(3)])
-    yield _substitute(_BULL, [c5_of_k2, p4_of_mixed, Graph(1), _C5, Graph.empty(3)])
-    yield _substitute(_C5, [p4_of_mixed, _BULL, k(1), c5_of_k2, _P4])
+            yield substitute(skeleton, [k(size)] * skeleton.n)
+    c5_of_k2 = substitute(_C5, [k(2)] * 5)
+    p4_of_mixed = substitute(_P4, [Graph.empty(2), k(3), c5_of_k2, Graph.path(3)])
+    yield substitute(_BULL, [c5_of_k2, p4_of_mixed, Graph(1), _C5, Graph.empty(3)])
+    yield substitute(_C5, [p4_of_mixed, _BULL, k(1), c5_of_k2, _P4])
 
 
 def test_md_tree_matches_reference_on_blowups_and_nested_primes():
@@ -264,7 +264,7 @@ def first_fit(calls):
         calls.append((q, dict(w), reps))
         colors = []
         for v in range(q.n):
-            taken = set().union(*(colors[u] for u in q.neighbors(v) if u < v))
+            taken = set().union(*(colors[u] for u in iter_bits(q.adj_masks[v]) if u < v))
             free = (c for c in itertools.count(1) if c not in taken)
             colors.append(frozenset(itertools.islice(free, w[v])))
         k = max(max(cs) for cs in colors)
@@ -335,8 +335,8 @@ def test_names_the_benchmark_tracer_swaps(monkeypatch):
     # their names in modular, and chi_w's prime_solver by its position;
     # it counts nodes through their children and quotients
     assert modular.validate_coloring is validate_coloring
-    c5_of_k2 = _substitute(_C5, [Graph.complete(2)] * 5)
-    member = _substitute(_C5, [c5_of_k2, Graph(1), _P4, Graph.complete(2), c5_of_k2])
+    c5_of_k2 = substitute(_C5, [Graph.complete(2)] * 5)
+    member = substitute(_C5, [c5_of_k2, Graph(1), _P4, Graph.complete(2), c5_of_k2])
     checked = []
 
     def counting_validate(q, mc, w=None):

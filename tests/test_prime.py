@@ -10,7 +10,7 @@ from p5color import oracle, pipeline
 from p5color.coloring import validate_coloring
 from p5color.detect import find_class_violation
 from p5color.errors import CutoffExceeded, PreconditionError
-from p5color.graph import Graph, is_connected, iter_bits
+from p5color.graph import Graph, is_connected, iter_bits, substitute
 from p5color.modular import is_prime
 from p5color.oracle import chi_w_exact
 from p5color.pipeline import (
@@ -19,7 +19,6 @@ from p5color.pipeline import (
     _P4,
     ROUTE_PERFECT_EXACT,
     ROUTE_PRIME_C5,
-    _substitute,
     gen_p5_cop5,
     solve_p5_cop5,
 )
@@ -161,7 +160,7 @@ def test_perfect_route_matches_oracle_on_prime_split_graphs(case):
 
 
 def blowup(skeleton: Graph, k: int) -> Graph:
-    return _substitute(skeleton, [Graph.complete(k)] * skeleton.n)
+    return substitute(skeleton, [Graph.complete(k)] * skeleton.n)
 
 
 BLOWUPS = {
