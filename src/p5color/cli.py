@@ -13,8 +13,9 @@ deep for a JSON report: about 495 levels under the default recursion
 limit, with the depth named in the message; the {P5, co-P5} solve has
 no weight cutoff, and `--max-total-weight` bounds `oracle chiw` only),
 5 usage error (an argument the parser refuses, options that do not go
-together, a value out of its range: --n, --n-max or a cutoff below 1,
---p below 3, or `verify lemma4` with --n-max below 2; an option the
+together, a value out of its range: --n, --n-max, --count or a cutoff
+below 1, --samples below 0, --p below 3, --density outside [0, 1] or
+NaN, or `verify lemma4` with --n-max below 2; an option the
 command ignores, such as --oracle-n with class p5-cop5, --timings with
 --report text, or --weights with an `oracle` op other than chiw or
 validate; an unreadable input file, an output path that cannot be
@@ -65,6 +66,14 @@ def _at_least(low: int):
         return int(text)
 
     return integer
+
+
+def _fraction(text: str) -> float:
+    """An argparse type: a number in [0, 1], so neither NaN nor infinite."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 _POSITIVE, _P = _at_least(1), _at_least(3)
@@ -132,15 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["p5-cop5", "p5-kpe"])
     p_gen.add_argument("--p", type=_P)
     p_gen.add_argument("--n", type=_POSITIVE, required=True)
-    p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--density", type=float, help="edge density for class p5-kpe (default 0.2)")
+    p_gen.add_argument("--count", type=_POSITIVE, default=1)
+    p_gen.add_argument("--density", type=_fraction, help="edge density for class p5-kpe (default 0.2)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-dir", help="write one .col per instance here")
 
     p_ver = sub.add_parser("verify", help="run a structural verifier")
     p_ver.add_argument("what", choices=["lemma4", "lemma5", "gyarfas", "oracle"])
     p_ver.add_argument("--p", type=_P, help="the p of Kp-e for lemma4 (default 4)")
-    p_ver.add_argument("--samples", type=int, default=200)
+    p_ver.add_argument("--samples", type=_at_least(0), default=200)
     p_ver.add_argument("--n-max", type=_POSITIVE, default=9)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out")

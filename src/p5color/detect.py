@@ -6,22 +6,34 @@ returned witnesses are reproducible. Witness vertices are listed in a
 canonical pattern order: path order for paths, cyclic order for holes,
 the non-adjacent pair first for near-complete patterns.
 
-The P5 and co-P5 searches run on the twin kernel: what is left after
-repeatedly deleting every vertex that has a smaller twin (a vertex
-with the same open or the same closed neighbourhood) or that is
-isolated or universal among the vertices kept. They still return the
-lexicographically first witness of the whole graph. P5 has no twins,
-so a witness through a vertex with a smaller twin stays a witness when
-the twin takes that vertex's place, and that witness is
-lexicographically smaller; every vertex of P5 and of co-P5 has a
-neighbour and a non-neighbour among the other four. The first witness
-therefore avoids every deleted vertex. Twins of a graph are exactly
-the twins of its complement, and isolated and universal vertices swap
-roles, so one kernel serves both searches, and the co-P5 search reads
-complement neighbourhoods off the adjacency masks without building the
+The P5 and co-P5 searches run after twin passes. A pass deletes every
+vertex that has a smaller twin (a vertex with the same open or the
+same closed neighbourhood) or that is isolated or universal among the
+vertices kept. The searches still return the lexicographically first
+witness of the whole graph. P5 has no twins, so a witness through a
+vertex with a smaller twin stays a witness when the twin takes that
+vertex's place, and that witness is lexicographically smaller; every
+vertex of P5 and of co-P5 has a neighbour and a non-neighbour among
+the other four. The first witness therefore avoids every vertex a pass
+deletes, and the first witness among the vertices kept is the first
+of the whole graph. Twins of a graph are exactly the twins of its
+complement, and isolated and universal vertices swap roles, so one
+pass serves both searches, and the co-P5 search reads complement
+neighbourhoods off the adjacency masks without building the
 complement. On members built by substitution most vertices have twins,
-so the kernel is small. Kp-e has twins, so its detector searches the
-whole graph, skipping only vertices of too low degree.
+so few are left. Kp-e has twins, so its detector searches the whole
+graph, skipping only vertices of too low degree.
+
+The passes worth paying for depend on the search. find_induced_p5 and
+find_induced_co_p5, which {P5, Kp-e} membership uses, search without
+a budget, so they repeat the pass until it deletes nothing (the twin
+kernel): every vertex left costs them search work. On the alternating
+threshold graph, whose kernel is empty but whose first pass keeps all
+but two vertices, a P5 search after one pass was 70 times slower than
+after the kernel at n = 550 and 100 times slower at n = 1,100. {P5, co-P5} membership takes one pass: its searches stop at a
+budget of search nodes (below) and fall back to the decomposition
+tree, so what later passes could prune is capped anyway, while they
+made up about half of the kernel's vertex visits on near-members.
 
 The P5 search takes a, b, c, d, e lowest vertex first at each level.
 Once a and b are chosen, d and e can only lie in the far set: the
@@ -30,14 +42,14 @@ two vertices is skipped. That cuts only branches that hold no P5, so
 the search meets the same first witness; the co-P5 search, on
 complement rows, is cut the same way.
 
-{P5, co-P5} membership decides in two stages. First the kernel P5
-search, then the co-P5 search, each within a budget of 8 * n search
-nodes (at least 128), where a node is one (a, b) pair, one (a, b, c)
-prefix or one (a, b, c, d) extension. Pairs are charged whether
-skipped or not: otherwise a member, whose search cannot succeed,
-would spend its budget over more uncharged pairs and reach the
-fallback later. Near-members usually meet a witness within it.
-A search that runs out hands over to the prime quotients of the
+{P5, co-P5} membership decides in two stages. First the P5 search
+after one twin pass, then the co-P5 search, each within a budget of
+8 * n search nodes (at least 128), where a node is one (a, b) pair,
+one (a, b, c) prefix or one (a, b, c, d) extension. Pairs are
+charged whether skipped or not: otherwise a member, whose search
+cannot succeed, would spend its budget over more uncharged pairs and
+reach the fallback later. Near-members usually meet a witness within
+it. A search that runs out hands over to the prime quotients of the
 modular decomposition tree, which the {P5, co-P5} solver reuses. On a
 member no search can succeed, and the tree is near-linear in n and
 needed by the solve anyway, so the budget is kept linear too: a member
@@ -66,7 +78,7 @@ from .errors import CutoffExceeded, PreconditionError
 from .graph import Graph, first_clique
 
 DEFAULT_BERGE_MAX_N = 16
-# each budgeted P5 / co-P5 kernel search may visit _BUDGET_PER_VERTEX * n
+# each budgeted P5 / co-P5 search may visit _BUDGET_PER_VERTEX * n
 # search nodes, and at least _BUDGET_FLOOR, before membership falls back to
 # the prime quotients; linear, like the fallback (see the module docstring).
 # A node is an (a, b) pair, pruned or not, an (a, b, c) prefix or an
@@ -134,34 +146,38 @@ def _int_suffix(text: str) -> int:
 # -- induced P5 and co-P5 ----------------------------------------------------
 
 
-def _twin_kernel(g: Graph) -> int:
-    """Bitmask of the vertices left after repeatedly deleting every
-    vertex that has a smaller twin (same open or same closed
-    neighbourhood among the vertices still kept), no kept neighbour, or
-    every other kept vertex as a neighbour.
+def _twin_pass(g: Graph, keep: int) -> int:
+    """keep less every vertex of keep that has a smaller twin (same open
+    or same closed neighbourhood inside keep), no neighbour in keep, or
+    every other vertex of keep as a neighbour: one deletion pass.
 
     No vertex's open neighbourhood equals another vertex's closed one,
     so one set of both keys finds both kinds of twin in one pass.
     """
     adj = g.adj_masks
+    seen: set[int] = set()
+    drop = 0
+    rest = keep
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = adj[low.bit_length() - 1] & keep
+        closed = nbrs | low
+        if not nbrs or closed == keep or nbrs in seen or closed in seen:
+            drop |= low
+        else:
+            seen.add(nbrs)
+            seen.add(closed)
+    return keep & ~drop
+
+
+def _twin_kernel(g: Graph) -> int:
+    """Bitmask of the vertices left after repeating _twin_pass until it
+    deletes nothing."""
     keep = (1 << g.n) - 1
-    while True:
-        seen: set[int] = set()
-        drop = 0
-        rest = keep
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nbrs = adj[low.bit_length() - 1] & keep
-            closed = nbrs | low
-            if not nbrs or closed == keep or nbrs in seen or closed in seen:
-                drop |= low
-            else:
-                seen.add(nbrs)
-                seen.add(closed)
-        if not drop:
-            return keep
-        keep &= ~drop
+    while (thinner := _twin_pass(g, keep)) != keep:
+        keep = thinner
+    return keep
 
 
 class _BudgetSpent(Exception):
@@ -274,14 +290,14 @@ def p5_cop5_violation(g: Graph) -> tuple[Witness | None, modular.MDTree | None]:
     """The {P5, co-P5} witness of find_class_violation, and the modular
     decomposition tree of g when deciding needed it (else None).
 
-    The twin-kernel P5 search, then the co-P5 search, each get
-    max(_BUDGET_PER_VERTEX * n, _BUDGET_FLOOR) search nodes, a budget
+    The P5 search, then the co-P5 search, after one _twin_pass, each
+    get max(_BUDGET_PER_VERTEX * n, _BUDGET_FLOOR) search nodes, a budget
     linear in n like the fallback. If either runs out, the answer comes
     from the prime quotients of md_tree(g) instead; that is the same
     first witness (see the module docstring), so the budget decides
     only the cost, never the answer.
     """
-    keep = _twin_kernel(g)
+    keep = _twin_pass(g, (1 << g.n) - 1)
     budget = max(_BUDGET_PER_VERTEX * g.n, _BUDGET_FLOOR)
     try:
         return _p5_in(g, keep, budget) or _co_p5_in(g, keep, budget), None

@@ -381,6 +381,12 @@ def _timeout(n, p, seed, density=0.2):
         ("verify lemma4 --n-max 1", EXIT_USAGE),
         ("verify gyarfas --n-max 0", EXIT_USAGE),
         ("verify oracle --n-max 0", EXIT_USAGE),
+        ("generate --class p5-cop5 --n 5 --count 0", EXIT_USAGE),
+        ("generate --class p5-cop5 --n 5 --count -2", EXIT_USAGE),
+        ("verify gyarfas --samples -3", EXIT_USAGE),
+        ("verify lemma5 --samples -1", EXIT_USAGE),
+        *((f"generate --class p5-kpe --p 4 --n 5 --density {d}", EXIT_USAGE)
+          for d in ("-0.5", "1.5", "nan", "inf")),
         ("decompose --kind modular --input EMPTY", EXIT_OK),
         *((f"oracle {op} --oracle-n {n} --input C5", EXIT_USAGE)
           for op in ("chi", "omega", "alpha") for n in (0, -3)),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p5color import detect
 from p5color.detect import (
     Witness,
     _BudgetSpent,
@@ -17,6 +18,7 @@ from p5color.detect import (
     _p5_in,
     _quotient_violation,
     _twin_kernel,
+    _twin_pass,
     class_membership,
     find_class_violation,
     find_independent_triple,
@@ -38,6 +40,7 @@ from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
 
 from helpers import (
     all_graphs,
+    alternating_threshold,
     contains_induced,
     first_hole_reference,
     first_p5_reference,
@@ -485,18 +488,46 @@ def test_membership_hands_over_the_tree_once_the_budget_runs_out():
 
 
 def test_both_outcomes_of_the_race_on_flipped_members():
-    """A near-member whose kernel P5 search ends within max(8n, 128)
-    nodes returns no tree; one whose P5 search runs out returns its
-    co-P5 witness with the tree."""
-    graphs = list(flipped_members())
-    g = graphs[41]
-    assert g.n == 40
-    w = _p5_in(g, _twin_kernel(g), max(8 * g.n, 128))
-    assert w is not None and p5_cop5_violation(g) == (w, None)
-    g = graphs[42]
-    w, tree = p5_cop5_violation(g)
-    assert w == kernel_violation(g) and w.pattern == "co-P5"
-    validate_md_tree(g, tree)
+    """A near-member whose P5 search after one twin pass ends within
+    max(8n, 128) nodes returns no tree; one whose P5 search runs out
+    returns its co-P5 witness with the tree. Each graph is picked among
+    the n = 40 members by the outcome it stands for."""
+    won = lost = None
+    for g in flipped_members((40,)):
+        try:
+            w = _p5_in(g, _twin_pass(g, (1 << g.n) - 1), max(8 * g.n, 128))
+        except _BudgetSpent:
+            w = kernel_violation(g)
+            if lost is None and w is not None and w.pattern == "co-P5":
+                lost = g
+        else:
+            if won is None and w is not None:
+                won = g, w
+    assert won is not None and lost is not None
+    g, w = won
+    assert p5_cop5_violation(g) == (w, None)
+    w, tree = p5_cop5_violation(lost)
+    assert w == kernel_violation(lost) and w.pattern == "co-P5"
+    validate_md_tree(lost, tree)
+
+
+def test_membership_takes_one_twin_pass_and_the_kernel_iterates(monkeypatch):
+    """Under its budget membership needs only the first pass (see the
+    module docstring); the unbudgeted detectors repeat it to the
+    fixpoint, which on the alternating threshold graph is empty."""
+    g = alternating_threshold(200)
+    passes = []
+
+    def counted(g, keep):
+        passes.append(keep)
+        return _twin_pass(g, keep)
+
+    monkeypatch.setattr(detect, "_twin_pass", counted)
+    assert p5_cop5_violation(g)[0] is None
+    assert len(passes) == 1
+    passes.clear()
+    assert _twin_kernel(g) == 0
+    assert len(passes) > 1
 
 
 def test_budgeted_membership_matches_the_unbudgeted_kernel_search():
