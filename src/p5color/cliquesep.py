@@ -179,12 +179,15 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
     block's i-th lowest vertex. chi(g) is the max over the atoms. Each
     atom's colors are permuted to match the colors already on its
     separator clique, and its other colors go to the ones the separator
-    does not use. Each atom's coloring is validated; the solver
-    validates the composed one on g.
+    does not use. Each distinct (subgraph, coloring) pair the solver
+    returns is validated the first time it comes back, so a solver that
+    hands back one cached coloring per distinct block pays one check
+    per block; the solver validates the composed one on g.
     """
     adj = g.adj_masks
     k = 0
     color = [0] * g.n  # host vertex -> composed color
+    checked: set[tuple[Graph, MultiColoring]] = set()
     for atom in atoms:
         block = todo = atom.block
         ids = []
@@ -194,10 +197,12 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
             ids.append(low.bit_length() - 1)
         sub = Graph._from_masks(induced_rows(adj, ids))
         k_atom, mc = leaf_chi(sub, tuple(ids))
-        try:
-            validate_coloring(sub, mc)
-        except ValueError as exc:
-            raise RuntimeError(f"leaf solver returned an invalid coloring: {exc}") from exc
+        if (sub, mc) not in checked:
+            try:
+                validate_coloring(sub, mc)
+            except ValueError as exc:
+                raise RuntimeError(f"leaf solver returned an invalid coloring: {exc}") from exc
+            checked.add((sub, mc))
         if mc.k > k_atom:
             raise RuntimeError("leaf solver used more colors than it reported")
         k = max(k, k_atom)

@@ -30,17 +30,29 @@ a budget, so they repeat the pass until it deletes nothing (the twin
 kernel): every vertex left costs them search work. On the alternating
 threshold graph, whose kernel is empty but whose first pass keeps all
 but two vertices, a P5 search after one pass was 70 times slower than
-after the kernel at n = 550 and 100 times slower at n = 1,100. {P5, co-P5} membership takes one pass: its searches stop at a
-budget of search nodes (below) and fall back to the decomposition
-tree, so what later passes could prune is capped anyway, while they
-made up about half of the kernel's vertex visits on near-members.
+after the kernel at n = 550 and 100 times slower at n = 1,100. Full
+passes run only while they delete twins: once a pass deletes none, no
+twins are left or can appear, and later rounds only test for isolated
+and universal vertices. {P5, co-P5} membership takes one pass: its
+searches stop at a budget of search nodes (below) and fall back to the
+decomposition tree, so what later passes could prune is capped anyway,
+while they made up about half of the kernel's vertex visits on
+near-members.
 
 The P5 search takes a, b, c, d, e lowest vertex first at each level.
 Once a and b are chosen, d and e can only lie in the far set: the
 vertices outside N[a] | N[b]. A pair whose far set holds fewer than
 two vertices is skipped. That cuts only branches that hold no P5, so
 the search meets the same first witness; the co-P5 search, on
-complement rows, is cut the same way.
+complement rows, is cut the same way. A P5 is connected, so the
+unbudgeted searches take the far set inside a's component (a
+co-component on complement rows), found once per component. On a
+cone, whose kernel loses the apex and falls apart into its blocks,
+that cuts every pair whose block is too dense for a path to leave
+N[a] | N[b]. The budgeted {P5, co-P5} searches keep the global far
+set: their vertices are almost always connected, so a component map
+would be pure cost, and a stronger prune would move their budget
+charges and so their fallbacks.
 
 {P5, co-P5} membership decides in two stages. First the P5 search
 after one twin pass, then the co-P5 search, each within a budget of
@@ -75,7 +87,7 @@ from dataclasses import dataclass
 
 from . import modular
 from .errors import CutoffExceeded, PreconditionError
-from .graph import Graph, first_clique
+from .graph import Graph, first_clique, reach
 
 DEFAULT_BERGE_MAX_N = 16
 # each budgeted P5 / co-P5 search may visit _BUDGET_PER_VERTEX * n
@@ -171,12 +183,48 @@ def _twin_pass(g: Graph, keep: int) -> int:
     return keep & ~drop
 
 
+def _loose(adj: tuple[int, ...], keep: int) -> int:
+    """The vertices of keep that have no neighbour in keep or every
+    other vertex of keep as a neighbour."""
+    out = 0
+    rest = keep
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = adj[low.bit_length() - 1] & keep
+        if not nbrs or nbrs | low == keep:
+            out |= low
+    return out
+
+
 def _twin_kernel(g: Graph) -> int:
     """Bitmask of the vertices left after repeating _twin_pass until it
-    deletes nothing."""
+    deletes nothing.
+
+    _twin_pass runs only while it deletes a twin. Once a pass has taken
+    only isolated and universal vertices, no two vertices left are
+    twins, and none become twins later: taking out a universal vertex
+    clears the same bit in every key, and an isolated one clears none.
+    The rounds after that strip only isolated and universal vertices.
+    """
+    adj = g.adj_masks
     keep = (1 << g.n) - 1
-    while (thinner := _twin_pass(g, keep)) != keep:
+    while True:
+        thinner = _twin_pass(g, keep)
+        if thinner == keep:
+            return keep
+        gone = keep & ~thinner
+        while gone:  # up to the first vertex the pass took as a twin
+            low = gone & -gone
+            nbrs = adj[low.bit_length() - 1] & keep
+            if nbrs and nbrs | low != keep:
+                break
+            gone ^= low
         keep = thinner
+        if not gone:
+            break
+    while drop := _loose(adj, keep):
+        keep ^= drop
     return keep
 
 
@@ -184,7 +232,9 @@ class _BudgetSpent(Exception):
     """A budgeted _first_p5 search visited more nodes than allowed."""
 
 
-def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int, ...] | None:
+def _first_p5(
+    adj: list[int], keep: int, budget: float = math.inf, by_component: bool = False
+) -> tuple[int, ...] | None:
     """Lexicographically first vertex tuple of keep inducing P5 in path
     order, for neighbourhood masks adj (indexed by vertex, each inside
     keep). Each level takes its candidates lowest bit first; the fifth
@@ -193,7 +243,10 @@ def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int,
     The d and e of a path through a, b lie in far, the vertices of keep
     outside N[a] | N[b], so a pair (a, b) whose far set holds fewer
     than two vertices is skipped: only branches without a witness are
-    cut, and the first witness stays first.
+    cut, and the first witness stays first. With by_component, far is
+    taken inside a's component of keep under adj, found with one reach
+    the first time a enters it: a path is connected, so this too cuts
+    only branches without a witness.
 
     Every (a, b) pair, every (a, b, c) prefix and every (a, b, c, d)
     extension visited costs one node of the budget. The pairs of a are
@@ -201,10 +254,19 @@ def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int,
     prefix is visited; _BudgetSpent is raised at the first prefix
     reached with more than budget nodes charged.
     """
+    comps: list[int] = []
+    comp = 0 if by_component else keep  # a's component, or all of keep
     cand_a = keep
     while cand_a:
         low_a = cand_a & -cand_a
         cand_a ^= low_a
+        if not low_a & comp:
+            for comp in comps:
+                if comp & low_a:
+                    break
+            else:
+                comp = reach(adj, low_a, keep)
+                comps.append(comp)
         a = low_a.bit_length() - 1
         ban_a = adj[a] | low_a
         cand_b = adj[a]
@@ -214,7 +276,7 @@ def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int,
             cand_b ^= low_b
             b = low_b.bit_length() - 1
             ban_b = ban_a | adj[b]
-            far = keep & ~ban_b
+            far = comp & ~ban_b
             if far & (far - 1) == 0:
                 continue
             cand_c = adj[b] & ~ban_a
@@ -237,25 +299,29 @@ def _first_p5(adj: list[int], keep: int, budget: float = math.inf) -> tuple[int,
     return None
 
 
-def _p5_in(g: Graph, keep: int, budget: float = math.inf) -> Witness | None:
+def _p5_in(
+    g: Graph, keep: int, budget: float = math.inf, by_component: bool = False
+) -> Witness | None:
     adj = [m & keep for m in g.adj_masks]
-    path = _first_p5(adj, keep, budget)
+    path = _first_p5(adj, keep, budget, by_component)
     return Witness("P5", path) if path is not None else None
 
 
-def _co_p5_in(g: Graph, keep: int, budget: float = math.inf) -> Witness | None:
+def _co_p5_in(
+    g: Graph, keep: int, budget: float = math.inf, by_component: bool = False
+) -> Witness | None:
     co = [keep & ~(m | 1 << v) for v, m in enumerate(g.adj_masks)]
-    path = _first_p5(co, keep, budget)
+    path = _first_p5(co, keep, budget, by_component)
     return Witness("co-P5", path) if path is not None else None
 
 
 def find_induced_p5(g: Graph) -> Witness | None:
-    return _p5_in(g, _twin_kernel(g))
+    return _p5_in(g, _twin_kernel(g), by_component=True)
 
 
 def find_induced_co_p5(g: Graph) -> Witness | None:
     """Vertices listed in path order of the complement."""
-    return _co_p5_in(g, _twin_kernel(g))
+    return _co_p5_in(g, _twin_kernel(g), by_component=True)
 
 
 def _quotient_violation(tree: modular.MDTree) -> Witness | None:

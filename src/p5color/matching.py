@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import deque
 
 from .coloring import MultiColoring
-from .detect import find_independent_triple
+from .detect import Witness
 from .errors import NotO3Free
-from .graph import Graph, iter_bits
+from .graph import Graph, first_clique, iter_bits
 
 Matching = frozenset  # of (u, v) pairs with u < v
 
@@ -121,12 +121,16 @@ def chi_o3_free(g: Graph) -> tuple[int, MultiColoring]:
     of the complement.
 
     Each matched complement edge becomes one color class of two vertices
-    (non-adjacent in g); every unmatched vertex gets a fresh color.
+    (non-adjacent in g); every unmatched vertex gets a fresh color. The
+    complement is built once: its first triangle is the independent
+    triple that NotO3Free carries, as detect.find_independent_triple
+    finds it, and the matching runs on it.
     """
-    triple = find_independent_triple(g)
+    co = g.complement()
+    triple = first_clique(co.adj_masks, (1 << g.n) - 1, 3)
     if triple is not None:
-        raise NotO3Free(triple)
-    matched = max_matching(g.complement())
+        raise NotO3Free(Witness("O3", triple))
+    matched = max_matching(co)
     k = g.n - len(matched)
     classes = sorted(
         [list(pair) for pair in matched]

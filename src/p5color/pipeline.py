@@ -176,7 +176,8 @@ def solve_p5_kpe(
     solved: dict[Graph, tuple[int, MultiColoring, str]] = {}
 
     def leaf_chi(sub: Graph, block: tuple[int, ...]) -> tuple[int, MultiColoring]:
-        if sub not in solved:
+        hit = solved.get(sub)
+        if hit is None:
             try:
                 k, mc = chi_o3_free(sub)
                 route = ROUTE_O3_MATCHING
@@ -190,8 +191,8 @@ def solve_p5_kpe(
                         f"{len(greedy_clique(sub))}): {exc}"
                     ) from exc
                 route = ROUTE_EXACT_FALLBACK
-            solved[sub] = (k, mc, route)
-        k, mc, route = solved[sub]
+            hit = solved[sub] = (k, mc, route)
+        k, mc, route = hit
         routes.append(RouteRecord(route, block, sub.n, k))
         return k, mc
 

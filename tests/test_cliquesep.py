@@ -7,6 +7,7 @@ import pytest
 
 from p5color import cliquesep, coloring, detect, matching, modular, pipeline
 from p5color.cli import EXIT_OK, main
+from p5color.coloring import MultiColoring, validate_coloring
 from p5color.cliquesep import (
     Atom,
     _mcs_m,
@@ -18,7 +19,7 @@ from p5color.cliquesep import (
 )
 from p5color.detect import Witness, find_independent_triple, find_induced_kp_minus_e
 from p5color.errors import NotInClass
-from p5color.graph import Graph, is_clique, is_connected, iter_bits, to_dimacs
+from p5color.graph import Graph, first_clique, is_clique, is_connected, iter_bits, to_dimacs
 from p5color.matching import chi_o3_free
 from p5color.oracle import chi_exact
 from p5color.pipeline import solve_p5_kpe
@@ -179,13 +180,43 @@ def test_chi_compose_bowtie_is_three():
 
 
 def test_chi_compose_rejects_bad_leaf_solver():
-    from p5color.coloring import MultiColoring
-
     def broken(sub, ids):
         return 1, MultiColoring(tuple(frozenset([1]) for _ in range(sub.n)), 1)
 
     with pytest.raises(RuntimeError):
         chi_compose(K4_MINUS_E, build_tree(K4_MINUS_E), broken)
+
+
+def test_a_star_validates_its_one_distinct_block_once(monkeypatch):
+    """K1,120 has 120 atoms, all inducing K2: the leaf solve runs once
+    per atom and the one cached coloring is checked once; the solver's
+    final check on the host is its own."""
+    checked = []
+
+    def counted(g, mc, w=None):
+        checked.append(g)
+        return validate_coloring(g, mc, w)
+
+    monkeypatch.setattr(cliquesep, "validate_coloring", counted)
+    n, edges, _ = star(120)
+    report = solve_p5_kpe(Graph(n, edges), 4)
+    assert checked == [Graph.complete(2)]
+    assert len(report.routes) == 120 and report.chi == 2
+
+
+def test_chi_compose_checks_a_fresh_coloring_of_a_repeated_block():
+    solves = []
+
+    def valid_then_broken(sub, ids):
+        solves.append(ids)
+        if len(solves) == 1:
+            return chi_exact(sub)
+        return 1, MultiColoring(tuple(frozenset([1]) for _ in range(sub.n)), 1)
+
+    n, edges, _ = star(5)
+    with pytest.raises(RuntimeError, match="invalid coloring"):
+        chi_compose(Graph(n, edges), build_tree(Graph(n, edges)), valid_then_broken)
+    assert len(solves) == 2
 
 
 def test_chi_compose_matches_exact_chi_end_to_end():
@@ -344,14 +375,21 @@ def test_random_graphs_match_the_references(monkeypatch):
 
 
 def test_each_distinct_block_gets_one_o3_scan(monkeypatch):
+    """chi_o3_free scans its block for a triangle of the complement rows
+    it then matches on; the solve makes no other O3 scan."""
     scans = Counter()
 
     def counting(sub):
         scans[sub] += 1
         return find_independent_triple(sub)
 
-    for module in (matching, pipeline):
-        monkeypatch.setattr(module, "find_independent_triple", counting)
+    def counting_triangles(co, mask, size):
+        assert size == 3
+        scans[Graph._from_masks(co).complement()] += 1
+        return first_clique(co, mask, size)
+
+    monkeypatch.setattr(pipeline, "find_independent_triple", counting)
+    monkeypatch.setattr(matching, "first_clique", counting_triangles)
     for name, g, p in _members(random.Random(21)):
         scans.clear()
         solve_p5_kpe(g, p)

@@ -1,8 +1,11 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +36,7 @@ from p5color.detect import (
     witness_ok,
 )
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
-from p5color.graph import Graph, substitute
+from p5color.graph import Graph, component_masks, reach, substitute
 from p5color.modular import md_tree, validate_md_tree
 from p5color.oracle import max_independent_set_exact
 from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
@@ -41,11 +44,16 @@ from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
 from helpers import (
     all_graphs,
     alternating_threshold,
+    co_andrasfai,
+    co_cycle,
+    cone,
     contains_induced,
     first_hole_reference,
     first_p5_reference,
+    k33,
     kp_minus_e_reference,
     random_graph,
+    twin_kernel_reference,
     with_universal_and_isolated,
 )
 
@@ -621,3 +629,106 @@ def test_budgeted_search_returns_the_first_witness_or_runs_out(case):
     except _BudgetSpent:
         return
     assert path == first_p5_reference(rows, keep)
+
+
+# -- the kernel's rounds and the search inside one component ---------------------
+
+
+def kernel_splits(rng: random.Random) -> Graph:
+    """The disjoint union of two seeded random graphs, its complement (a
+    join), or the cone over it, the cone at random with isolated or
+    universal vertices added: graphs whose kernel tends to fall apart in
+    the graph or in its complement."""
+    g, other = (random_graph(rng.randint(6, 10), rng.uniform(0.25, 0.75), rng) for _ in range(2))
+    union = Graph._from_masks([*g.adj_masks, *(m << g.n for m in other.adj_masks)])
+    shape = rng.randrange(4)
+    h = union if shape == 0 else union.complement() if shape == 1 else _cone([g, other])
+    return with_universal_and_isolated(h, rng) if shape == 3 else h
+
+
+def test_search_inside_a_component_matches_the_reference_on_split_kernels():
+    rng = random.Random(23)
+    split = found = 0
+    for _ in range(4000):
+        g = kernel_splits(rng)
+        keep = _twin_kernel(g)
+        parts = 1
+        for rows in rows_and_complement_rows(g, keep):
+            path = _first_p5(rows, keep, by_component=True)
+            assert path == first_p5_reference(rows, keep)
+            parts = max(parts, len(component_masks(rows, keep)))
+            found += path is not None
+        split += parts > 1
+        assert _vertices(find_induced_p5(g)) == first_p5_reference(g.adj_masks, (1 << g.n) - 1)
+    assert split >= 3000 and found >= 1000
+
+
+def test_kpe_reject_witnesses_are_pinned(monkeypatch):
+    """The {P5, Kp-e} witnesses of the 72 {P5, Kp-e} instances of the
+    benchmark's rejects workload, recorded with the P5 search on the
+    global far set and the kernel that ran full passes to the end."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    rows = []
+    for inst in workloads.rejects(find_class_violation, Graph):
+        if inst.cls == "p5-kpe":
+            w = find_class_violation(Graph(inst.n, inst.edges), "p5-kpe", inst.p)
+            rows.append([w.pattern, list(w.vertices)])
+    assert len(rows) == 72
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "5eca5c9b80efa7f346bf4bd7d58d1555179fa232a89dfca996dc7a90eaa0b9bf"
+
+
+def test_budgeted_membership_builds_no_component_map(monkeypatch):
+    """The budgeted searches and the quotient stage keep the global far
+    set, so their budget charges and tree fallbacks do not move."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reach(*args)
+
+    monkeypatch.setattr(detect, "reach", counted)
+    handed_over = sum(p5_cop5_violation(g)[1] is not None for g in flipped_members((20, 40, 80)))
+    assert calls == [] and handed_over > 0
+    assert find_induced_p5(_cone([Graph.cycle(11).complement()] * 2)) is None
+    assert len(calls) == 2  # one per block of the cone's kernel
+
+
+def test_twin_kernel_matches_the_repeated_pass_fixpoint():
+    rng = random.Random(24)
+    graphs = [random_graph(rng.randint(1, 30), rng.random(), rng) for _ in range(2000)]
+    graphs += [with_universal_and_isolated(g, rng) for g in graphs[:1000]]
+    for reps in (1, 2, 4, 5):  # the benchmark's kpe-separators cones, one pair flipped
+        shapes = [co_cycle(11), co_cycle(13)] * reps, [co_andrasfai(3)] * (3 * reps), [k33()] * (4 * reps)
+        for blocks in shapes:
+            n, edges, _, _ = cone(blocks)
+            pairs = rng.sample(list(itertools.combinations(range(n), 2)), 40)
+            graphs += [Graph(n, edges ^ {pair}) for pair in pairs]
+    graphs.append(alternating_threshold(200))
+    for g in graphs:
+        assert _twin_kernel(g) == twin_kernel_reference(g)
+
+
+def test_a_cone_over_co_odd_cycles_takes_one_twin_pass(monkeypatch):
+    """The first pass takes only the apex, so no twins are left, and the
+    vertex hanging off the apex alone is stripped as isolated without a
+    second pass."""
+    passes = []
+
+    def counted(g, keep):
+        passes.append(keep)
+        return _twin_pass(g, keep)
+
+    monkeypatch.setattr(detect, "_twin_pass", counted)
+    blocks = [Graph.cycle(11).complement(), Graph.cycle(13).complement()]
+    g = _cone(blocks)
+    assert _twin_kernel(g) == (1 << g.n) - 2
+    assert len(passes) == 1
+    passes.clear()
+    hanging = _cone([*blocks, Graph(1)])
+    assert _twin_kernel(hanging) == (1 << hanging.n) - 2 - (1 << hanging.n - 1)
+    assert len(passes) == 1
