@@ -6,8 +6,8 @@ of more than sys.maxsize vertices by its DIMACS header or its largest
 edge-list id, a report nested too deeply to read, or a weights file
 that is malformed or names a vertex the graph does not have, or any
 input file that does not decode as text), 4 desk-scale cutoff exceeded
-(by an exact oracle, by the exponential exact-fallback route of
-`solve --class p5-kpe`, by `generate --class p5-kpe` running out of
+(by an exact oracle, by the work budget of the exact-fallback route
+of `solve --class p5-kpe`, by `generate --class p5-kpe` running out of
 rejection-sampling attempts, or by a modular decomposition tree too
 deep for a JSON report: about 495 levels under the default recursion
 limit, with the depth named in the message; the {P5, co-P5} solve has
@@ -16,7 +16,7 @@ no weight cutoff, and `--max-total-weight` bounds `oracle chiw` only),
 together, a value out of its range: --n, --n-max, --count or a cutoff
 below 1, --samples below 0, --p below 3, --density outside [0, 1] or
 NaN, or `verify lemma4` with --n-max below 2; an option the
-command ignores, such as --oracle-n with class p5-cop5, --timings with
+command ignores, such as --oracle-n with oracle chi, --timings with
 --report text, or --weights with an `oracle` op other than chiw or
 validate; an unreadable input file, an output path that cannot be
 written, or a P5COLOR_* variable that is not an integer of at least 1,
@@ -39,7 +39,7 @@ from .coloring import MultiColoring, parse_weights, validate_coloring
 from .errors import CutoffExceeded, NotInClass, ParseError, UsageError
 from .graph import Graph, parse_graph, to_dimacs
 from .matching import max_matching
-from .oracle import DEFAULT_CHI_MAX_N, DEFAULT_MAX_TOTAL_WEIGHT
+from .oracle import DEFAULT_CLIQUE_MAX_N, DEFAULT_MAX_TOTAL_WEIGHT
 
 EXIT_OK = 0
 EXIT_NOT_IN_CLASS = 2
@@ -106,14 +106,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
-def _add_cutoffs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--oracle-n",
-        type=_POSITIVE,
-        help=f"exact solver vertex cutoff (default: P5COLOR_ORACLE_N or {DEFAULT_CHI_MAX_N})",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="p5color",
@@ -130,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--timings", action="store_true",
                          help="include wall-clock ms in the report")
     _add_common(p_solve)
-    _add_cutoffs(p_solve)
 
     p_dec = sub.add_parser("decompose", help="emit a decomposition as JSON")
     p_dec.add_argument("--kind", choices=["cliquesep", "modular"], required=True)
@@ -159,7 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--weights")
     p_or.add_argument("--report-file", help="solve report to re-validate")
     _add_common(p_or)
-    _add_cutoffs(p_or)
+    p_or.add_argument(
+        "--oracle-n",
+        type=_POSITIVE,
+        help=f"clique oracle vertex cutoff (default: P5COLOR_ORACLE_N or {DEFAULT_CLIQUE_MAX_N})",
+    )
     p_or.add_argument(
         "--max-total-weight",
         type=_POSITIVE,
@@ -235,17 +230,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise UsageError("class p5-kpe needs --p")
         if args.weights is not None:
             raise UsageError("weights are only supported for class p5-cop5")
-        oracle_n = args.oracle_n or _env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CHI_MAX_N)
     else:
         _unused("--p", args.p, "class p5-kpe")
-        _unused("--oracle-n", args.oracle_n, "class p5-kpe")
     if args.report == "text":
         _unused("--timings", args.timings, "--report json")
     g = _load_graph(args.input, args.format)
     if args.class_name == "p5-cop5":
         report = pipeline.solve_p5_cop5(g, _load_weights(args.weights, g))
     else:
-        report = pipeline.solve_p5_kpe(g, args.p, oracle_max_n=oracle_n)
+        report = pipeline.solve_p5_kpe(g, args.p)
     if args.report == "text":
         _write(_solve_text(report), args.out)
     else:
@@ -340,10 +333,10 @@ def _oracle_crosscheck(samples: int, n_max: int, seed: int) -> dict:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.op not in ("chiw", "validate"):
         _unused("--weights", args.weights, "oracle chiw and validate")
-    if args.op in ("chi", "omega", "alpha"):
-        oracle_n = args.oracle_n or _env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CHI_MAX_N)
+    if args.op in ("omega", "alpha"):
+        oracle_n = args.oracle_n or _env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CLIQUE_MAX_N)
     else:
-        _unused("--oracle-n", args.oracle_n, "oracle chi, omega and alpha")
+        _unused("--oracle-n", args.oracle_n, "oracle omega and alpha")
     if args.op == "chiw":
         max_total = args.max_total_weight or _env_cutoff("P5COLOR_MAX_TOTAL_WEIGHT", DEFAULT_MAX_TOTAL_WEIGHT)
     else:
@@ -353,7 +346,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
     weights = _load_weights(args.weights, g)
     if args.op == "chi":
-        k, mc = oracle.chi_exact(g, max_n=oracle_n)
+        k, mc = oracle.chi_exact(g)
         _emit({"chi": k, "coloring": mc.to_json()}, args.out)
     elif args.op == "chiw":
         k, mc = oracle.chi_w_exact(g, weights, max_total_weight=max_total)

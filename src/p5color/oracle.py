@@ -2,7 +2,8 @@
 leaf solver inside the pipelines.
 
 Cutoffs are configuration and the errors are loud; an oracle must never
-silently approximate.
+silently approximate. The chromatic branch and bound has a work budget
+and no size cutoff.
 """
 
 from __future__ import annotations
@@ -13,34 +14,34 @@ from .coloring import MultiColoring, Weights, normalize_weights
 from .errors import CutoffExceeded
 from .graph import Graph, first_clique, iter_bits, substitute
 
-DEFAULT_CHI_MAX_N = 24
+DEFAULT_CLIQUE_MAX_N = 24
 DEFAULT_MAX_TOTAL_WEIGHT = 64
 DEFAULT_MATCHING_MAX_N = 14
-# Search nodes _chi_branch_and_bound may visit before it raises
-# CutoffExceeded. The test suite needs at most 117,439 (on 18 vertices)
-# and the benchmark's exact cross-checks 85,751; a million nodes take
-# about 7 s on a 25-vertex blow-up, where a hard instance could run for
-# hours.
-CHI_NODE_BUDGET = 1_000_000
+# Reads _chi_branch_and_bound may make before it raises CutoffExceeded: a
+# saturation scan reads n + 2m, the greedy DSATUR pass makes n scans and
+# each search node one. The largest calls measured, 117,439 nodes at
+# n + 2m = 172 in the test suite and 85,751 at 240 in the benchmark's exact
+# cross-checks, read about 2 * 10**7; the benchmark's exact-fallback blocks
+# never branch, as their bounds meet. A refusal on G(80, 0.5) or G(200, 0.3)
+# takes 2-3 s on one core of Python 3.11.
+CHI_WORK_BUDGET = 10**8
 
 
 # -- exact chromatic number ----------------------------------------------------
 
 
-def chi_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> tuple[int, MultiColoring]:
+def chi_exact(g: Graph) -> tuple[int, MultiColoring]:
     """Exact chromatic number with a certificate coloring.
 
     Branch and bound: greedy clique lower bound, DSATUR-ordered
     branching, initial upper bound from a greedy DSATUR coloring.
     """
-    if g.n > max_n:
-        raise CutoffExceeded(f"chi_exact: n={g.n} exceeds cutoff {max_n}")
     k, assignment = _chi_branch_and_bound(g)
     return k, MultiColoring.from_singletons(assignment, g.n)
 
 
 def _chi_branch_and_bound(
-    g: Graph, node_budget: int = CHI_NODE_BUDGET
+    g: Graph, node_budget: int | None = None
 ) -> tuple[int, dict[int, int]]:
     n = g.n
     if n == 0:
@@ -48,9 +49,16 @@ def _chi_branch_and_bound(
     if g.m == 0:
         return 1, {v: 1 for v in range(n)}
 
-    nbrs = [iter_bits(row) for row in g.adj_masks]  # walked at every search node
     clique = greedy_clique(g)
     lower = len(clique)
+    if node_budget is None:
+        node_budget = CHI_WORK_BUDGET // (n + 2 * g.m) - n  # what the greedy pass leaves
+        if node_budget < 0:
+            raise CutoffExceeded(
+                f"chromatic branch and bound on {n} vertices and {g.m} edges: its greedy "
+                f"pass alone passes its budget of {CHI_WORK_BUDGET} reads (bounds {lower}..{n})"
+            )
+    nbrs = [iter_bits(row) for row in g.adj_masks]  # walked at every search node
     upper, greedy = _dsatur_greedy(nbrs)
     if lower == upper:
         return upper, greedy
@@ -64,36 +72,37 @@ def _chi_branch_and_bound(
 
     order_pool = [v for v in range(n) if color[v] == 0]
     nodes = 0
-
-    def branch(used: int) -> None:
-        nonlocal best_k, best, nodes
+    used = lower
+    # an explicit stack, as the search may go deeper than the recursion
+    # limit: per vertex coloured on the way down, the vertex, the colours
+    # used above it and its untried colours, the next one last
+    path: list[tuple[int, int, list[int]]] = []
+    while True:
         nodes += 1
         if nodes > node_budget:
             raise CutoffExceeded(
                 f"chromatic branch and bound on {n} vertices passed its budget of "
                 f"{node_budget} search nodes (bounds {lower}..{best_k})"
             )
-        if used >= best_k:
-            return
-        v = _most_saturated(nbrs, color, order_pool)
-        if v is None:
-            best_k = used
-            best = {u: color[u] for u in range(n)}
-            return
-        seen = 0
-        for u in nbrs[v]:
-            if color[u]:
-                seen |= 1 << color[u]
-        limit = min(used + 1, best_k - 1)
-        for c in range(1, limit + 1):
-            if seen >> c & 1:
-                continue
-            color[v] = c
-            branch(max(used, c))
+        if used < best_k:
+            v = _most_saturated(nbrs, color, order_pool)
+            if v is None:
+                best_k = used
+                best = {u: color[u] for u in range(n)}
+            else:
+                seen = {color[u] for u in nbrs[v]}
+                limit = min(used + 1, best_k - 1)
+                path.append((v, used, [c for c in range(limit, 0, -1) if c not in seen]))
+        while path:
+            v, above, untried = path[-1]
+            if untried:
+                color[v] = untried.pop()
+                used = max(above, color[v])
+                break
             color[v] = 0
-
-    branch(lower)
-    return best_k, best
+            path.pop()
+        else:
+            return best_k, best
 
 
 def _most_saturated(nbrs: list[list[int]], color: list[int], pool: list[int]) -> int | None:
@@ -177,7 +186,7 @@ def chi_w_exact(
 # -- exact clique and independence ---------------------------------------------
 
 
-def max_clique_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> frozenset[int]:
+def max_clique_exact(g: Graph, max_n: int = DEFAULT_CLIQUE_MAX_N) -> frozenset[int]:
     """The lexicographically first maximum clique: the first clique one
     larger than the best so far, searched for until there is none."""
     if g.n > max_n:
@@ -189,11 +198,11 @@ def max_clique_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> frozenset[int]
     return frozenset(best)
 
 
-def clique_number_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> int:
+def clique_number_exact(g: Graph, max_n: int = DEFAULT_CLIQUE_MAX_N) -> int:
     return len(max_clique_exact(g, max_n))
 
 
-def max_independent_set_exact(g: Graph, max_n: int = DEFAULT_CHI_MAX_N) -> frozenset[int]:
+def max_independent_set_exact(g: Graph, max_n: int = DEFAULT_CLIQUE_MAX_N) -> frozenset[int]:
     return max_clique_exact(g.complement(), max_n)
 
 

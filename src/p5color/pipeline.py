@@ -43,7 +43,7 @@ from .detect import is_berge_small  # noqa: F401
 from .errors import CutoffExceeded, NotInClass, NotO3Free
 from .graph import Graph, is_connected, iter_bits, substitute
 from .matching import chi_o3_free
-from .oracle import DEFAULT_CHI_MAX_N, chi_exact, clique_number_exact, greedy_clique
+from .oracle import chi_exact, clique_number_exact
 # unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
 from .oracle import chi_w_exact  # noqa: F401
 from .prime import chi_w_c5, chi_w_perfect, is_c5
@@ -153,11 +153,7 @@ def solve_p5_cop5(g: Graph, w: Weights | None = None) -> SolveReport:
     )
 
 
-def solve_p5_kpe(
-    g: Graph,
-    p: int,
-    oracle_max_n: int = DEFAULT_CHI_MAX_N,
-) -> SolveReport:
+def solve_p5_kpe(g: Graph, p: int) -> SolveReport:
     """Chromatic number of a {P5, Kp-e}-free graph.
 
     Decomposes by clique separators; every O3-free C-block goes through
@@ -183,12 +179,10 @@ def solve_p5_kpe(
                 route = ROUTE_O3_MATCHING
             except NotO3Free:
                 try:
-                    k, mc = chi_exact(sub, max_n=oracle_max_n)
+                    k, mc = chi_exact(sub)
                 except CutoffExceeded as exc:
                     raise CutoffExceeded(
-                        f"C-block {list(block)} with {sub.n} vertices exceeded the "
-                        f"exact-fallback cutoff (clique lower bound "
-                        f"{len(greedy_clique(sub))}): {exc}"
+                        f"C-block {list(block)} on the exact-fallback route: {exc}"
                     ) from exc
                 route = ROUTE_EXACT_FALLBACK
             hit = solved[sub] = (k, mc, route)

@@ -83,7 +83,7 @@ def test_dimacs_edge_count_mismatch_exits_with_parse_error(tmp_path, capsys):
 def test_cutoff_exit_code(tmp_path, capsys):
     path = tmp_path / "big.col"
     path.write_text(to_dimacs(Graph.empty(12)))
-    code = main(["oracle", "chi", "--input", str(path), "--oracle-n", "6"])
+    code = main(["oracle", "omega", "--input", str(path), "--oracle-n", "6"])
     assert code == EXIT_CUTOFF
     assert "cutoff exceeded" in capsys.readouterr().err
 
@@ -290,7 +290,7 @@ def test_usage_errors_exit_usage(c5_file, tmp_path, monkeypatch):
     assert main(kpe + ["--input", c5_file, "--weights", str(wpath)]) == EXIT_USAGE
     assert main(kpe + ["--input", str(tmp_path / "missing.col")]) == EXIT_USAGE
     monkeypatch.setenv("P5COLOR_ORACLE_N", "many")
-    assert main(kpe + ["--input", c5_file]) == EXIT_USAGE
+    assert main(["oracle", "omega", "--input", c5_file]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -323,6 +323,8 @@ def test_unwritable_output_and_unused_weights_exit_usage(c5_file, tmp_path, caps
     "command,extra,code",
     [
         ("solve --class p5-cop5 --input C5", "--oracle-n 6", EXIT_USAGE),
+        ("solve --class p5-kpe --p 4 --input C5", "--oracle-n 6", EXIT_USAGE),
+        ("oracle chi --input C5", "--oracle-n 6", EXIT_USAGE),
         ("solve --class p5-cop5 --report text --input C5", "--timings", EXIT_USAGE),
         *((f"verify {what} --n-max 5 --samples 1", "--p 4", EXIT_USAGE) for what in ("lemma5", "gyarfas", "oracle")),
         ("generate --class p5-cop5 --n 5", "--density 0.5", EXIT_USAGE),
@@ -336,6 +338,8 @@ def test_unwritable_output_and_unused_weights_exit_usage(c5_file, tmp_path, caps
         # a variable is read only by a command that uses it
         ("decompose --kind modular --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
         ("solve --class p5-cop5 --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
+        ("solve --class p5-kpe --p 4 --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
+        ("oracle chi --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
         ("oracle chiw --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
         ("oracle chi --input C5", "P5COLOR_MAX_TOTAL_WEIGHT=0", EXIT_OK),
     ],
@@ -362,7 +366,7 @@ def test_env_cutoff_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.col"
     path.write_text(to_dimacs(Graph.empty(12)))
     monkeypatch.setenv("P5COLOR_ORACLE_N", "6")
-    assert main(["oracle", "chi", "--input", str(path)]) == EXIT_CUTOFF
+    assert main(["oracle", "omega", "--input", str(path)]) == EXIT_CUTOFF
 
 
 def _timeout(n, p, seed, density=0.2):
@@ -373,7 +377,7 @@ def _timeout(n, p, seed, density=0.2):
     "argv,code",
     [
         ("solve --class p5-kpe --p 2 --input C5", EXIT_USAGE),
-        ("P5COLOR_ORACLE_N=0 oracle chi --input C5", EXIT_USAGE),
+        ("P5COLOR_ORACLE_N=0 oracle omega --input C5", EXIT_USAGE),
         ("generate --class p5-cop5 --n 0", EXIT_USAGE),
         ("generate --class p5-kpe --p 2 --n 5", EXIT_USAGE),
         ("generate --class p5-kpe --p 4 --n 30 --seed 1", EXIT_CUTOFF),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from p5color import oracle
 from p5color.coloring import validate_coloring
 from p5color.errors import CutoffExceeded
 from p5color.graph import Graph, is_clique
@@ -41,9 +42,28 @@ def test_chi_exact_matches_plain_backtracking():
 
 
 def test_chi_exact_cutoff():
-    with pytest.raises(CutoffExceeded):
-        chi_exact(Graph.empty(25))
-    assert chi_exact(Graph.empty(25), max_n=30)[0] == 1
+    assert chi_exact(Graph.empty(25))[0] == 1
+
+
+@pytest.mark.parametrize("n,p,budget", [(80, 0.5, 5 * 10**6), (200, 0.3, 5 * 10**6), (200, 0.3, 10**6)])
+def test_chi_exact_refuses_within_its_work_budget(monkeypatch, n, p, budget):
+    # each saturation scan reads n + 2m; the greedy pass makes n of them and
+    # each search node one, and a greedy pass past the budget is not begun
+    g = random_graph(n, p, random.Random(1))
+    scans = budget // (n + 2 * g.m)
+    counted = 0
+
+    def most_saturated(*args):
+        nonlocal counted
+        counted += 1
+        return search(*args)
+
+    search = oracle._most_saturated
+    monkeypatch.setattr(oracle, "_most_saturated", most_saturated)
+    monkeypatch.setattr(oracle, "CHI_WORK_BUDGET", budget)
+    with pytest.raises(CutoffExceeded, match="greedy pass alone" if scans < n else "search nodes"):
+        chi_exact(g)
+    assert counted <= scans
 
 
 def test_chi_branch_and_bound_node_budget_is_loud():

@@ -1,12 +1,16 @@
+import json
 import random
+import re
 
 import pytest
 
+from p5color import oracle
+from p5color.cli import main
 from p5color.cliquesep import build_tree, validate_tree
 from p5color.coloring import validate_coloring
 from p5color.detect import class_membership, find_induced_c5, is_o3_free
 from p5color.errors import CutoffExceeded, NotInClass
-from p5color.graph import Graph
+from p5color.graph import Graph, substitute, to_dimacs
 from p5color import modular
 from p5color.modular import md_tree, md_tree_to_json, validate_md_tree
 from p5color.oracle import chi_exact, chi_w_exact
@@ -110,11 +114,33 @@ def test_solve_kpe_exact_fallback_route():
     assert [r.route for r in report.routes] == [ROUTE_EXACT_FALLBACK]
 
 
-def test_solve_kpe_cutoff_is_loud():
+def test_solve_kpe_cutoff_is_loud(monkeypatch):
     g = _complete_bipartite(5, 6)
     assert class_membership(g, "p5-kpe", 4)
-    with pytest.raises(CutoffExceeded):
-        solve_p5_kpe(g, 4, oracle_max_n=6)
+    monkeypatch.setattr(oracle, "CHI_WORK_BUDGET", 100)
+    with pytest.raises(CutoffExceeded, match=re.escape(f"C-block {list(range(11))} on the exact-fallback")):
+        solve_p5_kpe(g, 4)
+
+
+@pytest.mark.parametrize(
+    "g,chi",
+    [
+        *((_complete_bipartite(m, m), 2) for m in (13, 30, 60)),
+        *((substitute(Graph.cycle(5), [Graph.empty(k)] * 5), 3) for k in (5, 12)),
+    ],
+    ids=["K13,13", "K30,30", "K60,60", "C5[5K1]", "C5[12K1]"],
+)
+def test_solve_kpe_exact_fallback_has_no_size_cutoff(tmp_path, capsys, g, chi):
+    # one C-block of more than 24 vertices with an independent triple
+    assert g.n > 24 and len(build_tree(g)) == 1
+    report = solve_p5_kpe(g, 4)
+    validate_coloring(g, report.coloring)
+    assert report.chi == chi
+    assert [r.route for r in report.routes] == [ROUTE_EXACT_FALLBACK]
+    path = tmp_path / "g.col"
+    path.write_text(to_dimacs(g))
+    assert main(["solve", "--class", "p5-kpe", "--p", "4", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["chi"] == chi
 
 
 def test_route_soundness_on_generated_members():

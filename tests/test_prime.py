@@ -213,8 +213,8 @@ def test_cop5_solve_never_calls_the_weighted_oracle(monkeypatch):
 
 
 # On some of these weighted blow-ups the oracle's greedy clique bound
-# sits below chi_w and its branch and bound runs to its full budget of
-# 10^6 nodes (15-45 s each); past this smaller budget an example checks
+# sits below chi_w and its branch and bound runs to its full work budget
+# (up to about 8 s each); past this smaller budget an example checks
 # the certificate only.
 ORACLE_NODES = 5_000
 

@@ -7,9 +7,6 @@ from pathlib import Path
 import p5color
 
 RECURSIVE = {
-    "oracle._chi_branch_and_bound.branch":
-        "one level per vertex coloured: at most chi_exact's vertex cutoff or "
-        "chi_w_exact's total-weight cutoff",
     "oracle.max_matching_bruteforce.best_from":
         "one level per vertex, and the matching oracle refuses n > 14",
     "pipeline._build_cop5":
