@@ -426,9 +426,10 @@ def find_induced_kp_minus_e(g: Graph, p: int) -> Witness | None:
     """Induced K_p minus one edge; the two non-adjacent vertices come first.
 
     Ends need degree >= p - 2 and clique vertices degree >= p - 1, and
-    for p >= 4 the ends need two common neighbours of that degree. Only
-    searches that cannot succeed are cut, so the witness stays the
-    lexicographically first one.
+    for p >= 4 the ends need two common neighbours of that degree. A
+    common neighbourhood is searched for a clique once per x, as the
+    search depends on it alone. Only searches that cannot succeed are
+    cut, so the witness stays the lexicographically first one.
     """
     if p < 3:
         raise PreconditionError(f"K_p-e needs p >= 3, got p={p}")
@@ -453,12 +454,14 @@ def find_induced_kp_minus_e(g: Graph, p: int) -> Witness | None:
             twice |= once & nbrs
             once |= far & nbrs
         ys = twice if p > 3 else once
+        searched = set()  # common neighbourhoods of x already without a clique
         while ys:
             low = ys & -ys
             ys ^= low
             y = low.bit_length() - 1
             common = near & adj[y]
-            if common.bit_count() >= p - 2:
+            if common.bit_count() >= p - 2 and common not in searched:
+                searched.add(common)
                 clique = first_clique(adj, common, p - 2)
                 if clique is not None:
                     return Witness(f"K{p}-e", (low_x.bit_length() - 1, y, *clique))

@@ -279,22 +279,24 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
 
 def parse_dimacs(text: str) -> Graph:
     """One pass over the lines: each is split once, edge lines first,
-    and their 0-indexed ends go into one flat list that becomes the
-    adjacency rows after the last line. The first faulty line raises."""
+    and each edge goes into the adjacency rows as its line is read. A
+    vertex-id token is converted and range-checked the first time it
+    is seen and looked up by its text after that. The first faulty line
+    raises."""
     n = None
-    ends: list[int] = []
+    adj: list[int] = []
+    ids: dict[str, int] = {}  # vertex-id token -> its 0-indexed vertex
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e" and n is not None:
             try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"malformed edge line {raw.strip()!r}", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range in {raw.strip()!r}", lineno)
+                u, v = ids[parts[1]], ids[parts[2]]
+            except KeyError:
+                u, v = _new_ends(parts[1], parts[2], ids, n, raw, lineno)
             if u == v:
                 raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
-            ends += (u - 1, v - 1)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         elif not parts or parts[0][0] == "c":
             continue
         elif parts[0] == "p":
@@ -309,6 +311,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if not 0 <= n <= sys.maxsize:
                 raise ParseError(f"vertex count {n} out of range", lineno)
+            adj = _empty_rows(n, lineno)
             header = lineno
         elif parts[0] == "e":
             if n is None:
@@ -318,20 +321,38 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"unrecognized line {raw.strip()!r}", lineno)
     if n is None:
         raise ParseError("missing problem line", 0)
-    adj = [0] * n
-    pairs = iter(ends)
-    for u, v in zip(pairs, pairs):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     g = Graph._from_masks(adj)
     if g.m != m:
         raise ParseError(f"header declares {m} edges but {g.m} distinct edges follow", header)
     return g
 
 
+def _new_ends(a: str, b: str, ids: dict[str, int], n: int, raw: str, lineno: int) -> tuple[int, int]:
+    """The 0-indexed ends of the edge line raw, whose id tokens a and b
+    are not both in ids yet: a new token is converted and range-checked,
+    and remembered in ids once the line's two ids pass."""
+    try:
+        u, v = (ids[t] if t in ids else int(t) - 1 for t in (a, b))
+    except ValueError:
+        raise ParseError(f"malformed edge line {raw.strip()!r}", lineno) from None
+    if not (0 <= u < n and 0 <= v < n):
+        raise ParseError(f"vertex id out of range in {raw.strip()!r}", lineno)
+    ids[a], ids[b] = u, v
+    return u, v
+
+
+def _empty_rows(n: int, lineno: int) -> list[int]:
+    """n empty adjacency rows, or a ParseError naming the line that set
+    n when the list cannot be allocated."""
+    try:
+        return [0] * n
+    except MemoryError:
+        raise ParseError(f"vertex count {n} cannot be allocated", lineno) from None
+
+
 def parse_edge_list(text: str) -> Graph:
     edges = []
-    max_id = -1
+    max_id = max_line = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -348,8 +369,13 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise ParseError(f"self-loop in {line!r}", lineno)
         edges.append((u, v))
-        max_id = max(max_id, u, v)
-    return Graph(max_id + 1, edges)
+        if u > max_id or v > max_id:
+            max_id, max_line = max(u, v), lineno
+    adj = _empty_rows(max_id + 1, max_line)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph._from_masks(adj)
 
 
 def to_dimacs(g: Graph) -> str:

@@ -7,16 +7,19 @@ check the fast paths against genuinely independent ground truth.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import importlib.util
 import itertools
 import random
 import sys
+from pathlib import Path
 
 from p5color.cliquesep import Atom
 from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
-from p5color.detect import _twin_pass
+from p5color.detect import Witness, _twin_pass, find_class_violation
 from p5color.errors import ParseError, PreconditionError
-from p5color.graph import Graph, bits_of, is_clique, is_connected, iter_bits, reach
+from p5color.graph import Graph, bits_of, first_clique, is_clique, is_connected, iter_bits, reach
 from p5color.modular import MDLeaf, MDParallel, MDSeries, md_tree
 from p5color.pipeline import _all_graphs as all_graphs
 
@@ -321,6 +324,29 @@ def kp_minus_e_reference(g: Graph, p: int) -> tuple[int, ...] | None:
                 clique = lex_clique(g.adj_masks[x] & g.adj_masks[y], p - 2)
                 if clique is not None:
                     return (x, y, *clique)
+    return None
+
+
+def kp_minus_e_search_reference(g: Graph, p: int) -> Witness | None:
+    """detect.find_induced_kp_minus_e before it searched each common
+    neighbourhood once per x: the same degree prunes, and one clique
+    search per non-adjacent pair x < y that passes them."""
+    adj = g.adj_masks
+    ends = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= p - 2)
+    core = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= p - 1)
+    for x in _bits(ends):
+        far = ends & ~adj[x] & ~((2 << x) - 1)
+        near = adj[x] & core
+        once = twice = 0  # far vertices with at least one / two neighbours in near
+        for z in _bits(near):
+            twice |= once & adj[z]
+            once |= far & adj[z]
+        for y in _bits(twice if p > 3 else once):
+            common = near & adj[y]
+            if common.bit_count() >= p - 2:
+                clique = first_clique(adj, common, p - 2)
+                if clique is not None:
+                    return Witness(f"K{p}-e", (x, y, *clique))
     return None
 
 
@@ -659,6 +685,28 @@ def parse_dimacs_reference(text: str) -> Graph:
     if g.m != m:
         raise ParseError(f"header declares {m} edges but {g.m} distinct edges follow", header)
     return g
+
+
+# -- benchmark instances --------------------------------------------------------
+
+
+@functools.cache
+def benchmark_instances(workload: str) -> tuple:
+    """The instances of the benchmark workload "rejects" or
+    "kpe-separators", built by perfbench/workloads.py. The file is loaded
+    as a module of its own, listed in sys.modules only while it runs: its
+    dataclass looks itself up there."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    if workload == "rejects":
+        return tuple(workloads.rejects(find_class_violation, Graph))
+    return tuple(workloads.kpe_separators())
 
 
 # -- spiders ----------------------------------------------------------------

@@ -73,6 +73,17 @@ def test_vertex_count_past_sys_maxsize_exits_with_parse_error(tmp_path, capsys, 
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,text",
+    [("huge.col", f"p edge {2**61} 0\n"), ("huge.txt", f"0 {2**61 - 1}\n")],
+)
+def test_vertex_count_that_cannot_be_allocated_exits_with_parse_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["solve", "--class", "p5-cop5", "--input", str(path)]) == EXIT_PARSE_ERROR
+    assert f"vertex count {2**61} cannot be allocated" in capsys.readouterr().err
+
+
 def test_dimacs_edge_count_mismatch_exits_with_parse_error(tmp_path, capsys):
     path = tmp_path / "short.col"
     path.write_text("p edge 5 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n")

@@ -1,11 +1,8 @@
 import hashlib
-import importlib.util
 import itertools
 import json
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +33,7 @@ from p5color.detect import (
     witness_ok,
 )
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
-from p5color.graph import Graph, component_masks, reach, substitute
+from p5color.graph import Graph, component_masks, first_clique, reach, substitute
 from p5color.modular import md_tree, validate_md_tree
 from p5color.oracle import max_independent_set_exact
 from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
@@ -44,6 +41,7 @@ from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
 from helpers import (
     all_graphs,
     alternating_threshold,
+    benchmark_instances,
     co_andrasfai,
     co_cycle,
     cone,
@@ -52,6 +50,7 @@ from helpers import (
     first_p5_reference,
     k33,
     kp_minus_e_reference,
+    kp_minus_e_search_reference,
     random_graph,
     twin_kernel_reference,
     with_universal_and_isolated,
@@ -118,6 +117,38 @@ def test_kp_minus_e_search_is_not_bounded_by_the_recursion_limit():
     with pytest.raises(NotInClass) as err:
         solve_p5_kpe(g, 1100)
     assert err.value.witness == w
+
+
+def test_kp_minus_e_witnesses_match_the_search_without_the_per_x_cache():
+    """Skipping a common neighbourhood already searched for the same x
+    leaves the witness as it was, on small random graphs and on the
+    benchmark's {P5, Kp-e} rejects."""
+    rng = random.Random(43)
+    cases = [(random_graph(rng.randint(0, 16), rng.random(), rng), p) for _ in range(3000) for p in (3, 4, 5)]
+    rejects = [i for i in benchmark_instances("rejects") if i.cls == "p5-kpe"]
+    assert len(rejects) == 72
+    cases += [(Graph(i.n, i.edges), p) for i in rejects for p in (3, 4, 5, i.p)]
+    found = 0
+    for g, p in cases:
+        w = find_induced_kp_minus_e(g, p)
+        assert w == kp_minus_e_search_reference(g, p)
+        found += w is not None
+    assert found >= 3000
+
+
+def test_kp_minus_e_searches_one_clique_per_x_on_a_complete_bipartite_graph(monkeypatch):
+    """On K30,30 every non-adjacent pair has the other side as its common
+    neighbourhood, which holds no edge: one search per x, not per pair."""
+    calls = []
+
+    def counted(adj, mask, size):
+        calls.append(mask)
+        return first_clique(adj, mask, size)
+
+    monkeypatch.setattr(detect, "first_clique", counted)
+    g = Graph(60, [(u, v) for u in range(30) for v in range(30, 60)])
+    assert find_induced_kp_minus_e(g, 4) is None
+    assert len(calls) == 58  # every x but the last of each side has a y after it
 
 
 def _cone(blocks: list[Graph]) -> Graph:
@@ -663,17 +694,12 @@ def test_search_inside_a_component_matches_the_reference_on_split_kernels():
     assert split >= 3000 and found >= 1000
 
 
-def test_kpe_reject_witnesses_are_pinned(monkeypatch):
+def test_kpe_reject_witnesses_are_pinned():
     """The {P5, Kp-e} witnesses of the 72 {P5, Kp-e} instances of the
     benchmark's rejects workload, recorded with the P5 search on the
     global far set and the kernel that ran full passes to the end."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
     rows = []
-    for inst in workloads.rejects(find_class_violation, Graph):
+    for inst in benchmark_instances("rejects"):
         if inst.cls == "p5-kpe":
             w = find_class_violation(Graph(inst.n, inst.edges), "p5-kpe", inst.p)
             rows.append([w.pattern, list(w.vertices)])

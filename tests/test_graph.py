@@ -19,7 +19,13 @@ from p5color.graph import (
     to_edge_list,
 )
 
-from helpers import all_graphs, blowup_reference, parse_dimacs_reference, random_graph
+from helpers import (
+    all_graphs,
+    benchmark_instances,
+    blowup_reference,
+    parse_dimacs_reference,
+    random_graph,
+)
 
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -104,6 +110,23 @@ def test_parse_rejects_vertex_counts_past_sys_maxsize(text, fmt):
     assert err.value.line == 1
 
 
+# 2^61 vertices: within sys.maxsize, but CPython refuses a list of more than
+# sys.maxsize / 8 slots before it allocates any.
+@pytest.mark.parametrize(
+    "text,fmt,line",
+    [
+        (f"p edge {2**61} 0\n", "dimacs", 1),
+        (f"c a comment\np edge {2**61} 0\ne 1 2\n", "dimacs", 2),
+        (f"0 {2**61 - 1}\n", "edges", 1),
+        (f"0 1\n{2**61 - 1} 5\n1 2\n", "edges", 2),
+    ],
+)
+def test_parse_refuses_vertex_counts_that_cannot_be_allocated(text, fmt, line):
+    with pytest.raises(ParseError, match=f"vertex count {2**61} cannot be allocated") as err:
+        parse_graph(text, fmt)
+    assert err.value.line == line
+
+
 # Lines built from tokens: integers from a small range or past sys.maxsize,
 # never in between, so no parse allocates a huge vertex list, and digit-free
 # junk. Half the lines start with a line kind of one of the formats and go on
@@ -126,20 +149,43 @@ def _outcome(parse, text):
         return str(err), err.line
 
 
+_DIGITS = st.sampled_from(["0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９"])
+
+
+@st.composite
+def spelled(draw, i):
+    """The id i as int() reads it, half the time spelled another way:
+    leading zeros, a "+" sign, an "_" between two digits, and decimal
+    digits of another script."""
+    if draw(st.booleans()):
+        return str(i)
+    text = "0" * draw(st.integers(0, 2)) + str(i)
+    if len(text) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(text) - 1))
+        text = text[:cut] + "_" + text[cut:]
+    text = text.translate(str.maketrans("0123456789", draw(_DIGITS)))
+    return draw(st.sampled_from(["", "+"])) + text
+
+
 @st.composite
 def dimacs_texts(draw):
     """A header with a small vertex count, edge lines within it that may
-    repeat an edge in either order, and a declared edge count that is
-    right half the time. Comments, blank lines, stray whitespace,
-    self-loops, lines out of range or malformed, and a few lines of
-    _LINES go between."""
+    repeat an edge in either order and spell its ids in other ways, and
+    a declared edge count that is right half the time. Comments, blank
+    lines, stray whitespace, self-loops, lines out of range or malformed,
+    and a few lines of _LINES go between."""
     n = draw(st.integers(0, 6))
     ids = st.integers(1, max(n, 1))
     pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=12)) if n > 1 else []
     m = len({frozenset(p) for p in pairs}) if draw(st.booleans()) else draw(st.integers(0, 12))
-    lines = [f"p edge {n} {m}", *(f"e {u} {v}" for u, v in pairs)]
-    extra = st.sampled_from(
-        ["", "c a comment", "  ", "e", "e 1", "e 1 2 3", "e 1 x", "e 1 1", "p edge 1 0", "e 0 1", f"e 1 {n + 1}"]
+    lines = [f"p edge {n} {m}", *(f"e {draw(spelled(u))} {draw(spelled(v))}" for u, v in pairs)]
+    loop = ids.flatmap(lambda i: st.tuples(spelled(i), spelled(i))).map("e {0[0]} {0[1]}".format)
+    extra = (
+        st.sampled_from(
+            ["", "c a comment", "  ", "e", "e 1", "e 1 2 3", "e 1 x", "e 1 1", "p edge 1 0", "e 0 1", f"e 1 {n + 1}"]
+        )
+        | st.sampled_from(["e 1 01", "e +1 1", "e 1_0 10", "e 3 03", "e 00 1", "e 1 1_", "e 1 +-1", "e 1 ١"])
+        | loop
     )
     for line in draw(st.lists(extra | _LINES.map(" ".join), max_size=2)):
         lines.insert(draw(st.integers(0, len(lines))), line)
@@ -156,6 +202,17 @@ def test_parse_graph_returns_a_graph_or_raises_parse_error(text, fmt):
     assert isinstance(got, (Graph, tuple))
     if fmt == "dimacs":
         assert got == _outcome(parse_dimacs_reference, text)
+
+
+def test_parse_gives_the_reference_graph_on_the_benchmark_texts():
+    """The DIMACS text of every rejects and kpe-separators instance, up to
+    121 vertices with rows of two machine words."""
+    instances = benchmark_instances("rejects") + benchmark_instances("kpe-separators")
+    assert max(i.n for i in instances) == 121
+    for inst in instances:
+        g = Graph(inst.n, inst.edges)
+        text = to_dimacs(g)
+        assert parse_graph(text) == parse_dimacs_reference(text) == g
 
 
 def test_graph_rejects_bad_edges():
