@@ -1,11 +1,13 @@
 """Command-line surface: solve, decompose, generate, verify, oracle.
 
-Exit codes: 0 success, 2 input not in the declared class (witness
-printed), 3 parse error (a malformed graph or solve report, a graph
-of more than sys.maxsize vertices by its DIMACS header or its largest
-edge-list id, a report nested too deeply to read, or a weights file
-that is malformed or names a vertex the graph does not have, or any
-input file that does not decode as text), 4 desk-scale cutoff exceeded
+Exit codes: 0 success, 1 a `verify` run whose report reads
+`"ok": false` (the failures are listed in the report), 2 input not in
+the declared class (witness printed), 3 parse error (a malformed graph
+or solve report, a graph of more than sys.maxsize vertices by its
+DIMACS header or its largest edge-list id, a report nested too deeply
+to read, or a weights file that is malformed or names a vertex the
+graph does not have, or any input file that does not decode as text),
+4 desk-scale cutoff exceeded
 (by an exact oracle, by the work budget of the exact-fallback route
 of `solve --class p5-kpe`, by `generate --class p5-kpe` running out of
 rejection-sampling attempts, or by a modular decomposition tree too
@@ -21,7 +23,8 @@ command ignores, such as --oracle-n with oracle chi, --timings with
 validate; an unreadable input file, an output path that cannot be
 written, or a P5COLOR_* variable that is not an integer of at least 1,
 read only by a command that uses it), 6 a certificate that `oracle validate`
-finds invalid (the reason is printed). Reports are JSON and
+finds invalid, including one whose coloring names a key that is not a
+vertex of the graph (the reason is printed). Reports are JSON and
 byte-stable for a fixed (input, seed, config); timings are included
 only on request.
 """
@@ -364,9 +367,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if not args.report_file:
             raise UsageError("oracle validate needs --report-file")
         k, coloring = _load_report(args.report_file)
+        names = {str(v) for v in range(g.n)}
+        stray = next((key for key in coloring if key not in names), None)
         # a vertex missing from the report gets no colors, which no weight allows
         mc = MultiColoring(tuple(coloring.get(str(v), frozenset()) for v in range(g.n)), k)
         try:
+            if stray is not None:
+                raise ValueError(f"the coloring names {json.dumps(stray)}, which is not a vertex of the graph")
             validate_coloring(g, mc, weights)
         except ValueError as exc:
             _emit({"valid": False, "chi_reported": k, "reason": str(exc)}, args.out)

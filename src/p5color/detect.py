@@ -6,77 +6,65 @@ returned witnesses are reproducible. Witness vertices are listed in a
 canonical pattern order: path order for paths, cyclic order for holes,
 the non-adjacent pair first for near-complete patterns.
 
-The P5 and co-P5 searches run after twin passes. A pass deletes every
-vertex that has a smaller twin (a vertex with the same open or the
-same closed neighbourhood) or that is isolated or universal among the
-vertices kept. The searches still return the lexicographically first
-witness of the whole graph. P5 has no twins, so a witness through a
-vertex with a smaller twin stays a witness when the twin takes that
-vertex's place, and that witness is lexicographically smaller; every
-vertex of P5 and of co-P5 has a neighbour and a non-neighbour among
-the other four. The first witness therefore avoids every vertex a pass
-deletes, and the first witness among the vertices kept is the first
-of the whole graph. Twins of a graph are exactly the twins of its
-complement, and isolated and universal vertices swap roles, so one
-pass serves both searches, and the co-P5 search reads complement
-neighbourhoods off the adjacency masks without building the
-complement. On members built by substitution most vertices have twins,
-so few are left. Kp-e has twins, so its detector searches the whole
-graph, skipping only vertices of too low degree.
-
-The passes worth paying for depend on the search. find_induced_p5 and
-find_induced_co_p5, which {P5, Kp-e} membership uses, search without
-a budget, so they repeat the pass until it deletes nothing (the twin
-kernel): every vertex left costs them search work. On the alternating
-threshold graph, whose kernel is empty but whose first pass keeps all
-but two vertices, a P5 search after one pass was 70 times slower than
-after the kernel at n = 550 and 100 times slower at n = 1,100. Full
-passes run only while they delete twins: once a pass deletes none, no
-twins are left or can appear, and later rounds only test for isolated
-and universal vertices. {P5, co-P5} membership takes one pass: its
-searches stop at a budget of search nodes (below) and fall back to the
-decomposition tree, so what later passes could prune is capped anyway,
-while they made up about half of the kernel's vertex visits on
-near-members.
+The P5 and co-P5 searches run after one twin pass. The pass deletes
+every vertex that has a smaller twin (a vertex with the same open or
+the same closed neighbourhood) or that is isolated or universal. The
+searches still return the lexicographically first witness of the
+whole graph. P5 has no twins, so a witness through a vertex with a
+smaller twin stays a witness when the twin takes that vertex's place,
+and that witness is lexicographically smaller; every vertex of P5 and
+of co-P5 has a neighbour and a non-neighbour among the other four. The
+first witness therefore avoids every vertex the pass deletes, and the
+first witness among the vertices kept is the first of the whole graph.
+Twins of a graph are exactly the twins of its complement, and isolated
+and universal vertices swap roles, so one pass serves both searches,
+and the co-P5 search reads complement neighbourhoods off the adjacency
+masks without building the complement. On members built by
+substitution most vertices have twins, so few are left. Kp-e has
+twins, so its detector searches the whole graph, skipping only
+vertices of too low degree.
 
 The P5 search takes a, b, c, d, e lowest vertex first at each level.
 Once a and b are chosen, d and e can only lie in the far set: the
 vertices outside N[a] | N[b]. A pair whose far set holds fewer than
 two vertices is skipped. That cuts only branches that hold no P5, so
 the search meets the same first witness; the co-P5 search, on
-complement rows, is cut the same way. A P5 is connected, so the
-unbudgeted searches take the far set inside a's component (a
-co-component on complement rows), found once per component. On a
-cone, whose kernel loses the apex and falls apart into its blocks,
-that cuts every pair whose block is too dense for a path to leave
-N[a] | N[b]. The budgeted {P5, co-P5} searches keep the global far
+complement rows, is cut the same way. A P5 is connected, so
+find_induced_p5 and find_induced_co_p5 take the far set inside a's
+component (a co-component on complement rows), found once per
+component. On a cone, whose twin pass drops the apex and leaves its
+blocks apart, that cuts every pair whose block is too dense for a path
+to leave N[a] | N[b]. The {P5, co-P5} searches keep the global far
 set: their vertices are almost always connected, so a component map
 would be pure cost, and a stronger prune would move their budget
 charges and so their fallbacks.
 
-{P5, co-P5} membership decides in two stages. First the P5 search
-after one twin pass, then the co-P5 search, each within a budget of
-8 * n search nodes (at least 128), where a node is one (a, b) pair,
-one (a, b, c) prefix or one (a, b, c, d) extension. Pairs are
-charged whether skipped or not: otherwise a member, whose search
-cannot succeed, would spend its budget over more uncharged pairs and
-reach the fallback later. Near-members usually meet a witness within
-it. A search that runs out hands over to the prime quotients of the
-modular decomposition tree, which the {P5, co-P5} solver reuses. On a
-member no search can succeed, and the tree is near-linear in n and
-needed by the solve anyway, so the budget is kept linear too: a member
-pays at most about what the fallback costs before reaching it. Take
-the first witness W and the lowest tree node N whose span contains W.
-A child M of N is a module, so W & M is a module of G[W], and not all
-of W as N is lowest; P5 and co-P5 are prime, so W meets M in at most
-one vertex. N is then prime, since W is connected and co-connected and
-meets at least two children, and W induces the same pattern on the
-quotient of N. The vertex W has in M is min(M): the minimum sees the
-rest of W exactly as that vertex does, and swapping it in would give a
-smaller witness. The node's reps are those minima, in increasing
-order, so W is the smallest of the quotients' first paths mapped
-through their reps, and the quotient stage needs no search of the
-whole graph afterwards.
+Membership in either class decides the same way. After the twin pass
+each of its k searches gets max(16 * n // k, 128) search nodes, where
+a node is one (a, b) pair, one (a, b, c) prefix or one (a, b, c, d)
+extension: 8 * n each for the P5 then the co-P5 search of {P5, co-P5}
+membership, 16 * n for the lone P5 search of {P5, Kp-e} membership.
+Pairs are charged whether skipped or not: otherwise a member, whose
+search cannot succeed, would spend its budget over more uncharged
+pairs and reach the fallback later. Near-members usually meet a
+witness within it. A search that runs out hands over to the prime
+quotients of the modular decomposition tree, which the {P5, co-P5}
+solver reuses. On a member no search can succeed, and the tree is
+near-linear in n, so the budget is kept linear too: a member pays at
+most about what the fallback costs before reaching it. Take the first
+witness W of a pattern, P5 or co-P5, and the lowest tree node N whose
+span contains W. A child M of N is a module, so W & M is a module of
+G[W], and not all of W as N is lowest; both patterns are prime, so W
+meets M in at most one vertex. N is then prime, since W is connected
+and co-connected and meets at least two children, and W induces the
+same pattern on the quotient of N. The vertex W has in M is min(M):
+the minimum sees the rest of W exactly as that vertex does, and
+swapping it in would give a smaller witness. The node's reps are those
+minima, in increasing order, so W is the smallest of the quotients'
+first witnesses of the pattern mapped through their reps, and the
+quotient stage needs no search of the whole graph afterwards. The
+argument holds for each pattern alone, so the quotient stage runs the
+same searches as the budgeted stage, in the same order.
 """
 
 from __future__ import annotations
@@ -90,14 +78,16 @@ from .errors import CutoffExceeded, PreconditionError
 from .graph import Graph, first_clique, reach
 
 DEFAULT_BERGE_MAX_N = 16
-# each budgeted P5 / co-P5 search may visit _BUDGET_PER_VERTEX * n
-# search nodes, and at least _BUDGET_FLOOR, before membership falls back to
-# the prime quotients; linear, like the fallback (see the module docstring).
-# A node is an (a, b) pair, pruned or not, an (a, b, c) prefix or an
-# (a, b, c, d) extension. Below n = 16 a whole search costs less than the
-# tree. Against 8n, a budget of 4n made the near-member benchmark about 10 %
-# slower, and 16n kept only about 60 % of the members' gain.
-_BUDGET_PER_VERTEX = 8
+# a membership check of k P5 / co-P5 searches gives each
+# max(_BUDGET_PER_VERTEX * n // k, _BUDGET_FLOOR) search nodes before it falls
+# back to the prime quotients; linear, like the fallback (see the module
+# docstring). The floor lets small graphs finish a whole search, which costs
+# them less than the tree. For the {P5, co-P5} pair, 4n each made the
+# near-member benchmark about 10 % slower than 8n, and 16n each kept only
+# about 60 % of the members' gain. A lone P5 search needs 16n: on the
+# co-Andrasfai cones of the {P5, Kp-e} separator benchmark it takes up to
+# about 10n nodes, so at 8n those members fell back to the tree.
+_BUDGET_PER_VERTEX = 16
 _BUDGET_FLOOR = 128
 
 
@@ -181,51 +171,6 @@ def _twin_pass(g: Graph, keep: int) -> int:
             seen.add(nbrs)
             seen.add(closed)
     return keep & ~drop
-
-
-def _loose(adj: tuple[int, ...], keep: int) -> int:
-    """The vertices of keep that have no neighbour in keep or every
-    other vertex of keep as a neighbour."""
-    out = 0
-    rest = keep
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        nbrs = adj[low.bit_length() - 1] & keep
-        if not nbrs or nbrs | low == keep:
-            out |= low
-    return out
-
-
-def _twin_kernel(g: Graph) -> int:
-    """Bitmask of the vertices left after repeating _twin_pass until it
-    deletes nothing.
-
-    _twin_pass runs only while it deletes a twin. Once a pass has taken
-    only isolated and universal vertices, no two vertices left are
-    twins, and none become twins later: taking out a universal vertex
-    clears the same bit in every key, and an isolated one clears none.
-    The rounds after that strip only isolated and universal vertices.
-    """
-    adj = g.adj_masks
-    keep = (1 << g.n) - 1
-    while True:
-        thinner = _twin_pass(g, keep)
-        if thinner == keep:
-            return keep
-        gone = keep & ~thinner
-        while gone:  # up to the first vertex the pass took as a twin
-            low = gone & -gone
-            nbrs = adj[low.bit_length() - 1] & keep
-            if nbrs and nbrs | low != keep:
-                break
-            gone ^= low
-        keep = thinner
-        if not gone:
-            break
-    while drop := _loose(adj, keep):
-        keep ^= drop
-    return keep
 
 
 class _BudgetSpent(Exception):
@@ -315,20 +260,57 @@ def _co_p5_in(
     return Witness("co-P5", path) if path is not None else None
 
 
+_P5_COP5 = (_p5_in, _co_p5_in)
+
+
 def find_induced_p5(g: Graph) -> Witness | None:
-    return _p5_in(g, _twin_kernel(g), by_component=True)
+    return _violation(g, (_p5_in,), by_component=True)[0]
 
 
 def find_induced_co_p5(g: Graph) -> Witness | None:
     """Vertices listed in path order of the complement."""
-    return _co_p5_in(g, _twin_kernel(g), by_component=True)
+    return _violation(g, (_co_p5_in,), by_component=True)[0]
 
 
-def _quotient_violation(tree: modular.MDTree) -> Witness | None:
-    """The first P5, else the first co-P5, of the graph whose modular
-    decomposition tree is given, found on its prime quotients alone.
+def p5_cop5_violation(g: Graph) -> tuple[Witness | None, modular.MDTree | None]:
+    """The {P5, co-P5} witness of find_class_violation, and the modular
+    decomposition tree of g when deciding needed it (else None)."""
+    return _violation(g, _P5_COP5)
 
-    Each quotient's first path is mapped to host vertices through the
+
+def _violation(
+    g: Graph, searches: tuple, by_component: bool = False
+) -> tuple[Witness | None, modular.MDTree | None]:
+    """The first witness of the first of searches (_p5_in, _co_p5_in)
+    that finds one, and the modular decomposition tree of g when
+    deciding needed it (else None).
+
+    The searches run after one _twin_pass, each within
+    max(_BUDGET_PER_VERTEX * n // len(searches), _BUDGET_FLOOR) search
+    nodes. If one runs out, the answer comes from the same searches on
+    the prime quotients of md_tree(g) instead; that is the same first
+    witness (see the module docstring), so the budget decides only the
+    cost, never the answer.
+    """
+    keep = _twin_pass(g, (1 << g.n) - 1)
+    budget = max(_BUDGET_PER_VERTEX * g.n // len(searches), _BUDGET_FLOOR)
+    try:
+        for search in searches:
+            w = search(g, keep, budget, by_component)
+            if w is not None:
+                return w, None
+        return None, None
+    except _BudgetSpent:
+        tree = modular.md_tree(g)
+        return _quotient_violation(tree, searches), tree
+
+
+def _quotient_violation(tree: modular.MDTree, searches: tuple = _P5_COP5) -> Witness | None:
+    """The first witness of the first of searches that finds one, in the
+    graph whose modular decomposition tree is given, found on its prime
+    quotients alone.
+
+    Each quotient's first witness is mapped to host vertices through the
     node's reps, which increase with the quotient index, so the mapping
     keeps lexicographic order and the smallest mapped tuple over all
     quotients is the host's first witness (see the module docstring).
@@ -341,35 +323,15 @@ def _quotient_violation(tree: modular.MDTree) -> Witness | None:
         if isinstance(node, modular.MDPrime) and node.quotient.n >= 5:
             primes.append(node)
         stack.extend(getattr(node, "children", ()))
-    for pattern, search in (("P5", _p5_in), ("co-P5", _co_p5_in)):
-        found = []
-        for node in primes:
-            w = search(node.quotient, (1 << node.quotient.n) - 1)
-            if w is not None:
-                found.append(tuple(node.reps[i] for i in w.vertices))
+    for search in searches:
+        found = [
+            Witness(w.pattern, tuple(node.reps[i] for i in w.vertices))
+            for node in primes
+            if (w := search(node.quotient, (1 << node.quotient.n) - 1)) is not None
+        ]
         if found:
-            return Witness(pattern, min(found))
+            return min(found, key=lambda w: w.vertices)
     return None
-
-
-def p5_cop5_violation(g: Graph) -> tuple[Witness | None, modular.MDTree | None]:
-    """The {P5, co-P5} witness of find_class_violation, and the modular
-    decomposition tree of g when deciding needed it (else None).
-
-    The P5 search, then the co-P5 search, after one _twin_pass, each
-    get max(_BUDGET_PER_VERTEX * n, _BUDGET_FLOOR) search nodes, a budget
-    linear in n like the fallback. If either runs out, the answer comes
-    from the prime quotients of md_tree(g) instead; that is the same
-    first witness (see the module docstring), so the budget decides
-    only the cost, never the answer.
-    """
-    keep = _twin_pass(g, (1 << g.n) - 1)
-    budget = max(_BUDGET_PER_VERTEX * g.n, _BUDGET_FLOOR)
-    try:
-        return _p5_in(g, keep, budget) or _co_p5_in(g, keep, budget), None
-    except _BudgetSpent:
-        tree = modular.md_tree(g)
-        return _quotient_violation(tree), tree
 
 
 def find_induced_c5(g: Graph) -> Witness | None:

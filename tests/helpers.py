@@ -17,7 +17,7 @@ from pathlib import Path
 
 from p5color.cliquesep import Atom
 from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
-from p5color.detect import Witness, _twin_pass, find_class_violation
+from p5color.detect import Witness, find_class_violation
 from p5color.errors import ParseError, PreconditionError
 from p5color.graph import Graph, bits_of, first_clique, is_clique, is_connected, iter_bits, reach
 from p5color.modular import MDLeaf, MDParallel, MDSeries, md_tree
@@ -595,16 +595,7 @@ def chi_w_perfect_reference(g: Graph, w: dict[int, int] | None) -> tuple[int, Mu
     return omega, MultiColoring(tuple(frozenset(cs) for cs in colors), omega)
 
 
-# -- the twin kernel, P5 / co-P5 search and DIMACS parser before their fast paths --
-
-
-def twin_kernel_reference(g: Graph) -> int:
-    """detect._twin_kernel before it stopped its full passes once no
-    twin fell: _twin_pass repeated until it deletes nothing."""
-    keep = (1 << g.n) - 1
-    while (thinner := _twin_pass(g, keep)) != keep:
-        keep = thinner
-    return keep
+# -- the P5 / co-P5 search and the DIMACS parser before their fast paths --------
 
 
 def first_p5_reference(adj: list[int], keep: int) -> tuple[int, ...] | None:

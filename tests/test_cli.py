@@ -17,7 +17,7 @@ from p5color.cli import (
     main,
 )
 from p5color.graph import Graph, parse_graph, to_dimacs
-from p5color import pipeline
+from p5color import cli, pipeline
 from p5color.pipeline import GenerationTimeout, gen_p5_cop5, gen_p5_kpe
 
 from helpers import alternating_threshold
@@ -157,6 +157,9 @@ def test_validate_keeps_reported_chi_zero(tmp_path, capsys):
         ({"0": [1], "1": [2], "2": [1], "3": [2]}, "vertex 4 has 0 colors"),
         ({"0": [1], "1": [2], "2": [1], "3": [2], "4": [1]}, "adjacent vertices 0,4"),
         ({"0": [1], "1": [2], "2": [1], "3": [2], "4": [4]}, "outside 1..3"),
+        ({"0": [1], "1": [2], "2": [1], "3": [2], "4": [3], "7": [1]}, 'names "7", which is not a vertex'),
+        ({"0": [1], "1": [2], "2": [1], "3": [2], "4": [3], "x": [5]}, 'names "x", which is not a vertex'),
+        ({"0": [1], "1": [2], "2": [1], "3": [2], "04": [3]}, 'names "04", which is not a vertex'),
     ],
 )
 def test_validate_rejects_invalid_certificates(c5_file, tmp_path, capsys, coloring, reason):
@@ -252,6 +255,22 @@ def test_verify_lemma5_cli(capsys):
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
+
+
+@pytest.mark.parametrize("what", ["lemma4", "lemma5", "gyarfas", "oracle"])
+def test_verify_exits_1_on_a_failing_report(capsys, monkeypatch, what):
+    def failing(*args, **kwargs):
+        report = pipeline.VerificationReport(what, {}, total=1)
+        report.failures.append({"kind": "planted"})
+        return report
+
+    if what == "oracle":
+        monkeypatch.setattr(cli, "_oracle_crosscheck", lambda **sizes: failing().to_json())
+    else:
+        monkeypatch.setattr(pipeline, f"verify_{what}", failing)
+    assert main(["verify", what, "--n-max", "5", "--samples", "0"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and payload["failures"] == [{"kind": "planted"}]
 
 
 def test_verify_lemma5_has_no_size_cutoff(capsys):

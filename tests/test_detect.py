@@ -17,7 +17,6 @@ from p5color.detect import (
     _first_p5,
     _p5_in,
     _quotient_violation,
-    _twin_kernel,
     _twin_pass,
     class_membership,
     find_class_violation,
@@ -42,17 +41,12 @@ from helpers import (
     all_graphs,
     alternating_threshold,
     benchmark_instances,
-    co_andrasfai,
-    co_cycle,
-    cone,
     contains_induced,
     first_hole_reference,
     first_p5_reference,
-    k33,
     kp_minus_e_reference,
     kp_minus_e_search_reference,
     random_graph,
-    twin_kernel_reference,
     with_universal_and_isolated,
 )
 
@@ -480,8 +474,8 @@ def test_flipped_member_witnesses_are_pinned():
 
 
 def kernel_violation(g: Graph) -> Witness | None:
-    """The twin-kernel search with no budget."""
-    keep = _twin_kernel(g)
+    """The P5, then the co-P5 search after one twin pass, with no budget."""
+    keep = _twin_pass(g, (1 << g.n) - 1)
     return _p5_in(g, keep) or _co_p5_in(g, keep)
 
 
@@ -550,35 +544,54 @@ def test_both_outcomes_of_the_race_on_flipped_members():
     validate_md_tree(lost, tree)
 
 
-def test_membership_takes_one_twin_pass_and_the_kernel_iterates(monkeypatch):
-    """Under its budget membership needs only the first pass (see the
-    module docstring); the unbudgeted detectors repeat it to the
-    fixpoint, which on the alternating threshold graph is empty."""
+def counted_passes_and_trees(monkeypatch) -> tuple[list[int], list[Graph]]:
+    """What each _twin_pass returns and each graph md_tree is built for,
+    in call order, from here on."""
+    passes, trees = [], []
+
+    def counted_pass(g, keep):
+        passes.append(_twin_pass(g, keep))
+        return passes[-1]
+
+    def counted_tree(g):
+        trees.append(g)
+        return md_tree(g)
+
+    monkeypatch.setattr(detect, "_twin_pass", counted_pass)
+    monkeypatch.setattr(detect.modular, "md_tree", counted_tree)
+    return passes, trees
+
+
+def test_each_membership_entry_takes_one_twin_pass(monkeypatch):
+    """The alternating threshold graph is a cograph whose twin pass keeps
+    all but two vertices: each entry point takes one pass, runs out of
+    budget and finds no witness on the tree, which has no prime node."""
     g = alternating_threshold(200)
-    passes = []
-
-    def counted(g, keep):
-        passes.append(keep)
-        return _twin_pass(g, keep)
-
-    monkeypatch.setattr(detect, "_twin_pass", counted)
-    assert p5_cop5_violation(g)[0] is None
-    assert len(passes) == 1
-    passes.clear()
-    assert _twin_kernel(g) == 0
-    assert len(passes) > 1
+    passes, trees = counted_passes_and_trees(monkeypatch)
+    for entry in (lambda g: p5_cop5_violation(g)[0], find_induced_p5, find_induced_co_p5):
+        passes.clear()
+        trees.clear()
+        assert entry(g) is None
+        assert len(passes) == 1 and trees == [g]
 
 
-def test_budgeted_membership_matches_the_unbudgeted_kernel_search():
+def test_budgeted_membership_matches_the_unbudgeted_kernel_search(monkeypatch):
     rng = random.Random(15)
     graphs = list(flipped_members((20, 40, 80)))
     graphs += [random_graph(rng.randint(1, 40), rng.random(), rng) for _ in range(500)]
-    handed_over = 0
+    _, trees = counted_passes_and_trees(monkeypatch)
+    handed_over = Counter()
     for g in graphs:
         w, tree = p5_cop5_violation(g)
         assert w == kernel_violation(g)
-        handed_over += tree is not None
-    assert handed_over >= 40
+        handed_over["p5-cop5"] += tree is not None
+        keep = _twin_pass(g, (1 << g.n) - 1)
+        for find, search in ((find_induced_p5, _p5_in), (find_induced_co_p5, _co_p5_in)):
+            trees.clear()
+            assert find(g) == search(g, keep)
+            handed_over[find.__name__] += len(trees)
+    assert handed_over["p5-cop5"] >= 40
+    assert handed_over["find_induced_p5"] >= 20 and handed_over["find_induced_co_p5"] >= 20
 
 
 # -- the far-set prune ------------------------------------------------------------
@@ -634,29 +647,30 @@ def test_pruned_search_matches_the_reference_on_every_single_flip():
             g = gen_p5_cop5(n, seed)
             for pair in itertools.combinations(range(n), 2):
                 h = Graph(n, g.edges ^ {pair})
-                found += assert_pruned_search_matches_the_reference(h, _twin_kernel(h))
+                found += assert_pruned_search_matches_the_reference(h, _twin_pass(h, (1 << n) - 1))
     assert found >= 1000
 
 
 @st.composite
 def searches(draw):
     """Rows of a graph on at most 12 vertices or of its complement,
-    inside the whole vertex set or the twin kernel, and a budget."""
+    inside the whole vertex set or what one twin pass keeps, a budget,
+    and whether the far set is taken inside a's component."""
     n = draw(st.integers(1, 12))
     pairs = list(itertools.combinations(range(n), 2))
     code = draw(st.integers(0, (1 << len(pairs)) - 1))
     g = Graph(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
-    keep = draw(st.sampled_from([(1 << n) - 1, _twin_kernel(g)]))
+    keep = draw(st.sampled_from([(1 << n) - 1, _twin_pass(g, (1 << n) - 1)]))
     rows = draw(st.sampled_from(rows_and_complement_rows(g, keep)))
-    return rows, keep, draw(st.integers(0, 600))
+    return rows, keep, draw(st.integers(0, 600)), draw(st.booleans())
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(searches())
 def test_budgeted_search_returns_the_first_witness_or_runs_out(case):
-    rows, keep, budget = case
+    rows, keep, budget, by_component = case
     try:
-        path = _first_p5(rows, keep, budget)
+        path = _first_p5(rows, keep, budget, by_component)
     except _BudgetSpent:
         return
     assert path == first_p5_reference(rows, keep)
@@ -682,7 +696,7 @@ def test_search_inside_a_component_matches_the_reference_on_split_kernels():
     split = found = 0
     for _ in range(4000):
         g = kernel_splits(rng)
-        keep = _twin_kernel(g)
+        keep = _twin_pass(g, (1 << g.n) - 1)
         parts = 1
         for rows in rows_and_complement_rows(g, keep):
             path = _first_p5(rows, keep, by_component=True)
@@ -724,37 +738,13 @@ def test_budgeted_membership_builds_no_component_map(monkeypatch):
     assert len(calls) == 2  # one per block of the cone's kernel
 
 
-def test_twin_kernel_matches_the_repeated_pass_fixpoint():
-    rng = random.Random(24)
-    graphs = [random_graph(rng.randint(1, 30), rng.random(), rng) for _ in range(2000)]
-    graphs += [with_universal_and_isolated(g, rng) for g in graphs[:1000]]
-    for reps in (1, 2, 4, 5):  # the benchmark's kpe-separators cones, one pair flipped
-        shapes = [co_cycle(11), co_cycle(13)] * reps, [co_andrasfai(3)] * (3 * reps), [k33()] * (4 * reps)
-        for blocks in shapes:
-            n, edges, _, _ = cone(blocks)
-            pairs = rng.sample(list(itertools.combinations(range(n), 2)), 40)
-            graphs += [Graph(n, edges ^ {pair}) for pair in pairs]
-    graphs.append(alternating_threshold(200))
-    for g in graphs:
-        assert _twin_kernel(g) == twin_kernel_reference(g)
-
-
 def test_a_cone_over_co_odd_cycles_takes_one_twin_pass(monkeypatch):
-    """The first pass takes only the apex, so no twins are left, and the
-    vertex hanging off the apex alone is stripped as isolated without a
-    second pass."""
-    passes = []
-
-    def counted(g, keep):
-        passes.append(keep)
-        return _twin_pass(g, keep)
-
-    monkeypatch.setattr(detect, "_twin_pass", counted)
+    """The pass takes only the apex, so the blocks fall apart, and the P5
+    search inside each block ends within its budget, also with a vertex
+    hanging off the apex alone, which the pass keeps."""
+    passes, trees = counted_passes_and_trees(monkeypatch)
     blocks = [Graph.cycle(11).complement(), Graph.cycle(13).complement()]
-    g = _cone(blocks)
-    assert _twin_kernel(g) == (1 << g.n) - 2
-    assert len(passes) == 1
-    passes.clear()
-    hanging = _cone([*blocks, Graph(1)])
-    assert _twin_kernel(hanging) == (1 << hanging.n) - 2 - (1 << hanging.n - 1)
-    assert len(passes) == 1
+    for g in (_cone(blocks), _cone([*blocks, Graph(1)])):
+        passes.clear()
+        assert find_induced_p5(g) is None
+        assert passes == [(1 << g.n) - 2] and trees == []
