@@ -8,21 +8,21 @@ DIMACS header or its largest edge-list id, a report nested too deeply
 to read, or a weights file that is malformed or names a vertex the
 graph does not have, or any input file that does not decode as text),
 4 desk-scale cutoff exceeded
-(by an exact oracle, by the work budget of the exact-fallback route
-of `solve --class p5-kpe`, by `generate --class p5-kpe` running out of
-rejection-sampling attempts, or by a modular decomposition tree too
-deep for a JSON report: about 495 levels under the default recursion
-limit, with the depth named in the message; the {P5, co-P5} solve has
-no weight cutoff, and `--max-total-weight` bounds `oracle chiw` only),
+(by the work budget of an exact oracle: the branch and bound behind
+`oracle chi`, `oracle chiw` and the exact-fallback route of `solve
+--class p5-kpe`, or the clique and matching searches; by `generate
+--class p5-kpe` running out of rejection-sampling attempts; or by a
+modular decomposition tree too deep for a JSON report: about 495 levels
+under the default recursion limit, with the depth named in the message),
 5 usage error (an argument the parser refuses, options that do not go
-together, a value out of its range: --n, --n-max, --count or a cutoff
-below 1, --samples below 0, --p below 3, --density outside [0, 1] or
-NaN, or `verify lemma4` with --n-max below 2; an option the
-command ignores, such as --oracle-n with oracle chi, --timings with
---report text, or --weights with an `oracle` op other than chiw or
-validate; an unreadable input file, an output path that cannot be
-written, or a P5COLOR_* variable that is not an integer of at least 1,
-read only by a command that uses it), 6 a certificate that `oracle validate`
+together, a value out of its range: --n, --n-max or --count below 1,
+--samples below 0, --p below 3, --density outside [0, 1] or NaN,
+`verify lemma4` with --n-max below 2 or with a --p whose omega bound
+(p+1)^(p+2)(p-2) has more digits than a JSON report prints, estimated
+before the bound is computed; an option the command ignores, such as
+--timings with --report text, or --weights with an `oracle` op other
+than chiw or validate; an unreadable input file or an output path that
+cannot be written), 6 a certificate that `oracle validate`
 finds invalid, including one whose coloring names a key that is not a
 vertex of the graph (the reason is printed). Reports are JSON and
 byte-stable for a fixed (input, seed, config); timings are included
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +42,6 @@ from .coloring import MultiColoring, parse_weights, validate_coloring
 from .errors import CutoffExceeded, NotInClass, ParseError, UsageError
 from .graph import Graph, parse_graph, to_dimacs
 from .matching import max_matching
-from .oracle import DEFAULT_CLIQUE_MAX_N, DEFAULT_MAX_TOTAL_WEIGHT
 
 EXIT_OK = 0
 EXIT_NOT_IN_CLASS = 2
@@ -80,16 +79,6 @@ def _fraction(text: str) -> float:
 
 
 _POSITIVE, _P = _at_least(1), _at_least(3)
-
-
-def _env_cutoff(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return _POSITIVE(raw)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise UsageError(f"environment variable {name} must be an integer >= 1") from None
 
 
 def _unused(option: str, value, where: str) -> None:
@@ -153,17 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--weights")
     p_or.add_argument("--report-file", help="solve report to re-validate")
     _add_common(p_or)
-    p_or.add_argument(
-        "--oracle-n",
-        type=_POSITIVE,
-        help=f"clique oracle vertex cutoff (default: P5COLOR_ORACLE_N or {DEFAULT_CLIQUE_MAX_N})",
-    )
-    p_or.add_argument(
-        "--max-total-weight",
-        type=_POSITIVE,
-        help="weighted oracle (chiw) total-weight cutoff "
-        f"(default: P5COLOR_MAX_TOTAL_WEIGHT or {DEFAULT_MAX_TOTAL_WEIGHT})",
-    )
 
     return parser
 
@@ -296,7 +274,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.what == "lemma4":
         if args.n_max < 2:
             raise UsageError("verify lemma4 needs --n-max >= 2")
-        payload = pipeline.verify_lemma4(p=4 if args.p is None else args.p, **sizes).to_json()
+        p = 4 if args.p is None else args.p
+        # the digits of the omega bound (p+1)^(p+2)*(p-2), exact for p < 4000, against
+        # the longest integer json.dumps prints (4,300 digits by default)
+        digits = math.floor((p + 2) * math.log10(p + 1) + math.log10(p - 2)) + 1
+        limit = sys.get_int_max_str_digits()  # 0 when there is none
+        if limit and digits > limit:
+            raise UsageError(
+                f"verify lemma4 --p {p}: the omega bound (p+1)^(p+2)*(p-2) has {digits} "
+                f"digits, more than the {limit} a JSON report prints"
+            )
+        payload = pipeline.verify_lemma4(p=p, **sizes).to_json()
     elif args.what == "lemma5":
         payload = pipeline.verify_lemma5(
             n_max=args.n_max, samples_per_n=args.samples, seed=args.seed
@@ -336,14 +324,6 @@ def _oracle_crosscheck(samples: int, n_max: int, seed: int) -> dict:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.op not in ("chiw", "validate"):
         _unused("--weights", args.weights, "oracle chiw and validate")
-    if args.op in ("omega", "alpha"):
-        oracle_n = args.oracle_n or _env_cutoff("P5COLOR_ORACLE_N", DEFAULT_CLIQUE_MAX_N)
-    else:
-        _unused("--oracle-n", args.oracle_n, "oracle omega and alpha")
-    if args.op == "chiw":
-        max_total = args.max_total_weight or _env_cutoff("P5COLOR_MAX_TOTAL_WEIGHT", DEFAULT_MAX_TOTAL_WEIGHT)
-    else:
-        _unused("--max-total-weight", args.max_total_weight, "oracle chiw")
     if args.op != "validate":
         _unused("--report-file", args.report_file, "oracle validate")
     g = _load_graph(args.input, args.format)
@@ -352,13 +332,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         k, mc = oracle.chi_exact(g)
         _emit({"chi": k, "coloring": mc.to_json()}, args.out)
     elif args.op == "chiw":
-        k, mc = oracle.chi_w_exact(g, weights, max_total_weight=max_total)
+        k, mc = oracle.chi_w_exact(g, weights)
         _emit({"chi_w": k, "coloring": mc.to_json()}, args.out)
     elif args.op == "omega":
-        clique = sorted(oracle.max_clique_exact(g, max_n=oracle_n))
+        clique = sorted(oracle.max_clique_exact(g))
         _emit({"omega": len(clique), "clique": clique}, args.out)
     elif args.op == "alpha":
-        indep = sorted(oracle.max_independent_set_exact(g, max_n=oracle_n))
+        indep = sorted(oracle.max_independent_set_exact(g))
         _emit({"alpha": len(indep), "independent_set": indep}, args.out)
     elif args.op == "matching":
         matched = sorted(map(list, max_matching(g)))

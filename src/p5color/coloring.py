@@ -18,15 +18,15 @@ Weights = Mapping[int, int]
 
 def normalize_weights(g: Graph, w: Weights | None) -> list[int]:
     """Weights as a dense list indexed by vertex; missing entries default
-    to 1, values must be positive integers."""
+    to 1, values must be positive integers (an int, not a bool)."""
     out = [1] * g.n
     if w is not None:
         for v, wt in w.items():
             if not 0 <= v < g.n:
                 raise ValueError(f"weight for unknown vertex {v}")
-            if wt < 1:
-                raise ValueError(f"weight of vertex {v} must be >= 1, got {wt}")
-            out[v] = int(wt)
+            if not isinstance(wt, int) or isinstance(wt, bool) or wt < 1:
+                raise ValueError(f"weight of vertex {v} must be an integer >= 1, got {wt!r}")
+            out[v] = wt
     return out
 
 

@@ -12,9 +12,9 @@ class ParseError(ValueError):
 
 
 class CutoffExceeded(RuntimeError):
-    """An exact solver or exhaustive check was asked to run past its
-    configured desk-scale cutoff. Loud by design: never a silent wrong
-    answer."""
+    """An exact solver or exhaustive check was asked to run past its work
+    budget or another desk-scale limit. Loud by design: never a silent
+    wrong answer."""
 
 
 class NotInClass(ValueError):

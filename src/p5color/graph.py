@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import CutoffExceeded, ParseError
 
 
 class Graph:
@@ -222,15 +222,20 @@ def reach(adj: Sequence[int], seed: int, mask: int) -> int:
     return comp
 
 
-def first_clique(adj: Sequence[int], mask: int, size: int) -> tuple[int, ...] | None:
+def first_clique(
+    adj: Sequence[int], mask: int, size: int, budget: list[int] | None = None
+) -> tuple[int, ...] | None:
     """Lexicographically first clique of the given size inside the vertex
     bitmask mask, in increasing order, for neighbourhood bitmasks adj;
     None if there is none. A depth-first search on an explicit stack of
     (candidates left, vertex chosen) per level, candidates lowest bit
     first; a level with fewer candidates than vertices still needed is
-    left at once."""
+    left at once. With budget, a one-item list of the pushes left that
+    searches may share, each push takes one from budget[0] and the
+    first past it raises CutoffExceeded."""
     if size == 0:
         return ()
+    budget = [sys.maxsize] if budget is None else budget
     stack: list[tuple[int, int]] = []
     cand, need = mask, size
     while True:
@@ -240,6 +245,9 @@ def first_clique(adj: Sequence[int], mask: int, size: int) -> tuple[int, ...] | 
             v = low.bit_length() - 1
             if need == 1:
                 return (*(u for _, u in stack), v)
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CutoffExceeded(f"the search for a clique of {size} vertices ran out of nodes")
             stack.append((cand, v))
             cand &= adj[v]
             need -= 1

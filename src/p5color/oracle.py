@@ -1,30 +1,30 @@
 """Exact desk-scale solvers: ground truth for every property test and
 leaf solver inside the pipelines.
 
-Cutoffs are configuration and the errors are loud; an oracle must never
-silently approximate. The chromatic branch and bound has a work budget
-and no size cutoff.
+Every oracle is bounded by its work alone, never by the size or weight
+of its input, and raises CutoffExceeded past WORK_BUDGET reads: an
+oracle must never silently approximate.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .coloring import MultiColoring, Weights, normalize_weights
 from .errors import CutoffExceeded
 from .graph import Graph, first_clique, iter_bits, substitute
 
-DEFAULT_CLIQUE_MAX_N = 24
-DEFAULT_MAX_TOTAL_WEIGHT = 64
-DEFAULT_MATCHING_MAX_N = 14
-# Reads _chi_branch_and_bound may make before it raises CutoffExceeded: a
-# saturation scan reads n + 2m, the greedy DSATUR pass makes n scans and
-# each search node one. The largest calls measured, 117,439 nodes at
-# n + 2m = 172 in the test suite and 85,751 at 240 in the benchmark's exact
-# cross-checks, read about 2 * 10**7; the benchmark's exact-fallback blocks
-# never branch, as their bounds meet. A refusal on G(80, 0.5) or G(200, 0.3)
-# takes 2-3 s on one core of Python 3.11.
-CHI_WORK_BUDGET = 10**8
+# Reads an oracle may make before it raises CutoffExceeded. In the
+# chromatic branch and bound a saturation scan reads n + 2m; n scans are
+# set aside for the greedy DSATUR pass and each search node makes one. The
+# largest calls measured, 117,439 nodes at n + 2m = 172 in the test suite
+# and 85,751 at 240 in the benchmark's exact cross-checks, read about
+# 2 * 10**7; the benchmark's exact-fallback blocks never branch, as their
+# bounds meet. A refusal on G(80, 0.5) or G(200, 0.3) takes 2-3 s on one
+# core of Python 3.11. A clique or matching search node reads one n-bit
+# row: G(80, 0.9) is refused after 1.25 million clique nodes, in under 1 s.
+WORK_BUDGET = 10**8
 
 
 # -- exact chromatic number ----------------------------------------------------
@@ -49,15 +49,9 @@ def _chi_branch_and_bound(
     if g.m == 0:
         return 1, {v: 1 for v in range(n)}
 
+    node_budget = _search_nodes(n, g.m) if node_budget is None else node_budget
     clique = greedy_clique(g)
     lower = len(clique)
-    if node_budget is None:
-        node_budget = CHI_WORK_BUDGET // (n + 2 * g.m) - n  # what the greedy pass leaves
-        if node_budget < 0:
-            raise CutoffExceeded(
-                f"chromatic branch and bound on {n} vertices and {g.m} edges: its greedy "
-                f"pass alone passes its budget of {CHI_WORK_BUDGET} reads (bounds {lower}..{n})"
-            )
     nbrs = [iter_bits(row) for row in g.adj_masks]  # walked at every search node
     upper, greedy = _dsatur_greedy(nbrs)
     if lower == upper:
@@ -105,6 +99,18 @@ def _chi_branch_and_bound(
             return best_k, best
 
 
+def _search_nodes(n: int, m: int) -> int:
+    """Search nodes the chromatic branch and bound may visit on n vertices
+    and m >= 1 edges; CutoffExceeded if its greedy pass alone passes it."""
+    nodes = WORK_BUDGET // (n + 2 * m) - n
+    if nodes < 0:
+        raise CutoffExceeded(
+            f"chromatic branch and bound on {n} vertices and {m} edges: its greedy "
+            f"pass alone passes its budget of {WORK_BUDGET} reads"
+        )
+    return nodes
+
+
 def _most_saturated(nbrs: list[list[int]], color: list[int], pool: list[int]) -> int | None:
     """Uncolored vertex with the most distinctly-colored neighbors; ties
     broken by degree, then by id. nbrs[v] lists the neighbors of v."""
@@ -122,16 +128,23 @@ def _most_saturated(nbrs: list[list[int]], color: list[int], pool: list[int]) ->
 
 
 def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, dict[int, int]]:
+    """Colour the vertex _most_saturated would pick with the least colour
+    its neighbours leave, until all are coloured. The heap holds a key
+    for each saturation a vertex reaches; a key since passed is stale."""
     n = len(nbrs)
     color = [0] * n
-    for _ in range(n):
-        v = _most_saturated(nbrs, color, list(range(n)))
-        assert v is not None
-        seen = {color[u] for u in nbrs[v] if color[u]}
-        c = 1
-        while c in seen:
-            c += 1
-        color[v] = c
+    seen: list[set[int]] = [set() for _ in range(n)]
+    heap = [(0, -len(nbrs[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        sat, _, v = heapq.heappop(heap)
+        if color[v] or -sat != len(seen[v]):
+            continue
+        color[v] = c = next(free for free in itertools.count(1) if free not in seen[v])
+        for u in nbrs[v]:
+            if not color[u] and c not in seen[u]:
+                seen[u].add(c)
+                heapq.heappush(heap, (-len(seen[u]), -len(nbrs[u]), u))
     k = max(color, default=0)
     return k, {v: color[v] for v in range(n)}
 
@@ -159,24 +172,21 @@ def greedy_clique(g: Graph) -> frozenset[int]:
 # -- exact weighted chromatic number -------------------------------------------
 
 
-def chi_w_exact(
-    g: Graph,
-    w: Weights | None,
-    max_total_weight: int = DEFAULT_MAX_TOTAL_WEIGHT,
-) -> tuple[int, MultiColoring]:
+def chi_w_exact(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
     """Exact weighted chromatic number via the blow-up reduction.
 
     Each vertex v is substituted by a clique of w(v) copies, so copies
     of adjacent vertices are fully joined; the blow-up's chromatic
     number equals chi_w, and the copy colors are gathered back into
-    color sets.
+    color sets. The blow-up's size follows from the weights, and one
+    the branch and bound would refuse is refused before it is built.
     """
     weights = normalize_weights(g, w)
     total = sum(weights)
-    if total > max_total_weight:
-        raise CutoffExceeded(
-            f"chi_w_exact: total weight {total} exceeds cutoff {max_total_weight}"
-        )
+    edges = sum(wt * (wt - 1) // 2 for wt in weights)
+    edges += sum(weights[u] * weights[v] for u, v in g.edges)
+    if edges:
+        _search_nodes(total, edges)
     k, assignment = _chi_branch_and_bound(substitute(g, [Graph.complete(wt) for wt in weights]))
     copies = (assignment[c] for c in range(total))  # v's copies follow those of 0..v-1
     colors = tuple(frozenset(itertools.islice(copies, wt)) for wt in weights)
@@ -186,49 +196,49 @@ def chi_w_exact(
 # -- exact clique and independence ---------------------------------------------
 
 
-def max_clique_exact(g: Graph, max_n: int = DEFAULT_CLIQUE_MAX_N) -> frozenset[int]:
+def max_clique_exact(g: Graph) -> frozenset[int]:
     """The lexicographically first maximum clique: the first clique one
-    larger than the best so far, searched for until there is none."""
-    if g.n > max_n:
-        raise CutoffExceeded(f"max_clique_exact: n={g.n} exceeds cutoff {max_n}")
-    full = (1 << g.n) - 1
+    larger than the best so far, searched for until there is none. The
+    searches share WORK_BUDGET // n search nodes."""
+    full, budget = (1 << g.n) - 1, [WORK_BUDGET // max(g.n, 1)]
     best: tuple[int, ...] = ()
-    while (larger := first_clique(g.adj_masks, full, len(best) + 1)) is not None:
+    while (larger := first_clique(g.adj_masks, full, len(best) + 1, budget)) is not None:
         best = larger
     return frozenset(best)
 
 
-def clique_number_exact(g: Graph, max_n: int = DEFAULT_CLIQUE_MAX_N) -> int:
-    return len(max_clique_exact(g, max_n))
+def clique_number_exact(g: Graph) -> int:
+    return len(max_clique_exact(g))
 
 
-def max_independent_set_exact(g: Graph, max_n: int = DEFAULT_CLIQUE_MAX_N) -> frozenset[int]:
-    return max_clique_exact(g.complement(), max_n)
+def max_independent_set_exact(g: Graph) -> frozenset[int]:
+    return max_clique_exact(g.complement())
 
 
 # -- exhaustive matching oracle --------------------------------------------------
 
 
-def max_matching_bruteforce(g: Graph, max_n: int = DEFAULT_MATCHING_MAX_N) -> int:
+def max_matching_bruteforce(g: Graph) -> int:
     """Maximum matching size by exhaustive branching on the lowest free
-    vertex: leave it exposed or match it to each free neighbor."""
-    if g.n > max_n:
-        raise CutoffExceeded(f"max_matching_bruteforce: n={g.n} exceeds cutoff {max_n}")
-    adj = g.adj_masks
-
-    def best_from(free: int) -> int:
+    vertex: leave it exposed or match it to each free neighbor, on an
+    explicit stack of WORK_BUDGET // n branches at most, each reading one
+    row (K14 takes 5.4 million)."""
+    nodes, best = WORK_BUDGET // max(g.n, 1), 0
+    stack = [((1 << g.n) - 1, 0)]  # (free vertices, edges matched)
+    while stack:
+        nodes -= 1
+        if nodes < 0:
+            raise CutoffExceeded(f"exhaustive matching on {g.n} vertices ran out of nodes")
+        free, size = stack.pop()
         if not free:
-            return 0
+            best = max(best, size)
+            continue
         low = free & -free
-        v = low.bit_length() - 1
         rest = free ^ low
-        best = best_from(rest)  # v stays exposed
-        cand = adj[v] & rest
+        stack.append((rest, size))
+        cand = g.adj_masks[low.bit_length() - 1] & rest
         while cand:
-            lowu = cand & -cand
-            u = lowu.bit_length() - 1
-            cand ^= lowu
-            best = max(best, 1 + best_from(rest ^ lowu))
-        return best
-
-    return best_from((1 << g.n) - 1)
+            u = cand & -cand
+            cand ^= u
+            stack.append((rest ^ u, size + 1))
+    return best

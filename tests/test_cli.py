@@ -1,6 +1,8 @@
 import json
+import random
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from p5color.graph import Graph, parse_graph, to_dimacs
 from p5color import cli, pipeline
 from p5color.pipeline import GenerationTimeout, gen_p5_cop5, gen_p5_kpe
 
-from helpers import alternating_threshold
+from helpers import alternating_threshold, random_graph
 
 C5_DIMACS = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
 P5_DIMACS = "p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
@@ -91,12 +93,28 @@ def test_dimacs_edge_count_mismatch_exits_with_parse_error(tmp_path, capsys):
     assert "header declares 6 edges" in capsys.readouterr().err
 
 
-def test_cutoff_exit_code(tmp_path, capsys):
-    path = tmp_path / "big.col"
-    path.write_text(to_dimacs(Graph.empty(12)))
-    code = main(["oracle", "omega", "--input", str(path), "--oracle-n", "6"])
+def test_cutoff_exit_code(c5_file, tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("".join(f"{v} {10**9}\n" for v in range(5)))
+    code = main(["oracle", "chiw", "--input", c5_file, "--weights", str(weights)])
     assert code == EXIT_CUTOFF
     assert "cutoff exceeded" in capsys.readouterr().err
+
+
+def test_clique_oracles_are_bounded_by_work_not_size(tmp_path, capsys):
+    # 40 vertices were past the old 24-vertex cutoff; G(80, 0.9) is
+    # refused after WORK_BUDGET // 80 = 1.25 million clique nodes
+    small, big = tmp_path / "g40.col", tmp_path / "g80.col"
+    small.write_text(to_dimacs(random_graph(40, 0.5, random.Random(3))))
+    big.write_text(to_dimacs(random_graph(80, 0.9, random.Random(3))))
+    assert main(["oracle", "omega", "--input", str(small)]) == EXIT_OK
+    clique = json.loads(capsys.readouterr().out)["clique"]
+    assert main(["oracle", "alpha", "--input", str(small)]) == EXIT_OK
+    assert len(clique) == 7 and json.loads(capsys.readouterr().out)["alpha"] == 7
+    start = time.perf_counter()
+    assert main(["oracle", "omega", "--input", str(big)]) == EXIT_CUTOFF
+    assert time.perf_counter() - start < 3
+    assert "ran out of nodes" in capsys.readouterr().err
 
 
 def test_oracle_ops(c5_file, capsys):
@@ -273,6 +291,14 @@ def test_verify_exits_1_on_a_failing_report(capsys, monkeypatch, what):
     assert payload["ok"] is False and payload["failures"] == [{"kind": "planted"}]
 
 
+def test_verify_lemma4_refuses_a_bound_the_report_cannot_print(capsys):
+    # (p+1)^(p+2)*(p-2) has 4,297 digits at p = 1367 and 4,301 at p = 1368
+    assert main(["verify", "lemma4", "--p", "1367", "--samples", "0"]) == EXIT_OK
+    assert len(str(json.loads(capsys.readouterr().out)["params"]["omega_bound"])) == 4297
+    assert main(["verify", "lemma4", "--p", "1368", "--samples", "0"]) == EXIT_USAGE
+    assert "bound (p+1)^(p+2)*(p-2) has 4301 digits" in capsys.readouterr().err
+
+
 def test_verify_lemma5_has_no_size_cutoff(capsys):
     code = main(["verify", "lemma5", "--n-max", "17", "--samples", "0"])
     assert code == EXIT_OK
@@ -290,7 +316,6 @@ def test_solve_option_checks_exit_usage(c5_file):
     solve = ["solve", "--input", c5_file]
     assert main(solve + ["--class", "p5-kpe"]) == EXIT_USAGE
     assert main(solve + ["--class", "p5-cop5", "--p", "4"]) == EXIT_USAGE
-    assert main(solve + ["--class", "p5-cop5", "--oracle-n", "0"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -313,14 +338,12 @@ def test_weight_for_unknown_vertex_is_a_parse_error(c5_file, tmp_path, capsys, c
     assert "parse error: line 2: weight for unknown vertex 9" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_usage(c5_file, tmp_path, monkeypatch):
+def test_usage_errors_exit_usage(c5_file, tmp_path):
     wpath = tmp_path / "w.txt"
     wpath.write_text("0 2\n")
     kpe = ["solve", "--class", "p5-kpe", "--p", "4"]
     assert main(kpe + ["--input", c5_file, "--weights", str(wpath)]) == EXIT_USAGE
     assert main(kpe + ["--input", str(tmp_path / "missing.col")]) == EXIT_USAGE
-    monkeypatch.setenv("P5COLOR_ORACLE_N", "many")
-    assert main(["oracle", "omega", "--input", c5_file]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -352,6 +375,7 @@ def test_unwritable_output_and_unused_weights_exit_usage(c5_file, tmp_path, caps
 @pytest.mark.parametrize(
     "command,extra,code",
     [
+        # --oracle-n and --max-total-weight are gone: refused as unknown options
         ("solve --class p5-cop5 --input C5", "--oracle-n 6", EXIT_USAGE),
         ("solve --class p5-kpe --p 4 --input C5", "--oracle-n 6", EXIT_USAGE),
         ("oracle chi --input C5", "--oracle-n 6", EXIT_USAGE),
@@ -365,7 +389,7 @@ def test_unwritable_output_and_unused_weights_exit_usage(c5_file, tmp_path, caps
         *((f"oracle {op} --input C5", "--max-total-weight 10", EXIT_USAGE)
           for op in ("chi", "omega", "alpha", "matching", "validate --report-file REPORT")),
         ("oracle chi --input C5", "--report-file REPORT", EXIT_USAGE),
-        # a variable is read only by a command that uses it
+        # the package reads no environment variable, these former cutoffs included
         ("decompose --kind modular --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
         ("solve --class p5-cop5 --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
         ("solve --class p5-kpe --p 4 --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
@@ -392,13 +416,6 @@ def test_an_option_the_command_ignores_exits_usage(c5_file, tmp_path, capsys, mo
         assert capsys.readouterr().err.startswith("usage error: ")
 
 
-def test_env_cutoff_override(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "g.col"
-    path.write_text(to_dimacs(Graph.empty(12)))
-    monkeypatch.setenv("P5COLOR_ORACLE_N", "6")
-    assert main(["oracle", "omega", "--input", str(path)]) == EXIT_CUTOFF
-
-
 def _timeout(n, p, seed, density=0.2):
     raise GenerationTimeout(f"no {{P5, K{p}-e}}-free graph on {n} vertices accepted")
 
@@ -407,12 +424,13 @@ def _timeout(n, p, seed, density=0.2):
     "argv,code",
     [
         ("solve --class p5-kpe --p 2 --input C5", EXIT_USAGE),
-        ("P5COLOR_ORACLE_N=0 oracle omega --input C5", EXIT_USAGE),
         ("generate --class p5-cop5 --n 0", EXIT_USAGE),
         ("generate --class p5-kpe --p 2 --n 5", EXIT_USAGE),
         ("generate --class p5-kpe --p 4 --n 30 --seed 1", EXIT_CUTOFF),
         ("verify lemma4 --p 2", EXIT_USAGE),
         ("verify lemma4 --n-max 1", EXIT_USAGE),
+        ("verify lemma4 --p 2000", EXIT_USAGE),
+        ("verify lemma4 --p 1000000000000", EXIT_USAGE),
         ("verify gyarfas --n-max 0", EXIT_USAGE),
         ("verify oracle --n-max 0", EXIT_USAGE),
         ("generate --class p5-cop5 --n 5 --count 0", EXIT_USAGE),
@@ -422,10 +440,10 @@ def _timeout(n, p, seed, density=0.2):
         *((f"generate --class p5-kpe --p 4 --n 5 --density {d}", EXIT_USAGE)
           for d in ("-0.5", "1.5", "nan", "inf")),
         ("decompose --kind modular --input EMPTY", EXIT_OK),
+        # removed options, refused as unknown ones
         *((f"oracle {op} --oracle-n {n} --input C5", EXIT_USAGE)
           for op in ("chi", "omega", "alpha") for n in (0, -3)),
         ("oracle chiw --max-total-weight 0 --input C5", EXIT_USAGE),
-        ("P5COLOR_MAX_TOTAL_WEIGHT=0 oracle chiw --input C5", EXIT_USAGE),
     ],
 )
 def test_out_of_range_input_exits_with_its_documented_code(
@@ -437,12 +455,7 @@ def test_out_of_range_input_exits_with_its_documented_code(
     empty.write_text("")
     # stands in for the 11 s of rejection sampling that runs out of attempts
     monkeypatch.setattr(pipeline, "gen_p5_kpe", _timeout)
-    args = []
-    for arg in argv.split():
-        if "=" in arg:
-            monkeypatch.setenv(*arg.split("="))
-        else:
-            args.append({"C5": c5_file, "EMPTY": str(empty)}.get(arg, arg))
+    args = [{"C5": c5_file, "EMPTY": str(empty)}.get(arg, arg) for arg in argv.split()]
     assert main(args) == code
     captured = capsys.readouterr()
     if code == EXIT_OK:

@@ -4,6 +4,8 @@ import pytest
 
 from p5color.coloring import MultiColoring, validate_coloring
 from p5color.graph import Graph
+from p5color.oracle import chi_w_exact
+from p5color.pipeline import solve_p5_cop5
 
 from helpers import random_graph
 
@@ -52,3 +54,11 @@ def test_clash_is_the_lexicographically_first_clashing_edge():
         shared = sorted(mc.of(u) & mc.of(v))
         with pytest.raises(ValueError, match=rf"^adjacent vertices {u},{v} share colors \[{', '.join(map(str, shared))}\]$"):
             validate_coloring(g, mc, w)
+
+
+@pytest.mark.parametrize("solve", [solve_p5_cop5, chi_w_exact])
+@pytest.mark.parametrize("wt", [2.9, 2.0, True, "2"])
+def test_a_weight_that_is_not_an_int_is_refused(solve, wt):
+    # 2.9 was once truncated to 2 and True taken for 1
+    with pytest.raises(ValueError, match="weight of vertex 0 must be an integer"):
+        solve(C5, {0: wt})

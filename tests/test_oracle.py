@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -47,8 +49,9 @@ def test_chi_exact_cutoff():
 
 @pytest.mark.parametrize("n,p,budget", [(80, 0.5, 5 * 10**6), (200, 0.3, 5 * 10**6), (200, 0.3, 10**6)])
 def test_chi_exact_refuses_within_its_work_budget(monkeypatch, n, p, budget):
-    # each saturation scan reads n + 2m; the greedy pass makes n of them and
-    # each search node one, and a greedy pass past the budget is not begun
+    # each saturation scan reads n + 2m; n of them are set aside for the
+    # greedy pass and each search node makes one, and a greedy pass past
+    # the budget is not begun
     g = random_graph(n, p, random.Random(1))
     scans = budget // (n + 2 * g.m)
     counted = 0
@@ -60,7 +63,7 @@ def test_chi_exact_refuses_within_its_work_budget(monkeypatch, n, p, budget):
 
     search = oracle._most_saturated
     monkeypatch.setattr(oracle, "_most_saturated", most_saturated)
-    monkeypatch.setattr(oracle, "CHI_WORK_BUDGET", budget)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", budget)
     with pytest.raises(CutoffExceeded, match="greedy pass alone" if scans < n else "search nodes"):
         chi_exact(g)
     assert counted <= scans
@@ -93,11 +96,46 @@ def test_chi_w_exact_matches_direct_enumeration():
         validate_coloring(g, mc, w)
 
 
-def test_chi_w_exact_cutoff_is_total_weight():
-    g = Graph.empty(3)
-    with pytest.raises(CutoffExceeded):
-        chi_w_exact(g, {0: 30, 1: 30, 2: 30})
-    assert chi_w_exact(g, {0: 30, 1: 30, 2: 30}, max_total_weight=100)[0] == 30
+def test_chi_w_exact_refuses_only_past_the_work_budget():
+    # total weight 90, past the old cutoff of 64: the blow-up K90 has
+    # 4,005 edges and its bounds meet at once
+    assert chi_w_exact(Graph.complete(3), {0: 30, 1: 30, 2: 30})[0] == 90
+    assert chi_w_exact(Graph.empty(3), {0: 30, 1: 30, 2: 30})[0] == 30
+    # a blow-up of 5 * 10**9 vertices is refused before it is built
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CutoffExceeded, match="greedy pass alone"):
+            chi_w_exact(Graph.cycle(5), {v: 10**9 for v in range(5)})
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 20 * 2**20
+
+
+def test_chi_w_exact_refuses_by_the_blowups_size(monkeypatch):
+    # K2 with weights 2 and 3 blows up to K5: 5 vertices, 10 edges, so
+    # 5 * 25 reads leave the branch and bound no search node and one less
+    # leaves its greedy pass short
+    g, w = Graph.complete(2), {0: 2, 1: 3}
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 125)
+    assert chi_w_exact(g, w)[0] == 5
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 124)
+    with pytest.raises(CutoffExceeded, match="on 5 vertices and 10 edges"):
+        chi_w_exact(g, w)
+
+
+def test_clique_searches_share_one_work_budget(monkeypatch):
+    # on K6 the searches for a clique of size 1..6 push 0 + 1 + ... + 5
+    # nodes and the one for size 7 none; the budget is WORK_BUDGET // n
+    k6 = Graph.complete(6)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 6 * 15)
+    assert clique_number_exact(k6) == 6
+    assert len(max_independent_set_exact(k6.complement())) == 6
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 6 * 15 - 1)
+    with pytest.raises(CutoffExceeded, match="clique of 6 vertices ran out of nodes"):
+        clique_number_exact(k6)
 
 
 def test_clique_number_fixed_cases():
@@ -165,5 +203,14 @@ def test_matching_bruteforce_fixed_cases():
     assert max_matching_bruteforce(Graph.path(4)) == 2
     assert max_matching_bruteforce(Graph.cycle(5)) == 2
     assert max_matching_bruteforce(petersen()) == 5
-    with pytest.raises(CutoffExceeded):
-        max_matching_bruteforce(Graph.empty(15))
+    assert max_matching_bruteforce(Graph.empty(15)) == 0
+    assert max_matching_bruteforce(Graph.empty(0)) == 0
+
+
+def test_matching_bruteforce_refuses_past_its_work_budget(monkeypatch):
+    # the search on K8 visits 1,716 branches: T(n) = 1 + T(n-1) + (n-1) T(n-2)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 8 * 1716)
+    assert max_matching_bruteforce(Graph.complete(8)) == 4
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 8 * 1716 - 1)
+    with pytest.raises(CutoffExceeded, match="matching on 8 vertices ran out of nodes"):
+        max_matching_bruteforce(Graph.complete(8))

@@ -117,7 +117,7 @@ def test_solve_kpe_exact_fallback_route():
 def test_solve_kpe_cutoff_is_loud(monkeypatch):
     g = _complete_bipartite(5, 6)
     assert class_membership(g, "p5-kpe", 4)
-    monkeypatch.setattr(oracle, "CHI_WORK_BUDGET", 100)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 100)
     with pytest.raises(CutoffExceeded, match=re.escape(f"C-block {list(range(11))} on the exact-fallback")):
         solve_p5_kpe(g, 4)
 

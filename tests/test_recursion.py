@@ -7,8 +7,6 @@ from pathlib import Path
 import p5color
 
 RECURSIVE = {
-    "oracle.max_matching_bruteforce.best_from":
-        "one level per vertex, and the matching oracle refuses n > 14",
     "pipeline._build_cop5":
         "one level per substitution, each on fewer vertices than the last",
 }
