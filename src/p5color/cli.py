@@ -17,6 +17,7 @@ under the default recursion limit, with the depth named in the message),
 5 usage error (an argument the parser refuses, options that do not go
 together, a value out of its range: --n, --n-max or --count below 1,
 --samples below 0, --p below 3, --density outside [0, 1] or NaN,
+`verify oracle` with --n-max above 10,
 `verify lemma4` with --n-max below 2 or with a --p whose omega bound
 (p+1)^(p+2)(p-2) has more digits than a JSON report prints, estimated
 before the bound is computed; an option the command ignores, such as
@@ -292,6 +293,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.what == "gyarfas":
         payload = pipeline.verify_gyarfas(**sizes).to_json()
     else:
+        if args.n_max > 10:
+            raise UsageError(f"verify oracle needs --n-max <= 10, got {args.n_max}")
         payload = _oracle_crosscheck(**sizes)
     _emit(payload, args.out)
     return EXIT_OK if payload.get("ok", True) else 1
@@ -305,7 +308,7 @@ def _oracle_crosscheck(samples: int, n_max: int, seed: int) -> dict:
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
-        n = rng.randint(1, min(n_max, 10))
+        n = rng.randint(1, n_max)
         g = pipeline._gnp(n, rng.choice([0.2, 0.4, 0.6]), rng)
         if len(max_matching(g)) != oracle.max_matching_bruteforce(g):
             failures.append({"kind": "matching", "edges": sorted(map(list, g.edges))})

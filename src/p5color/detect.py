@@ -447,18 +447,16 @@ def is_o3_free(g: Graph) -> bool:
 # -- Berge check (desk scale) -------------------------------------------------
 
 
-def find_odd_hole_or_antihole(
-    g: Graph, max_n: int = DEFAULT_BERGE_MAX_N
-) -> Witness | None:
+def find_odd_hole_or_antihole(g: Graph) -> Witness | None:
     """First induced odd hole of g or of its complement, length >= 5:
     by length, g before its complement, the lexicographically first
     cycle of _find_hole.
 
-    Refuses graphs beyond max_n rather than approximating.
+    Refuses graphs beyond DEFAULT_BERGE_MAX_N rather than approximating.
     """
-    if g.n > max_n:
+    if g.n > DEFAULT_BERGE_MAX_N:
         raise CutoffExceeded(
-            f"Berge check is desk-scale only: n={g.n} exceeds cutoff {max_n}"
+            f"Berge check is desk-scale only: n={g.n} exceeds cutoff {DEFAULT_BERGE_MAX_N}"
         )
     co = g.complement()
     for length in range(5, g.n + 1, 2):
@@ -473,9 +471,9 @@ def find_odd_hole_or_antihole(
     return None
 
 
-def is_berge_small(g: Graph, max_n: int = DEFAULT_BERGE_MAX_N) -> bool:
+def is_berge_small(g: Graph) -> bool:
     """True iff neither g nor its complement has an induced odd hole."""
-    return find_odd_hole_or_antihole(g, max_n=max_n) is None
+    return find_odd_hole_or_antihole(g) is None
 
 
 # -- class membership ----------------------------------------------------------
@@ -484,17 +482,12 @@ CLASS_P5_COP5 = "p5-cop5"
 CLASS_P5_KPE = "p5-kpe"
 
 
-def _normalize_class(name: str) -> str:
-    return name.replace("_", "-").lower()
-
-
 def find_class_violation(g: Graph, class_name: str, p: int | None = None) -> Witness | None:
     """First forbidden-pattern witness under deterministic vertex order,
     or None when g belongs to the class."""
-    cls = _normalize_class(class_name)
-    if cls == CLASS_P5_COP5:
+    if class_name == CLASS_P5_COP5:
         return p5_cop5_violation(g)[0]
-    if cls == CLASS_P5_KPE:
+    if class_name == CLASS_P5_KPE:
         if p is None or p < 3:
             raise PreconditionError(f"class {CLASS_P5_KPE} needs a parameter p >= 3")
         return find_induced_p5(g) or find_induced_kp_minus_e(g, p)

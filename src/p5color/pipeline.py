@@ -272,25 +272,23 @@ def _build_cop5(n: int, rng: random.Random) -> Graph:
     return substitute(skeleton, [_build_cop5(s, rng) for s in sizes])
 
 
-def gen_p5_kpe(
-    n: int,
-    p: int,
-    seed: int,
-    density: float = 0.2,
-    max_attempts: int = 100_000,
-) -> GenResult:
+MAX_ATTEMPTS = 100_000
+
+
+def gen_p5_kpe(n: int, p: int, seed: int, density: float = 0.2) -> GenResult:
     """A random {P5, Kp-e}-free graph by rejection sampling at the given
-    edge density; the accepted graph comes with its attempt count."""
+    edge density, at most MAX_ATTEMPTS draws; the accepted graph comes
+    with its attempt count."""
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 and p >= 3")
     rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         g = _gnp(n, density, rng)
         if find_class_violation(g, "p5-kpe", p) is None:
             return GenResult(g, attempt)
     raise GenerationTimeout(
         f"no {{P5, K{p}-e}}-free graph on {n} vertices accepted after "
-        f"{max_attempts} attempts at density {density}; adjust the density"
+        f"{MAX_ATTEMPTS} attempts at density {density}; adjust the density"
     )
 
 
@@ -299,12 +297,12 @@ def _repaired(
     density: float,
     rng: random.Random,
     find_witness: Callable[[Graph], Witness | None],
-    max_flips: int = 400,
 ) -> Graph | None:
     """Witness-guided repair: toggle random pairs inside the current
-    forbidden-structure witness until find_witness finds none."""
+    forbidden-structure witness until find_witness finds none, at most
+    400 times."""
     edges = set(_gnp(n, density, rng).edges)
-    for _ in range(max_flips):
+    for _ in range(400):
         g = Graph(n, edges)
         witness = find_witness(g)
         if witness is None:
@@ -343,17 +341,15 @@ class VerificationReport:
         }
 
 
-def verify_lemma5(
-    n_max: int = 9,
-    samples_per_n: int = 150,
-    seed: int = 0,
-    exhaustive_up_to: int = 6,
-) -> VerificationReport:
+LEMMA5_EXHAUSTIVE_UP_TO = 6
+
+
+def verify_lemma5(n_max: int = 9, samples_per_n: int = 150, seed: int = 0) -> VerificationReport:
     """Check that connected prime {P5, co-P5}-free graphs are Berge or
     the 5-cycle.
 
-    Sizes up to exhaustive_up_to are enumerated completely; larger sizes
-    are sampled by witness-guided repair. Any counterexample lands in
+    Sizes up to LEMMA5_EXHAUSTIVE_UP_TO are enumerated completely; larger
+    sizes are sampled by witness-guided repair. Any counterexample lands in
     failures. A member is Berge exactly when it has no induced 5-cycle:
     every hole and antihole on six or more vertices contains P5 or
     co-P5.
@@ -374,13 +370,13 @@ def verify_lemma5(
                 {"n": n, "edges": sorted(map(list, g.edges))}
             )
 
-    for n in range(2, min(n_max, exhaustive_up_to) + 1):
+    for n in range(2, min(n_max, LEMMA5_EXHAUSTIVE_UP_TO) + 1):
         for g in _all_graphs(n):
             if is_connected(g) and modular.is_prime(g) and (
                 find_class_violation(g, "p5-cop5") is None
             ):
                 examine(g, n)
-    for n in range(exhaustive_up_to + 1, n_max + 1):
+    for n in range(LEMMA5_EXHAUSTIVE_UP_TO + 1, n_max + 1):
         seen: set[Graph] = set()
         got = 0
         budget = samples_per_n * 40
@@ -404,11 +400,7 @@ def _all_graphs(n: int):
 
 
 def verify_lemma4(
-    p: int = 4,
-    samples: int = 200,
-    n_max: int = 12,
-    seed: int = 0,
-    density: float = 0.15,
+    p: int = 4, samples: int = 200, n_max: int = 12, seed: int = 0
 ) -> VerificationReport:
     """Check the C-block dichotomy for {P5, Kp-e}-free graphs: every
     block of every sampled member is O3-free or has clique number at
@@ -424,7 +416,7 @@ def verify_lemma4(
     blocks_seen = 0
     while blocks_seen < samples:
         n = rng.randint(2, n_max)
-        g = gen_p5_kpe(n, p, rng.randrange(2**32), density=density).graph
+        g = gen_p5_kpe(n, p, rng.randrange(2**32), density=0.15).graph
         for atom in cliquesep.build_tree(g):
             sub, _ = g.induced(iter_bits(atom.block))
             if sub.n < 2:
@@ -448,12 +440,7 @@ def verify_lemma4(
     return report
 
 
-def verify_gyarfas(
-    samples: int = 500,
-    n_max: int = 12,
-    seed: int = 0,
-    density: float = 0.4,
-) -> VerificationReport:
+def verify_gyarfas(samples: int = 500, n_max: int = 12, seed: int = 0) -> VerificationReport:
     """Check chi <= 4^(omega-1) over sampled P5-free graphs."""
     report = VerificationReport(
         "gyarfas", {"samples": samples, "n_max": n_max, "seed": seed}
@@ -461,7 +448,7 @@ def verify_gyarfas(
     rng = random.Random(seed)
     while report.total < samples:
         n = rng.randint(1, n_max)
-        g = _repaired(n, density, rng, find_induced_p5)
+        g = _repaired(n, 0.4, rng, find_induced_p5)
         if g is None:
             continue
         report.total += 1

@@ -433,6 +433,7 @@ def _timeout(n, p, seed, density=0.2):
         ("verify lemma4 --p 1000000000000", EXIT_USAGE),
         ("verify gyarfas --n-max 0", EXIT_USAGE),
         ("verify oracle --n-max 0", EXIT_USAGE),
+        ("verify oracle --n-max 11", EXIT_USAGE),
         ("generate --class p5-cop5 --n 5 --count 0", EXIT_USAGE),
         ("generate --class p5-cop5 --n 5 --count -2", EXIT_USAGE),
         ("verify gyarfas --samples -3", EXIT_USAGE),
@@ -441,8 +442,7 @@ def _timeout(n, p, seed, density=0.2):
           for d in ("-0.5", "1.5", "nan", "inf")),
         ("decompose --kind modular --input EMPTY", EXIT_OK),
         # removed options, refused as unknown ones
-        *((f"oracle {op} --oracle-n {n} --input C5", EXIT_USAGE)
-          for op in ("chi", "omega", "alpha") for n in (0, -3)),
+        ("oracle chi --oracle-n 0 --input C5", EXIT_USAGE),
         ("oracle chiw --max-total-weight 0 --input C5", EXIT_USAGE),
     ],
 )

@@ -239,10 +239,11 @@ def test_bipartite_graphs_are_berge():
         assert is_berge_small(Graph(a + b, edges))
 
 
-def test_berge_cutoff_refuses_loudly():
+def test_berge_cutoff_refuses_loudly(monkeypatch):
     with pytest.raises(CutoffExceeded):
         is_berge_small(Graph.empty(17))
-    assert is_berge_small(Graph.empty(17), max_n=20)
+    monkeypatch.setattr(detect, "DEFAULT_BERGE_MAX_N", 20)
+    assert is_berge_small(Graph.empty(17))
 
 
 def test_detectors_agree_with_exhaustive_oracle():
@@ -272,8 +273,9 @@ def test_class_membership_known_cases():
     assert v2.pattern == "K4-e" and sorted(v2.vertices) == [0, 1, 2, 3]
     with pytest.raises(PreconditionError):
         find_class_violation(C5, "p5-kpe")
-    with pytest.raises(ValueError):
-        find_class_violation(C5, "nonsense")
+    for name in ("nonsense", "P5_COP5", "P5-KPE"):
+        with pytest.raises(ValueError):
+            find_class_violation(C5, name, 4)
 
 
 def test_class_membership_is_hereditary():

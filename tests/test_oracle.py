@@ -69,9 +69,12 @@ def test_chi_exact_refuses_within_its_work_budget(monkeypatch, n, p, budget):
     assert counted <= scans
 
 
-def test_chi_branch_and_bound_node_budget_is_loud():
+def test_chi_branch_and_bound_node_budget_is_loud(monkeypatch):
+    # Petersen: n + 2m = 40 reads a node, so 440 reads leave 440 // 40 - 10 = 1
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 440)
     with pytest.raises(CutoffExceeded, match="budget of 1 search nodes"):
-        _chi_branch_and_bound(petersen(), node_budget=1)
+        _chi_branch_and_bound(petersen())
+    monkeypatch.undo()
     assert _chi_branch_and_bound(petersen())[0] == 3
 
 
@@ -204,13 +207,15 @@ def test_matching_bruteforce_fixed_cases():
     assert max_matching_bruteforce(Graph.cycle(5)) == 2
     assert max_matching_bruteforce(petersen()) == 5
     assert max_matching_bruteforce(Graph.empty(15)) == 0
+    assert max_matching_bruteforce(Graph.complete(15)) == 7
     assert max_matching_bruteforce(Graph.empty(0)) == 0
 
 
 def test_matching_bruteforce_refuses_past_its_work_budget(monkeypatch):
-    # the search on K8 visits 1,716 branches: T(n) = 1 + T(n-1) + (n-1) T(n-2)
-    monkeypatch.setattr(oracle, "WORK_BUDGET", 8 * 1716)
+    # the search on K8 visits 21 branches: 5 on its way down to a perfect
+    # matching and the 16 it left on the stack, each skipped once popped
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 8 * 21)
     assert max_matching_bruteforce(Graph.complete(8)) == 4
-    monkeypatch.setattr(oracle, "WORK_BUDGET", 8 * 1716 - 1)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 8 * 21 - 1)
     with pytest.raises(CutoffExceeded, match="matching on 8 vertices ran out of nodes"):
         max_matching_bruteforce(Graph.complete(8))

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from p5color import oracle
+from p5color import oracle, pipeline
 from p5color.cli import main
 from p5color.cliquesep import build_tree, validate_tree
 from p5color.coloring import validate_coloring
@@ -215,9 +215,10 @@ def test_generators_are_seed_deterministic():
     assert gen_p5_kpe(9, 4, 123) == gen_p5_kpe(9, 4, 123)
 
 
-def test_generator_timeout_suggests_density():
-    with pytest.raises(GenerationTimeout):
-        gen_p5_kpe(12, 4, 0, density=0.95, max_attempts=40)
+def test_generator_timeout_suggests_density(monkeypatch):
+    monkeypatch.setattr(pipeline, "MAX_ATTEMPTS", 40)
+    with pytest.raises(GenerationTimeout, match="after 40 attempts at density 0.95"):
+        gen_p5_kpe(12, 4, 0, density=0.95)
 
 
 def test_report_json_is_stable_and_timing_optional():

@@ -266,10 +266,9 @@ def test_weighted_substitution_members_match_the_oracle(case):
         # a split graph is perfect, so its prime quotients are too
         event("spider")
         assert {r.route for r in report.routes} == {ROUTE_PERFECT_EXACT}
-    search = oracle._chi_branch_and_bound
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_chi_branch_and_bound", lambda blow: search(blow, ORACLE_NODES))
+            patch.setattr(oracle, "_search_nodes", lambda n, m: ORACLE_NODES)
             k = chi_w_exact(g, w)[0]
     except CutoffExceeded:
         event("oracle past its node budget")
