@@ -9,8 +9,9 @@ the non-adjacent pair first for near-complete patterns.
 The P5 and co-P5 searches run after one twin pass. The pass deletes
 every vertex that has a smaller twin (a vertex with the same open or
 the same closed neighbourhood) or that is isolated or universal. The
-searches still return the lexicographically first witness of the
-whole graph. P5 has no twins, so a witness through a vertex with a
+rule lives in modular.twin_core, and the modular decomposition is
+refined on the same core. The searches still return the
+lexicographically first witness of the whole graph. P5 has no twins, so a witness through a vertex with a
 smaller twin stays a witness when the twin takes that vertex's place,
 and that witness is lexicographically smaller; every vertex of P5 and
 of co-P5 has a neighbour and a non-neighbour among the other four. The
@@ -151,26 +152,9 @@ def _int_suffix(text: str) -> int:
 def _twin_pass(g: Graph, keep: int) -> int:
     """keep less every vertex of keep that has a smaller twin (same open
     or same closed neighbourhood inside keep), no neighbour in keep, or
-    every other vertex of keep as a neighbour: one deletion pass.
-
-    No vertex's open neighbourhood equals another vertex's closed one,
-    so one set of both keys finds both kinds of twin in one pass.
-    """
-    adj = g.adj_masks
-    seen: set[int] = set()
-    drop = 0
-    rest = keep
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        nbrs = adj[low.bit_length() - 1] & keep
-        closed = nbrs | low
-        if not nbrs or closed == keep or nbrs in seen or closed in seen:
-            drop |= low
-        else:
-            seen.add(nbrs)
-            seen.add(closed)
-    return keep & ~drop
+    every other vertex of keep as a neighbour: one pass of
+    modular.twin_core, the rule the modular decomposition is built on."""
+    return modular.twin_core(g.adj_masks, keep)[0]
 
 
 class _BudgetSpent(Exception):

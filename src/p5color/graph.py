@@ -230,15 +230,23 @@ def first_clique(
     None if there is none. A depth-first search on an explicit stack of
     (candidates left, vertex chosen) per level, candidates lowest bit
     first; a level with fewer candidates than vertices still needed is
-    left at once. With budget, a one-item list of the pushes left that
-    searches may share, each push takes one from budget[0] and the
-    first past it raises CutoffExceeded."""
+    left at once. So is a level entered needing at least 3 vertices
+    whose candidates split greedily into fewer independent sets than
+    that (_colour_bound, the colouring bound of Tomita and Seki's MCQ
+    in the bitmask form of San Segundo et al.'s BBMC): a clique takes
+    at most one vertex from each set, so only branches without one are
+    cut and the first clique stays first. With budget, a one-item list
+    of the pushes left that searches may share, each push and each row
+    the bound reads takes one from budget[0], and the search raises
+    CutoffExceeded once it is past zero."""
     if size == 0:
         return ()
     budget = [sys.maxsize] if budget is None else budget
     stack: list[tuple[int, int]] = []
-    cand, need = mask, size
+    cand, need = _colour_bound(adj, mask, size, budget), size
     while True:
+        if budget[0] < 0:
+            raise CutoffExceeded(f"the search for a clique of {size} vertices ran out of nodes")
         if cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
@@ -246,16 +254,35 @@ def first_clique(
             if need == 1:
                 return (*(u for _, u in stack), v)
             budget[0] -= 1
-            if budget[0] < 0:
-                raise CutoffExceeded(f"the search for a clique of {size} vertices ran out of nodes")
             stack.append((cand, v))
-            cand &= adj[v]
             need -= 1
+            cand = _colour_bound(adj, cand & adj[v], need, budget)
         elif stack:
             cand = stack.pop()[0]
             need += 1
         else:
             return None
+
+
+def _colour_bound(adj: Sequence[int], cand: int, need: int, budget: list[int]) -> int:
+    """cand, or 0 when a clique of need >= 3 vertices cannot lie in it:
+    when its candidates, split greedily into independent sets (each the
+    lowest candidate left, then the lowest left outside its neighbours,
+    and so on), fill fewer than need sets. Each row read takes one from
+    budget[0]."""
+    if need < 3 or cand.bit_count() < need:
+        return cand
+    rest = cand
+    for _ in range(need - 1):
+        free = rest
+        while free:
+            low = free & -free
+            rest ^= low
+            free &= ~(adj[low.bit_length() - 1] | low)
+            budget[0] -= 1
+        if not rest:
+            return 0
+    return cand
 
 
 def is_connected(g: Graph) -> bool:

@@ -7,6 +7,10 @@ children come from partition refinement by splitters, which leaves
 only the child containing the smallest vertex to be closed, on a small
 quotient.
 
+The tree is refined on the twin core alone (twin_core, the twin rule
+membership uses too), and the vertices it sets aside are hung on as
+leaves; md_tree says why the tree is the one of the whole graph.
+
 Every node is a vertex bitmask of the input graph, and carries it as
 its mask: components and co-components come from searches over the
 adjacency masks, which build no complement rows, and quotients are
@@ -152,16 +156,102 @@ def _prime_children(adj: Sequence[int], span: int) -> tuple[list[int], list[int]
 # -- the tree ----------------------------------------------------------------
 
 
+def twin_core(adj: Sequence[int], keep: int) -> tuple[int, dict[int, int]]:
+    """One twin pass over the vertex bitmask keep, for neighbourhood
+    bitmasks adj: the core, the bitmask of the vertices it keeps, and
+    each vertex it sets aside, in increasing order, mapped to the kept
+    vertex it is a twin of, or to -1 when isolated or universal.
+
+    A vertex is set aside when it has a smaller twin (the same open or
+    the same closed neighbourhood inside keep), no neighbour in keep, or
+    every other vertex of keep as a neighbour; the smallest vertex of a
+    twin class is kept. No vertex's open neighbourhood equals another
+    vertex's closed one, so one dict of both keys finds both kinds.
+    """
+    seen: dict[int, int] = {}  # a kept vertex's open and closed neighbourhoods -> it
+    twin_of: dict[int, int] = {}
+    core = 0
+    for v, row in enumerate(adj):
+        low = 1 << v
+        if not keep & low:
+            continue
+        nbrs = row & keep
+        closed = nbrs | low
+        if not nbrs or closed == keep:
+            twin_of[v] = -1
+        elif nbrs in seen:
+            twin_of[v] = seen[nbrs]
+        elif closed in seen:
+            twin_of[v] = seen[closed]
+        else:
+            seen[nbrs] = seen[closed] = v
+            core |= low
+    return core, twin_of
+
+
 def md_tree(g: Graph) -> MDTree:
+    """The modular decomposition tree of g, each node's children ordered
+    by smallest vertex.
+
+    Only the twin core of g is refined, and the vertices twin_core sets
+    aside are hung on as each node is built: a kept leaf's twins become
+    its siblings under a node of their kind (parallel for open twins,
+    series for closed ones), or else a new child of that kind with it;
+    isolated or universal vertices go under a parallel or series root.
+
+    The tree is the one refining every vertex gives: g is its core with
+    each kept vertex substituted by its twin class, a module, set beside
+    the isolated or joined to the universal vertices, so its tree is the
+    core's with each such leaf replaced by its class's node, merged into
+    a parent of its kind. A kept vertex is the smallest of its class, so
+    each node keeps its smallest vertex, its reps and its quotient.
+    """
     if g.n < 1:
         raise ValueError("modular decomposition needs at least one vertex")
     if g.n == 1:
         return MDLeaf(0)
     adj = g.adj_masks
     full = (1 << g.n) - 1
-    built: dict[int, MDTree] = {}  # internal nodes; a leaf is built with its parent
+    core, twin_of = twin_core(adj, full)
+    hung: dict[int, list[int]] = {}  # a kept vertex's twins, or -1's isolated or universal vertices
+    for v, twin in twin_of.items():
+        hung.setdefault(twin, []).append(v)
+    lone = hung.pop(-1, [])
+    top = (MDSeries if adj[lone[0]] else MDParallel) if lone else None  # the root's kind
+    twinned = bits_of(hung)  # the kept vertices with twins
+    built: dict[int, MDTree] = {}  # internal nodes by core span; a leaf is built with its parent
+
+    def hang(parts: list[int], kind: type | None, loose: list[int]) -> tuple[list[MDTree], int]:
+        """The children of a node of kind whose core children are parts,
+        with its twins and the vertices loose as leaves of its own, by
+        smallest vertex, and the set-aside vertices below it."""
+        kids, below = [], 0
+        for p in parts:
+            if p & (p - 1):
+                node = built.pop(p)
+                below |= node.mask
+            elif p & twinned:
+                v = p.bit_length() - 1
+                twins = bits_of(hung[v])
+                below |= twins
+                node = MDLeaf(v)
+                own = MDSeries if adj[v] & twins else MDParallel
+                if own is kind:
+                    loose = loose + hung[v]
+                else:
+                    node = own((node, *map(MDLeaf, hung[v])), p | twins)
+            else:
+                node = MDLeaf(p.bit_length() - 1)
+            kids.append(node)
+        if loose:  # the parts' smallest vertices ascend, and the loose leaves go in between
+            keyed = [((p & -p).bit_length() - 1, kid) for p, kid in zip(parts, kids)]
+            keyed += [(v, MDLeaf(v)) for v in loose]
+            keyed.sort(key=lambda kid: kid[0])
+            kids = [kid for _, kid in keyed]
+        return kids, below
+
     order = []  # pre-order (span, kind, child spans, prime quotient rows)
-    stack: list[tuple[int, type | None]] = [(full, None)]  # (span, parent's kind)
+    stack: list[tuple[int, type | None]] = [(core, None)] if core & (core - 1) else []
     while stack:
         span, above = stack.pop()
         # a component is connected and a co-component co-connected
@@ -176,13 +266,17 @@ def md_tree(g: Graph) -> MDTree:
         order.append((span, kind, parts, rows))
         stack += [(p, kind) for p in parts if p & (p - 1)]
     for span, kind, parts, rows in reversed(order):
-        children = tuple([built.pop(p) if p & (p - 1) else MDLeaf(p.bit_length() - 1) for p in parts])
-        if kind is MDPrime:
-            reps = tuple([(p & -p).bit_length() - 1 for p in parts])  # ascending
-            built[span] = MDPrime(children, span, Graph._from_masks(rows), reps)
+        root = span == core and kind is top  # the core's root takes the lone vertices
+        kids, below = hang(parts, kind, lone if root else [])
+        if kind is MDPrime:  # reps: the smallest vertices of the parts, which no twin undercuts
+            reps = tuple([(p & -p).bit_length() - 1 for p in parts])
+            built[span] = MDPrime(tuple(kids), span | below, Graph._from_masks(rows), reps)
         else:
-            built[span] = kind(children, span)
-    return built[full]
+            built[span] = kind(tuple(kids), full if root else span | below)
+    if core in built and type(built[core]) is top:
+        return built[core]  # the core's root took the lone vertices
+    kids = hang([core] if core else [], top, lone)[0]
+    return top(tuple(kids), full) if lone else kids[0]
 
 
 def validate_md_tree(g: Graph, t: MDTree) -> None:

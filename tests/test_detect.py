@@ -34,7 +34,7 @@ from p5color.detect import (
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
 from p5color.graph import Graph, component_masks, first_clique, reach, substitute
 from p5color.modular import md_tree, validate_md_tree
-from p5color.oracle import max_independent_set_exact
+from p5color.oracle import clique_number_exact, max_independent_set_exact
 from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
 
 from helpers import (
@@ -143,6 +143,20 @@ def test_kp_minus_e_searches_one_clique_per_x_on_a_complete_bipartite_graph(monk
     g = Graph(60, [(u, v) for u in range(30) for v in range(30, 60)])
     assert find_induced_kp_minus_e(g, 4) is None
     assert len(calls) == 58  # every x but the last of each side has a y after it
+
+
+def test_kp_minus_e_membership_of_a_large_member_takes_few_clique_pushes(monkeypatch):
+    """gen_p5_cop5(80, 1) has chi = 27 and omega = 26, so it is {P5,
+    K29-e}-free. Each common neighbourhood holds no clique of 27; the
+    colouring bound shows it at once, where a search without it would
+    try every smaller clique there. Its searches share 20,000 pushes
+    and reads here, and the omega oracle answers on it."""
+    budget = [20_000]
+    monkeypatch.setattr(detect, "first_clique", lambda adj, mask, size: first_clique(adj, mask, size, budget))
+    g = gen_p5_cop5(80, 1)
+    assert find_class_violation(g, "p5-kpe", 29) is None
+    assert budget[0] >= 0
+    assert clique_number_exact(g) == 26
 
 
 def _cone(blocks: list[Graph]) -> Graph:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -10,6 +11,7 @@ from p5color.graph import (
     Graph,
     co_component_masks,
     component_masks,
+    first_clique,
     is_clique,
     is_connected,
     iter_bits,
@@ -392,3 +394,33 @@ def test_substitution_of_cliques_is_the_edge_list_blow_up():
         g = random_graph(rng.randint(0, 9), rng.random(), rng)
         weights = [rng.randint(1, 5) for _ in range(g.n)]
         assert substitute(g, [Graph.complete(w) for w in weights]) == blowup_reference(g, weights)
+
+
+def test_first_clique_is_the_first_clique_in_lexicographic_order():
+    """The colouring bound cuts only levels that hold no clique, so the
+    search returns what trying every vertex subset in order returns."""
+    rng = random.Random(20)
+    found = 0
+    for _ in range(300):
+        g = random_graph(rng.randint(0, 14), rng.random(), rng)
+        mask = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        for size in range(7):
+            expected = next(
+                (c for c in itertools.combinations(iter_bits(mask), size) if is_clique(g, c)), None
+            )
+            assert first_clique(g.adj_masks, mask, size) == expected
+            found += expected is not None and size >= 3
+    assert found >= 200
+
+
+def test_first_clique_leaves_a_level_that_splits_into_too_few_independent_sets():
+    """K10,10 splits into two independent sets, so the search for a
+    triangle reads 20 rows and pushes nothing; on C5 the greedy sets are
+    three, as many as a triangle needs, so the search goes on."""
+    k = Graph(20, [(u, 10 + v) for u in range(10) for v in range(10)])
+    budget = [20]
+    assert first_clique(k.adj_masks, (1 << 20) - 1, 3, budget) is None
+    assert budget == [0]
+    budget = [100]
+    assert first_clique(Graph.cycle(5).adj_masks, 31, 3, budget) is None
+    assert 0 < budget[0] < 100

@@ -1,13 +1,14 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from p5color import modular
 from p5color.coloring import MultiColoring, validate_coloring
-from p5color.graph import Graph, iter_bits, substitute
+from p5color.graph import Graph, iter_bits, parse_graph, substitute
 from p5color.modular import (
     MDLeaf,
     MDParallel,
@@ -18,6 +19,7 @@ from p5color.modular import (
     is_prime,
     md_tree,
     md_tree_to_json,
+    twin_core,
     validate_md_tree,
 )
 from p5color.oracle import chi_exact, chi_w_exact
@@ -30,6 +32,8 @@ from helpers import (
     chi_w_reference,
     md_tree_reference,
     random_graph,
+    spider,
+    with_universal_and_isolated,
 )
 
 C4 = Graph.cycle(4)
@@ -236,6 +240,85 @@ def test_md_tree_matches_reference_on_blowups_and_nested_primes():
         assert md_tree_to_json(tree) == md_tree_reference(g)
         primes.append(str(md_tree_to_json(tree)).count("'prime'"))
     assert primes[-2:] == [5, 6]
+
+
+def _twin_heavy_graphs():
+    """Graphs most of whose vertices twin_core sets aside."""
+    k, e = Graph.complete, Graph.empty
+    for n in range(2, 9):
+        yield k(n)
+        yield e(n)
+        yield Graph(n, [(0, v) for v in range(1, n)])  # the star K1,n-1
+        yield Graph(2 * n, [(u, n + v) for u in range(n) for v in range(n)])  # Kn,n
+    for skeleton in (_C5, _BULL, _P4):
+        for size in (2, 3, 4):
+            yield substitute(skeleton, [k(size)] * skeleton.n)
+            yield substitute(skeleton, [e(size)] * skeleton.n)
+    rng = random.Random(26)
+    for n in (5, 10, 20, 30):
+        for seed in range(6):
+            yield with_universal_and_isolated(gen_p5_cop5(n, seed), rng)
+    for n in range(2, 30, 3):
+        yield alternating_threshold(n)
+    for legs in (2, 3, 4):
+        for thick in (False, True):
+            for head in (0, 1, 3):
+                yield spider(legs, thick, head)
+
+
+def test_md_tree_matches_reference_on_twin_heavy_families():
+    """Trees built on the twin core with the twins hung on are the
+    reference's, and compose like it, unweighted and weighted."""
+    rng = random.Random(27)
+    set_aside = 0
+    for g in _twin_heavy_graphs():
+        tree = md_tree(g)
+        validate_md_tree(g, tree)
+        assert md_tree_to_json(tree) == md_tree_reference(g)
+        set_aside += g.n - twin_core(g.adj_masks, (1 << g.n) - 1)[0].bit_count()
+        for w in (None, {v: rng.randint(1, 3) for v in range(g.n)}):
+            assert_composition_matches_the_reference(g, w, tree)
+    assert set_aside >= 400
+
+
+def test_md_tree_refines_only_the_twin_core(monkeypatch):
+    """No span md_tree hands to the component, co-component or prime
+    refinement holds a vertex twin_core sets aside."""
+    spans = []
+
+    def spy(name):
+        real = getattr(modular, name)
+
+        def spied(adj, span):
+            spans.append(span)
+            return real(adj, span)
+
+        monkeypatch.setattr(modular, name, spied)
+
+    for name in ("component_masks", "co_component_masks", "_prime_children"):
+        spy(name)
+    graphs = [gen_p5_cop5(n, seed) for n in (20, 28, 40, 57, 80) for seed in range(3)]
+    for g in [*graphs, alternating_threshold(200)]:
+        core = twin_core(g.adj_masks, (1 << g.n) - 1)[0]
+        assert core != (1 << g.n) - 1
+        spans.clear()
+        md_tree(g)
+        assert spans and all(span & ~core == 0 for span in spans)
+
+
+def test_md_tree_memory_follows_the_input_on_a_sparse_large_id():
+    """On the edge list 0 39999 the core is one vertex: the tree holds
+    39,998 isolated leaves and no singleton bitmask per vertex."""
+    g = parse_graph("0 39999\n", "edges")
+    tracemalloc.start()
+    try:
+        tree = md_tree(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
+    assert isinstance(tree, MDParallel) and len(tree.children) == 39_999
+    assert isinstance(tree.children[0], MDSeries) and tree.children[0].mask == 1 | 1 << 39_999
 
 
 def test_deep_tree_walks_stay_within_the_recursion_limit():

@@ -9,6 +9,7 @@ from p5color import oracle
 from p5color.coloring import validate_coloring
 from p5color.errors import CutoffExceeded
 from p5color.graph import Graph, is_clique
+from p5color.matching import max_matching
 from p5color.oracle import (
     _chi_branch_and_bound,
     chi_exact,
@@ -130,13 +131,15 @@ def test_chi_w_exact_refuses_by_the_blowups_size(monkeypatch):
 
 
 def test_clique_searches_share_one_work_budget(monkeypatch):
-    # on K6 the searches for a clique of size 1..6 push 0 + 1 + ... + 5
-    # nodes and the one for size 7 none; the budget is WORK_BUDGET // n
+    # on K6 the search for a clique as large as the greedy one, 6, pushes
+    # 5 nodes, and its colouring bound reads 5 + 4 + 3 + 2 rows on the
+    # levels needing 6..3 vertices; the one for size 7 reads nothing. The
+    # budget is WORK_BUDGET // n
     k6 = Graph.complete(6)
-    monkeypatch.setattr(oracle, "WORK_BUDGET", 6 * 15)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 6 * 19)
     assert clique_number_exact(k6) == 6
     assert len(max_independent_set_exact(k6.complement())) == 6
-    monkeypatch.setattr(oracle, "WORK_BUDGET", 6 * 15 - 1)
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 6 * 19 - 1)
     with pytest.raises(CutoffExceeded, match="clique of 6 vertices ran out of nodes"):
         clique_number_exact(k6)
 
@@ -209,6 +212,19 @@ def test_matching_bruteforce_fixed_cases():
     assert max_matching_bruteforce(Graph.empty(15)) == 0
     assert max_matching_bruteforce(Graph.complete(15)) == 7
     assert max_matching_bruteforce(Graph.empty(0)) == 0
+
+
+def test_matching_bruteforce_bounds_a_branch_by_a_vertex_cover(monkeypatch):
+    """K5,15 has nu = 5 well short of n / 2; the 5-vertex side covers
+    every edge, which settles it within 81 branches."""
+    rng = random.Random(52)
+    for a in range(1, 7):
+        for b in range(a, 13):
+            g = Graph(a + b, [(u, a + v) for u in range(a) for v in range(b) if rng.random() < 0.7])
+            assert max_matching_bruteforce(g) == len(max_matching(g))
+    k5_15 = Graph(20, [(u, v) for u in range(5) for v in range(5, 20)])
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 20 * 81)
+    assert max_matching_bruteforce(k5_15) == 5
 
 
 def test_matching_bruteforce_refuses_past_its_work_budget(monkeypatch):
