@@ -10,13 +10,15 @@ The P5 and co-P5 searches run after one twin pass. The pass deletes
 every vertex that has a smaller twin (a vertex with the same open or
 the same closed neighbourhood) or that is isolated or universal. The
 rule lives in modular.twin_core, and the modular decomposition is
-refined on the same core. The searches still return the
-lexicographically first witness of the whole graph. P5 has no twins, so a witness through a vertex with a
-smaller twin stays a witness when the twin takes that vertex's place,
-and that witness is lexicographically smaller; every vertex of P5 and
-of co-P5 has a neighbour and a non-neighbour among the other four. The
-first witness therefore avoids every vertex the pass deletes, and the
-first witness among the vertices kept is the first of the whole graph.
+refined on the same core, from the same pass, which a caller may hand
+in: a {P5, co-P5} solve takes it once. The searches still return the
+lexicographically first witness of the whole graph. P5 has no twins,
+so a witness through a vertex with a smaller twin stays a witness
+when the twin takes that vertex's place, and that witness is
+lexicographically smaller; every vertex of P5 and of co-P5 has a
+neighbour and a non-neighbour among the other four. The first witness
+therefore avoids every vertex the pass deletes, and the first witness
+among the vertices kept is the first of the whole graph.
 Twins of a graph are exactly the twins of its complement, and isolated
 and universal vertices swap roles, so one pass serves both searches,
 and the co-P5 search reads complement neighbourhoods off the adjacency
@@ -65,7 +67,9 @@ minima, in increasing order, so W is the smallest of the quotients'
 first witnesses of the pattern mapped through their reps, and the
 quotient stage needs no search of the whole graph afterwards. The
 argument holds for each pattern alone, so the quotient stage runs the
-same searches as the budgeted stage, in the same order.
+same searches as the budgeted stage, in the same order. It skips the
+quotients that hold neither pattern: the P4s and the 5-cycles, which
+are most of the prime nodes of a generated member.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import modular
+from . import modular, prime
 from .errors import CutoffExceeded, PreconditionError
 from .graph import Graph, first_clique, reach
 
@@ -147,14 +151,6 @@ def _int_suffix(text: str) -> int:
 
 
 # -- induced P5 and co-P5 ----------------------------------------------------
-
-
-def _twin_pass(g: Graph, keep: int) -> int:
-    """keep less every vertex of keep that has a smaller twin (same open
-    or same closed neighbourhood inside keep), no neighbour in keep, or
-    every other vertex of keep as a neighbour: one pass of
-    modular.twin_core, the rule the modular decomposition is built on."""
-    return modular.twin_core(g.adj_masks, keep)[0]
 
 
 class _BudgetSpent(Exception):
@@ -245,6 +241,7 @@ def _co_p5_in(
 
 
 _P5_COP5 = (_p5_in, _co_p5_in)
+Verdict = tuple[Witness | None, modular.MDTree | None]  # a witness, and the tree if one was built
 
 
 def find_induced_p5(g: Graph) -> Witness | None:
@@ -256,36 +253,38 @@ def find_induced_co_p5(g: Graph) -> Witness | None:
     return _violation(g, (_co_p5_in,), by_component=True)[0]
 
 
-def p5_cop5_violation(g: Graph) -> tuple[Witness | None, modular.MDTree | None]:
+def p5_cop5_violation(g: Graph, twins: modular.Twins | None = None) -> Verdict:
     """The {P5, co-P5} witness of find_class_violation, and the modular
-    decomposition tree of g when deciding needed it (else None)."""
-    return _violation(g, _P5_COP5)
+    decomposition tree of g when deciding needed it (else None); twins
+    as in _violation."""
+    return _violation(g, _P5_COP5, twins=twins)
 
 
 def _violation(
-    g: Graph, searches: tuple, by_component: bool = False
-) -> tuple[Witness | None, modular.MDTree | None]:
+    g: Graph, searches: tuple, by_component: bool = False, twins: modular.Twins | None = None
+) -> Verdict:
     """The first witness of the first of searches (_p5_in, _co_p5_in)
     that finds one, and the modular decomposition tree of g when
     deciding needed it (else None).
 
-    The searches run after one _twin_pass, each within
+    The searches run on the core of twins, g's twin pass if the caller
+    has taken it (else it is taken here), each within
     max(_BUDGET_PER_VERTEX * n // len(searches), _BUDGET_FLOOR) search
     nodes. If one runs out, the answer comes from the same searches on
-    the prime quotients of md_tree(g) instead; that is the same first
-    witness (see the module docstring), so the budget decides only the
-    cost, never the answer.
+    the prime quotients of md_tree(g) instead, built on the same pass;
+    that is the same first witness (see the module docstring), so the
+    budget decides only the cost, never the answer.
     """
-    keep = _twin_pass(g, (1 << g.n) - 1)
+    twins = twins or modular.twin_core(g.adj_masks, (1 << g.n) - 1)
     budget = max(_BUDGET_PER_VERTEX * g.n // len(searches), _BUDGET_FLOOR)
     try:
         for search in searches:
-            w = search(g, keep, budget, by_component)
+            w = search(g, twins[0], budget, by_component)
             if w is not None:
                 return w, None
         return None, None
     except _BudgetSpent:
-        tree = modular.md_tree(g)
+        tree = modular.md_tree(g, twins)
         return _quotient_violation(tree, searches), tree
 
 
@@ -298,14 +297,16 @@ def _quotient_violation(tree: modular.MDTree, searches: tuple = _P5_COP5) -> Wit
     node's reps, which increase with the quotient index, so the mapping
     keeps lexicographic order and the smallest mapped tuple over all
     quotients is the host's first witness (see the module docstring).
-    A prime quotient on four vertices is a P4 and holds neither pattern.
+    Quotients that hold neither pattern are not searched: one on four
+    vertices is a P4, and the 5-cycle is neither P5 nor co-P5.
     """
     primes = []
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, modular.MDPrime) and node.quotient.n >= 5:
-            primes.append(node)
+            if not prime.is_c5(node.quotient):
+                primes.append(node)
         stack.extend(getattr(node, "children", ()))
     for search in searches:
         found = [

@@ -60,6 +60,7 @@ class MDPrime:
 
 
 MDTree = MDLeaf | MDParallel | MDSeries | MDPrime
+Twins = tuple[int, dict[int, int]]  # a twin pass, as twin_core returns it
 
 
 # -- modules ----------------------------------------------------------------
@@ -156,7 +157,7 @@ def _prime_children(adj: Sequence[int], span: int) -> tuple[list[int], list[int]
 # -- the tree ----------------------------------------------------------------
 
 
-def twin_core(adj: Sequence[int], keep: int) -> tuple[int, dict[int, int]]:
+def twin_core(adj: Sequence[int], keep: int) -> Twins:
     """One twin pass over the vertex bitmask keep, for neighbourhood
     bitmasks adj: the core, the bitmask of the vertices it keeps, and
     each vertex it sets aside, in increasing order, mapped to the kept
@@ -189,15 +190,16 @@ def twin_core(adj: Sequence[int], keep: int) -> tuple[int, dict[int, int]]:
     return core, twin_of
 
 
-def md_tree(g: Graph) -> MDTree:
+def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
     """The modular decomposition tree of g, each node's children ordered
     by smallest vertex.
 
-    Only the twin core of g is refined, and the vertices twin_core sets
-    aside are hung on as each node is built: a kept leaf's twins become
-    its siblings under a node of their kind (parallel for open twins,
-    series for closed ones), or else a new child of that kind with it;
-    isolated or universal vertices go under a parallel or series root.
+    Only the twin core of g is refined (from twins, twin_core over all
+    of g, if the caller has it), and the vertices set aside are hung on
+    as each node is built: a kept leaf's twins become its siblings under
+    a node of their kind (parallel for open twins, series for closed
+    ones), or else a new child of that kind with it; isolated or
+    universal vertices go under a parallel or series root.
 
     The tree is the one refining every vertex gives: g is its core with
     each kept vertex substituted by its twin class, a module, set beside
@@ -212,7 +214,7 @@ def md_tree(g: Graph) -> MDTree:
         return MDLeaf(0)
     adj = g.adj_masks
     full = (1 << g.n) - 1
-    core, twin_of = twin_core(adj, full)
+    core, twin_of = twins or twin_core(adj, full)
     hung: dict[int, list[int]] = {}  # a kept vertex's twins, or -1's isolated or universal vertices
     for v, twin in twin_of.items():
         hung.setdefault(twin, []).append(v)
@@ -340,7 +342,9 @@ def md_tree_to_json(t: MDTree) -> dict:
         out["kind"] = _KINDS[type(node)]
         out["span"] = span = []
         if isinstance(node, MDPrime):
-            out["quotient_edges"] = sorted(map(list, node.quotient.edges))
+            q = node.quotient.adj_masks  # rows read lowest vertex first give the edges sorted
+            edges = [[u, v] for u, r in enumerate(q) for v in range(u + 1, len(q)) if r >> v & 1]
+            out["quotient_edges"] = edges
             out["representatives"] = list(node.reps)
         out["children"] = kids = [{} for _ in node.children]
         stack.extend(zip(node.children, kids))
@@ -372,8 +376,11 @@ def chi_w(
     tree: MDTree | None = None,
 ) -> tuple[int, MultiColoring]:
     """Weighted chromatic number composed over the modular
-    decomposition tree: every node's k bottom-up, then each node's
-    palette (the host colors standing for its colors 1..k) top-down.
+    decomposition tree. One walk lists the nodes in pre-order, children
+    right to left, with their parents' positions. Then every node's k
+    is found bottom-up, so prime_solver sees the quotients in
+    left-to-right post-order, and each node's palette (the host colors
+    standing for its colors 1..k) top-down, last child first.
 
     Parallel children share the palette; Series children take disjoint
     segments of it; Prime nodes solve the quotient under the children's
@@ -392,52 +399,50 @@ def chi_w(
     if tree is None:
         tree = md_tree(g)
 
-    # pre-order taking children right to left; reversed, it is the
-    # left-to-right post-order, so prime_solver sees quotients in child order
-    order = []
-    stack = [tree]
+    order, up, stack = [], [], [(tree, -1)]
     while stack:
-        node = stack.pop()
+        node, parent = stack.pop()
+        if type(node) is not MDLeaf:
+            stack += [(c, len(order)) for c in node.children]
         order.append(node)
-        stack.extend(getattr(node, "children", ()))
-    k_of: dict[int, int] = {}
+        up.append(parent)
+    # node i's children's k, then their palettes, by child; below[-1] is the root's
+    below: list[list] = [[] for _ in range(len(order) + 1)]
     pools: dict[int, MultiColoring] = {}
-    for node in reversed(order):
+    for i in reversed(range(len(order))):
+        node = order[i]
         kind = type(node)
         if kind is MDLeaf:
             k = weights[node.vertex]
         elif kind is MDParallel:
-            k = max(k_of[id(c)] for c in node.children)
+            k = max(below[i])
         elif kind is MDSeries:
-            k = sum(k_of[id(c)] for c in node.children)
+            k = sum(below[i])
         else:
-            w_star = {i: k_of[id(c)] for i, c in enumerate(node.children)}
-            k, pools[id(node)] = prime_solver(node.quotient, w_star, node.reps)
+            w_star = dict(enumerate(below[i]))
+            k, pools[i] = prime_solver(node.quotient, w_star, node.reps)
             try:
-                validate_coloring(node.quotient, pools[id(node)], w_star)
+                validate_coloring(node.quotient, pools[i], w_star)
             except ValueError as exc:
                 raise RuntimeError(
                     f"prime solver returned an invalid quotient coloring: {exc}"
                 ) from exc
-        k_of[id(node)] = k
+        below[up[i]].append(k)
 
+    top = below[-1][0]
+    below[-1] = [range(1, top + 1)]
     colors: list[frozenset[int]] = [frozenset()] * g.n
-    top = k_of[id(tree)]
-    down: list[tuple[MDTree, Sequence[int]]] = [(tree, range(1, top + 1))]
-    while down:
-        node, palette = down.pop()
+    for i, node in enumerate(order):
+        palette = below[up[i]].pop()
         kind = type(node)
         if kind is MDLeaf:
             colors[node.vertex] = frozenset(palette[: weights[node.vertex]])
         elif kind is MDParallel:
-            down.extend((c, palette) for c in node.children)
+            below[i] = [palette] * len(node.children)
         elif kind is MDSeries:
-            start = 0
-            for c in node.children:
-                down.append((c, palette[start : start + k_of[id(c)]]))
-                start += k_of[id(c)]
-        else:
-            quot_mc = pools[id(node)]
-            for i, c in enumerate(node.children):
-                down.append((c, [palette[x - 1] for x in sorted(quot_mc.of(i))]))
+            start, ks = 0, below[i]
+            for j, k in enumerate(ks):
+                ks[j], start = palette[start : start + k], start + k
+        else:  # quotient vertex c stands for child c
+            below[i] = [[palette[x - 1] for x in sorted(cs)] for cs in pools[i].colors]
     return top, MultiColoring(tuple(colors), top)

@@ -15,8 +15,10 @@ trail of which solver handled each block or prime quotient:
   exact-fallback exact solve standing in for the bounded-clique
                  fixed-k-colorability argument on a non-O3-free C-block
 
-The cost of both prime-quotient routes depends on the quotient, not on
-its weights (see prime).
+prime.chi_w_prime picks between the two prime-quotient routes, and
+their cost depends on the quotient, not on its weights (see prime). A
+{P5, co-P5} solve takes one twin pass of its graph and hands it to
+both membership and the modular decomposition.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ from .matching import chi_o3_free
 from .oracle import chi_exact, clique_number_exact
 # unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
 from .oracle import chi_w_exact  # noqa: F401
-from .prime import chi_w_c5, chi_w_perfect, is_c5
+from .prime import chi_w_prime, is_c5
 
 ROUTE_O3_MATCHING = "o3-matching"
-ROUTE_PRIME_C5 = "prime-C5"
-ROUTE_PERFECT_EXACT = "perfect-exact"
 ROUTE_EXACT_FALLBACK = "exact-fallback"
 
 
@@ -113,29 +113,26 @@ def solve_p5_cop5(g: Graph, w: Weights | None = None) -> SolveReport:
     """Weighted chromatic number of a {P5, co-P5}-free graph.
 
     Composes over the modular decomposition tree; prime quotients are
-    either the 5-cycle (closed form) or perfect (two-pair contraction).
-    Unit weights by default.
+    either the 5-cycle (closed form) or perfect (two-pair contraction),
+    and prime.chi_w_prime picks the route. Unit weights by default. One
+    twin pass of g serves both membership and the tree.
     """
     started = time.perf_counter()
-    violation, tree = p5_cop5_violation(g)
+    twins = modular.twin_core(g.adj_masks, (1 << g.n) - 1)
+    violation, tree = p5_cop5_violation(g, twins)
     if violation is not None:
         raise NotInClass("{P5, co-P5}-free", violation)
     if g.n == 0:
         return _trivial_report("p5-cop5", None, started)
 
     if tree is None:
-        tree = modular.md_tree(g)
+        tree = modular.md_tree(g, twins)
     routes: list[RouteRecord] = []
 
     def prime_solver(
         quot: Graph, w_star: dict[int, int], reps: tuple[int, ...]
     ) -> tuple[int, MultiColoring]:
-        if is_c5(quot):
-            route = ROUTE_PRIME_C5
-            k, mc = chi_w_c5(quot, w_star)
-        else:
-            route = ROUTE_PERFECT_EXACT
-            k, mc = chi_w_perfect(quot, w_star)
+        route, k, mc = chi_w_prime(quot, w_star)
         routes.append(RouteRecord(route, reps, quot.n, k))
         return k, mc
 

@@ -1,6 +1,8 @@
 """Weighted coloring of the prime quotients of a {P5, co-P5}-free graph.
 
-Every such quotient is the 5-cycle or perfect (Fouquet 1993). A perfect
+Every such quotient is the 5-cycle or perfect (Fouquet 1993), and
+chi_w_prime checks which once and names the route it takes: the first
+two links of the prime-quotient chain of ROADMAP item 19. A perfect
 one is C5-free, its holes of length 6 or more contain P5 and its
 antiholes of length 6 or more contain co-P5, so it is weakly chordal.
 The work of both solvers depends on the quotient's structure and not
@@ -21,10 +23,21 @@ from .coloring import MultiColoring, Weights, normalize_weights
 from .errors import PreconditionError
 from .graph import Graph, bits_of, reach
 
+ROUTE_PRIME_C5 = "prime-C5"
+ROUTE_PERFECT_EXACT = "perfect-exact"
+
 
 def is_c5(g: Graph) -> bool:
     adj = g.adj_masks
     return g.n == 5 and all(row.bit_count() == 2 for row in adj) and reach(adj, 1, 31) == 31
+
+
+def chi_w_prime(g: Graph, w: Weights | None) -> tuple[str, int, MultiColoring]:
+    """The route of a prime quotient of a {P5, co-P5}-free graph, its
+    chi_w and a multicoloring that meets it, with one 5-cycle check."""
+    if is_c5(g):
+        return ROUTE_PRIME_C5, *_c5_closed_form(g, normalize_weights(g, w))
+    return ROUTE_PERFECT_EXACT, *chi_w_perfect(g, w)
 
 
 def chi_w_c5(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
@@ -32,14 +45,18 @@ def chi_w_c5(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
     multicoloring that meets it."""
     if not is_c5(g):
         raise PreconditionError("chi_w_c5 needs a 5-cycle")
-    weights = normalize_weights(g, w)
+    return _c5_closed_form(g, normalize_weights(g, w))
+
+
+def _c5_closed_form(g: Graph, weights: list[int]) -> tuple[int, MultiColoring]:
     # The complement is a 5-cycle u[0..4] too. Its edges are the maximal
     # stable sets: set j = {u[j-1], u[j]} with multiplicity x[j], so u[j]
     # lies in sets j and j+1 and needs x[j] + x[j+1] >= d[j]. Edges of g
-    # join u[j] and u[j+2].
-    u = [0]
-    while len(u) < 5:
-        u.append(min(v for v in range(5) if v not in u and not g.adjacent(u[-1], v)))
+    # join u[j] and u[j+2]; the walk goes to the lower free non-neighbour.
+    u, left = [0], 30  # the walk, and the vertices not on it yet
+    while left:
+        u.append(((step := left & ~g.adj_masks[u[-1]]) & -step).bit_length() - 1)
+        left ^= 1 << u[-1]
     d = [weights[v] for v in u]
     k = max(max(d[j] + d[(j + 2) % 5] for j in range(5)), -(-sum(d) // 2))
     # Rotate by the first r with e[1] + e[3] >= e[2] (one exists: over all

@@ -683,8 +683,8 @@ def parse_dimacs_reference(text: str) -> Graph:
 
 @functools.cache
 def benchmark_instances(workload: str) -> tuple:
-    """The instances of the benchmark workload "rejects" or
-    "kpe-separators", built by perfbench/workloads.py. The file is loaded
+    """The instances of the benchmark workload of that name, built by
+    perfbench/workloads.py, in its fixed vertex order. The file is loaded
     as a module of its own, listed in sys.modules only while it runs: its
     dataclass looks itself up there."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -697,7 +697,7 @@ def benchmark_instances(workload: str) -> tuple:
         del sys.modules[spec.name]
     if workload == "rejects":
         return tuple(workloads.rejects(find_class_violation, Graph))
-    return tuple(workloads.kpe_separators())
+    return tuple(getattr(workloads, workload.replace("-", "_"))())
 
 
 # -- spiders ----------------------------------------------------------------

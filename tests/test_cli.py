@@ -389,29 +389,19 @@ def test_unwritable_output_and_unused_weights_exit_usage(c5_file, tmp_path, caps
         *((f"oracle {op} --input C5", "--max-total-weight 10", EXIT_USAGE)
           for op in ("chi", "omega", "alpha", "matching", "validate --report-file REPORT")),
         ("oracle chi --input C5", "--report-file REPORT", EXIT_USAGE),
-        # the package reads no environment variable, these former cutoffs included
-        ("decompose --kind modular --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
-        ("solve --class p5-cop5 --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
-        ("solve --class p5-kpe --p 4 --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
-        ("oracle chi --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
-        ("oracle chiw --input C5", "P5COLOR_ORACLE_N=0", EXIT_OK),
-        ("oracle chi --input C5", "P5COLOR_MAX_TOTAL_WEIGHT=0", EXIT_OK),
     ],
 )
-def test_an_option_the_command_ignores_exits_usage(c5_file, tmp_path, capsys, monkeypatch, command, extra, code):
-    """The command exits 0 alone, and with the extra option or variable
-    it exits with the given code."""
+def test_an_option_the_command_ignores_exits_usage(c5_file, tmp_path, capsys, command, extra, code):
+    """The command exits 0 alone, and with the extra option it exits
+    with the given code. That no environment variable is read, the
+    former cutoff variables included, tests/test_environment.py shows."""
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"chi": 3, "coloring": {"0": [1], "1": [2], "2": [1], "3": [2], "4": [3]}}))
     where = {"C5": c5_file, "REPORT": str(report)}
     args = [where.get(arg, arg) for arg in command.split()]
     assert main(args) == EXIT_OK
     capsys.readouterr()
-    if "=" in extra:
-        monkeypatch.setenv(*extra.split("="))
-        assert main(args) == code
-    else:
-        assert main(args + extra.split()) == code
+    assert main(args + extra.split()) == code
     if code == EXIT_USAGE:
         assert capsys.readouterr().err.startswith("usage error: ")
 

@@ -17,7 +17,6 @@ from p5color.detect import (
     _first_p5,
     _p5_in,
     _quotient_violation,
-    _twin_pass,
     class_membership,
     find_class_violation,
     find_independent_triple,
@@ -33,9 +32,10 @@ from p5color.detect import (
 )
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
 from p5color.graph import Graph, component_masks, first_clique, reach, substitute
-from p5color.modular import md_tree, validate_md_tree
+from p5color.modular import MDPrime, md_tree, twin_core, validate_md_tree
 from p5color.oracle import clique_number_exact, max_independent_set_exact
 from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
+from p5color.prime import is_c5
 
 from helpers import (
     all_graphs,
@@ -489,9 +489,14 @@ def test_flipped_member_witnesses_are_pinned():
 # -- membership through prime quotients ----------------------------------------
 
 
+def kept(g: Graph) -> int:
+    """The core of g's twin pass: the vertices the searches run on."""
+    return twin_core(g.adj_masks, (1 << g.n) - 1)[0]
+
+
 def kernel_violation(g: Graph) -> Witness | None:
     """The P5, then the co-P5 search after one twin pass, with no budget."""
-    keep = _twin_pass(g, (1 << g.n) - 1)
+    keep = kept(g)
     return _p5_in(g, keep) or _co_p5_in(g, keep)
 
 
@@ -544,7 +549,7 @@ def test_both_outcomes_of_the_race_on_flipped_members():
     won = lost = None
     for g in flipped_members((40,)):
         try:
-            w = _p5_in(g, _twin_pass(g, (1 << g.n) - 1), max(8 * g.n, 128))
+            w = _p5_in(g, kept(g), max(8 * g.n, 128))
         except _BudgetSpent:
             w = kernel_violation(g)
             if lost is None and w is not None and w.pattern == "co-P5":
@@ -561,19 +566,20 @@ def test_both_outcomes_of_the_race_on_flipped_members():
 
 
 def counted_passes_and_trees(monkeypatch) -> tuple[list[int], list[Graph]]:
-    """What each _twin_pass returns and each graph md_tree is built for,
-    in call order, from here on."""
+    """The core each twin pass keeps and each graph md_tree is built
+    for, in call order, from here on."""
     passes, trees = [], []
 
-    def counted_pass(g, keep):
-        passes.append(_twin_pass(g, keep))
-        return passes[-1]
+    def counted_pass(adj, keep):
+        twins = twin_core(adj, keep)
+        passes.append(twins[0])
+        return twins
 
-    def counted_tree(g):
+    def counted_tree(g, twins=None):
         trees.append(g)
-        return md_tree(g)
+        return md_tree(g, twins)
 
-    monkeypatch.setattr(detect, "_twin_pass", counted_pass)
+    monkeypatch.setattr(detect.modular, "twin_core", counted_pass)
     monkeypatch.setattr(detect.modular, "md_tree", counted_tree)
     return passes, trees
 
@@ -601,13 +607,47 @@ def test_budgeted_membership_matches_the_unbudgeted_kernel_search(monkeypatch):
         w, tree = p5_cop5_violation(g)
         assert w == kernel_violation(g)
         handed_over["p5-cop5"] += tree is not None
-        keep = _twin_pass(g, (1 << g.n) - 1)
+        keep = kept(g)
         for find, search in ((find_induced_p5, _p5_in), (find_induced_co_p5, _co_p5_in)):
             trees.clear()
             assert find(g) == search(g, keep)
             handed_over[find.__name__] += len(trees)
     assert handed_over["p5-cop5"] >= 40
     assert handed_over["find_induced_p5"] >= 20 and handed_over["find_induced_co_p5"] >= 20
+
+
+def has_c5_quotient(tree) -> bool:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, MDPrime) and is_c5(node.quotient):
+            return True
+        stack.extend(getattr(node, "children", ()))
+    return False
+
+
+def test_quotient_stage_searches_no_5_cycle():
+    """C5 holds neither pattern, so no quotient search runs on one; the
+    witness is still the kernel search's."""
+    searched = []
+
+    def spied(search):
+        def run(g, keep, *budget):
+            searched.append(g)
+            return search(g, keep, *budget)
+
+        return run
+
+    near = next(
+        h for h in flipped_members((20, 40)) if kernel_violation(h) and has_c5_quotient(md_tree(h))
+    )
+    for g in (substitute(C5, [Graph.complete(2)] * 5), substitute(C5, [Graph.complete(3)] * 5), near):
+        tree = md_tree(g)
+        assert has_c5_quotient(tree)
+        searched.clear()
+        assert _quotient_violation(tree, (spied(_p5_in), spied(_co_p5_in))) == kernel_violation(g)
+        assert not any(is_c5(q) for q in searched)
+    assert searched  # the near-member's other prime quotients were searched
 
 
 # -- the far-set prune ------------------------------------------------------------
@@ -663,7 +703,7 @@ def test_pruned_search_matches_the_reference_on_every_single_flip():
             g = gen_p5_cop5(n, seed)
             for pair in itertools.combinations(range(n), 2):
                 h = Graph(n, g.edges ^ {pair})
-                found += assert_pruned_search_matches_the_reference(h, _twin_pass(h, (1 << n) - 1))
+                found += assert_pruned_search_matches_the_reference(h, kept(h))
     assert found >= 1000
 
 
@@ -676,7 +716,7 @@ def searches(draw):
     pairs = list(itertools.combinations(range(n), 2))
     code = draw(st.integers(0, (1 << len(pairs)) - 1))
     g = Graph(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
-    keep = draw(st.sampled_from([(1 << n) - 1, _twin_pass(g, (1 << n) - 1)]))
+    keep = draw(st.sampled_from([(1 << n) - 1, kept(g)]))
     rows = draw(st.sampled_from(rows_and_complement_rows(g, keep)))
     return rows, keep, draw(st.integers(0, 600)), draw(st.booleans())
 
@@ -712,7 +752,7 @@ def test_search_inside_a_component_matches_the_reference_on_split_kernels():
     split = found = 0
     for _ in range(4000):
         g = kernel_splits(rng)
-        keep = _twin_pass(g, (1 << g.n) - 1)
+        keep = kept(g)
         parts = 1
         for rows in rows_and_complement_rows(g, keep):
             path = _first_p5(rows, keep, by_component=True)

@@ -4,7 +4,9 @@ Criterion 10 checks that two runs of the same code agree; these digests
 check that a change keeps the reports and decomposition trees of the
 code before it byte for byte. Each digest is the sha256 of the
 sorted-key JSON. A change that alters a report on purpose must say so
-and record the new digest.
+and record the new digest; to print every case's current digest, run
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from p5color.cliquesep import build_tree, tree_to_json
 from p5color.graph import Graph, substitute
 from p5color.modular import md_tree, md_tree_to_json
 from p5color.pipeline import (
+    _BULL,
     _C5,
     gen_p5_cop5,
     solve_p5_cop5,
@@ -46,38 +49,55 @@ def digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize(("n", "seed"), sorted(COP5_MEMBERS))
-def test_cop5_member_report(n, seed):
-    report = solve_p5_cop5(gen_p5_cop5(n, seed))
-    assert digest(report.to_json()) == COP5_MEMBERS[n, seed]
+def cop5_member_report(n: int, seed: int) -> dict:
+    return solve_p5_cop5(gen_p5_cop5(n, seed)).to_json()
 
 
-def test_c5_clique_blowup_report():
-    g = substitute(_C5, [Graph.complete(3)] * 5)
-    assert digest(solve_p5_cop5(g).to_json()) == C5_K3
+def c5_clique_blowup_report() -> dict:
+    return solve_p5_cop5(substitute(_C5, [Graph.complete(3)] * 5)).to_json()
 
 
-def test_star_kpe_report():
-    star = Graph(31, [(0, v) for v in range(1, 31)])
-    assert digest(solve_p5_kpe(star, 4).to_json()) == STAR_K1_30_P4
+def star_kpe_report() -> dict:
+    return solve_p5_kpe(Graph(31, [(0, v) for v in range(1, 31)]), 4).to_json()
 
 
-def test_kpe_cone_report_with_both_routes():
+def kpe_cone_report() -> dict:
     n, edges, _, p = cone([co_cycle(11), k33(), co_andrasfai(3), k33(), co_cycle(13)])
     order = random.Random(16).sample(range(n), n)
-    report = solve_p5_kpe(Graph(n, [(order[u], order[v]) for u, v in edges]), p).to_json()
-    assert (n, p, report["chi"], len(report["tree"]["atoms"])) == (45, 9, 8, 5)
-    assert {r["route"] for r in report["routes"]} == {"o3-matching", "exact-fallback"}
-    assert digest(report) == KPE_CONE
+    return solve_p5_kpe(Graph(n, [(order[u], order[v]) for u, v in edges]), p).to_json()
 
 
-def test_random_decomposition_trees():
+def random_decomposition_trees() -> list:
     rng = random.Random(2015)
     trees = []
     for _ in range(100):
         g = random_graph(rng.randint(1, 12), rng.random(), rng)
         trees.append([md_tree_to_json(md_tree(g)), tree_to_json(build_tree(g))])
-    assert digest(trees) == RANDOM_TREES
+    return trees
+
+
+@pytest.mark.parametrize(("n", "seed"), sorted(COP5_MEMBERS))
+def test_cop5_member_report(n, seed):
+    assert digest(cop5_member_report(n, seed)) == COP5_MEMBERS[n, seed]
+
+
+def test_c5_clique_blowup_report():
+    assert digest(c5_clique_blowup_report()) == C5_K3
+
+
+def test_star_kpe_report():
+    assert digest(star_kpe_report()) == STAR_K1_30_P4
+
+
+def test_kpe_cone_report_with_both_routes():
+    report = kpe_cone_report()
+    assert (report["n"], report["p"], report["chi"], len(report["tree"]["atoms"])) == (45, 9, 8, 5)
+    assert {r["route"] for r in report["routes"]} == {"o3-matching", "exact-fallback"}
+    assert digest(report) == KPE_CONE
+
+
+def test_random_decomposition_trees():
+    assert digest(random_decomposition_trees()) == RANDOM_TREES
 
 
 # The same reports without their "coloring" key: chi, routes and the
@@ -102,11 +122,43 @@ REPORTS_WITHOUT_COLORING = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPORTS_WITHOUT_COLORING))
-def test_report_without_coloring(name):
+def report_without_coloring(name: str) -> dict:
     payload = REPORTS[name]().to_json()
     del payload["coloring"]
-    assert digest(payload) == REPORTS_WITHOUT_COLORING[name]
+    return payload
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS_WITHOUT_COLORING))
+def test_report_without_coloring(name):
+    assert digest(report_without_coloring(name)) == REPORTS_WITHOUT_COLORING[name]
+
+
+# Full weighted reports: the closed form of the 5-cycle, the two-pair
+# contraction and the palettes the composition hands down all show in
+# them. The members' weights are drawn as the benchmark's cop5-blowup
+# workload draws them.
+def weighted_member(n: int, seed: int):
+    rng = random.Random(seed)
+    return solve_p5_cop5(gen_p5_cop5(n, seed), {v: rng.randint(1, 3) for v in range(n)})
+
+
+WEIGHTED = {
+    **{f"cop5-n20-s{seed}*w": (lambda seed=seed: weighted_member(20, seed)) for seed in range(3)},
+    "C5 w=(3,1,4,1,5)": lambda: solve_p5_cop5(_C5, dict(enumerate((3, 1, 4, 1, 5)))),
+    "bull w=4": lambda: solve_p5_cop5(_BULL, dict.fromkeys(range(5), 4)),
+}
+WEIGHTED_REPORTS = {
+    "cop5-n20-s0*w": "ff224b4e8584cd260d4ce0c5fed3e875dd6a63989663d7c4c5e3b1a8d0ed2d90",
+    "cop5-n20-s1*w": "7621da621905763399e2c194720f0088f970061965bc4cb9f48c2e1f6d261560",
+    "cop5-n20-s2*w": "a630d5ba8ca45b1dbdf36a6ec69c086edf32bf4d7d9dcc276d886025ec75dcad",
+    "C5 w=(3,1,4,1,5)": "5d4737241c80ff0ae35feff81556196455f3a6ef1b5fb0fbe9528d6a8193f37c",
+    "bull w=4": "b2795910edf0ab941c38acd49fa9f0385fb0be1d9123f463bd84654cf4cfad39",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_REPORTS))
+def test_weighted_report(name):
+    assert digest(WEIGHTED[name]().to_json()) == WEIGHTED_REPORTS[name]
 
 
 # The verifiers' reports count what the Berge check and the clique oracle
@@ -131,3 +183,24 @@ VERIFIERS = {
 def test_verifier_report(name):
     run, expected = VERIFIERS[name]
     assert digest(run().to_json()) == expected
+
+
+def current_digests():
+    """(case, pinned digest, current digest) for every case above."""
+    for (n, seed), pinned in COP5_MEMBERS.items():
+        yield f"cop5 member n={n} seed={seed}", pinned, digest(cop5_member_report(n, seed))
+    yield "C5[K3]", C5_K3, digest(c5_clique_blowup_report())
+    yield "K1,30 p=4", STAR_K1_30_P4, digest(star_kpe_report())
+    yield "kpe cone", KPE_CONE, digest(kpe_cone_report())
+    yield "random trees", RANDOM_TREES, digest(random_decomposition_trees())
+    for name, pinned in REPORTS_WITHOUT_COLORING.items():
+        yield f"{name} without coloring", pinned, digest(report_without_coloring(name))
+    for name, run in WEIGHTED.items():
+        yield name, WEIGHTED_REPORTS[name], digest(run().to_json())
+    for name, (run, pinned) in VERIFIERS.items():
+        yield f"verify {name}", pinned, digest(run().to_json())
+
+
+if __name__ == "__main__":
+    for case, pinned, now in current_digests():
+        print(f"{now}  {'same' if now == pinned else 'CHANGED'}  {case}")

@@ -281,6 +281,11 @@ def test_md_tree_matches_reference_on_twin_heavy_families():
     assert set_aside >= 400
 
 
+def test_md_tree_from_a_handed_in_twin_pass_is_the_same_tree():
+    for g in _twin_heavy_graphs():
+        assert md_tree(g, twin_core(g.adj_masks, (1 << g.n) - 1)) == md_tree(g)
+
+
 def test_md_tree_refines_only_the_twin_core(monkeypatch):
     """No span md_tree hands to the component, co-component or prime
     refinement holds a vertex twin_core sets aside."""

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -8,17 +9,21 @@ from p5color import oracle, pipeline
 from p5color.cli import main
 from p5color.cliquesep import build_tree, validate_tree
 from p5color.coloring import validate_coloring
-from p5color.detect import class_membership, find_induced_c5, is_o3_free
+from p5color.detect import (
+    class_membership,
+    find_class_violation,
+    find_induced_c5,
+    is_o3_free,
+    p5_cop5_violation,
+)
 from p5color.errors import CutoffExceeded, NotInClass
 from p5color.graph import Graph, substitute, to_dimacs
 from p5color import modular
-from p5color.modular import md_tree, md_tree_to_json, validate_md_tree
+from p5color.modular import md_tree, md_tree_to_json, twin_core, validate_md_tree
 from p5color.oracle import chi_exact, chi_w_exact
 from p5color.pipeline import (
     ROUTE_EXACT_FALLBACK,
     ROUTE_O3_MATCHING,
-    ROUTE_PERFECT_EXACT,
-    ROUTE_PRIME_C5,
     GenerationTimeout,
     gen_p5_cop5,
     gen_p5_kpe,
@@ -28,6 +33,7 @@ from p5color.pipeline import (
     verify_lemma4,
     verify_lemma5,
 )
+from p5color.prime import ROUTE_PERFECT_EXACT, ROUTE_PRIME_C5
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -267,9 +273,9 @@ def test_large_cop5_members_generate_and_solve(n):
 def test_cop5_solve_builds_one_tree(monkeypatch):
     built = []
 
-    def counted(g):
+    def counted(g, twins=None):
         built.append(g.n)
-        return md_tree(g)
+        return md_tree(g, twins)
 
     monkeypatch.setattr(modular, "md_tree", counted)
     for g in (Graph.cycle(5), gen_p5_cop5(40, 1), gen_p5_cop5(200, 2)):
@@ -277,3 +283,43 @@ def test_cop5_solve_builds_one_tree(monkeypatch):
         report = solve_p5_cop5(g)
         assert built == [g.n]
         assert report.decomposition == md_tree_to_json(md_tree(g))
+
+
+def rejected_with_a_tree() -> Graph:
+    """The first gen_p5_cop5(40, 0) with one pair flipped that is no
+    member and whose membership search spends its budget, so it is
+    decided on the tree."""
+    g = gen_p5_cop5(40, 0)
+    for pair in itertools.combinations(range(g.n), 2):
+        h = Graph(g.n, g.edges ^ {pair})
+        w, tree = p5_cop5_violation(h)
+        if w is not None and tree is not None:
+            return h
+    raise AssertionError("no flipped pair is decided on the tree")
+
+
+def test_cop5_solve_and_membership_take_one_twin_pass(monkeypatch):
+    """One twin pass per solve and per membership check, whether the
+    search spends its budget (n = 80), ends within it (C5[K3]) or
+    rejects on the tree (the flipped near-member)."""
+    passes = []
+
+    def counted(adj, keep):
+        passes.append(keep)
+        return twin_core(adj, keep)
+
+    monkeypatch.setattr(modular, "twin_core", counted)
+    c5_k3 = substitute(Graph.cycle(5), [Graph.complete(3)] * 5)
+    near = rejected_with_a_tree()
+    for g in (gen_p5_cop5(80, 0), c5_k3, near):
+        passes.clear()
+        try:
+            solve_p5_cop5(g)
+        except NotInClass:
+            assert g is near
+        assert len(passes) == 1
+        passes.clear()
+        find_class_violation(g, "p5-cop5")
+        assert len(passes) == 1
+    assert p5_cop5_violation(gen_p5_cop5(80, 0))[1] is not None
+    assert p5_cop5_violation(c5_k3) == (None, None)

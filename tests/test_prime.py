@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -17,14 +18,18 @@ from p5color.pipeline import (
     _BULL,
     _C5,
     _P4,
-    ROUTE_PERFECT_EXACT,
-    ROUTE_PRIME_C5,
     gen_p5_cop5,
     solve_p5_cop5,
 )
-from p5color.prime import chi_w_c5, chi_w_perfect, is_c5
+from p5color.prime import ROUTE_PERFECT_EXACT, ROUTE_PRIME_C5, chi_w_c5, chi_w_perfect, chi_w_prime, is_c5
 
-from helpers import all_graphs, chi_w_perfect_reference, matching_clique, spider
+from helpers import (
+    all_graphs,
+    benchmark_instances,
+    chi_w_perfect_reference,
+    matching_clique,
+    spider,
+)
 
 # the 5-cycle under two labellings, so the walk around its complement
 # does not just follow vertex ids
@@ -61,6 +66,49 @@ def test_c5_route_certificate_meets_the_bound_on_a_weight_grid():
 def test_c5_route_refuses_other_graphs():
     with pytest.raises(PreconditionError):
         chi_w_c5(Graph.path(5), None)
+
+
+def assert_dispatch_matches_the_solver(g: Graph, w: dict[int, int]) -> str:
+    """chi_w_prime takes the route the graph calls for and answers as
+    that route's solver does; the other solver refuses the graph."""
+    route, k, mc = chi_w_prime(g, w)
+    solvers = {ROUTE_PRIME_C5: chi_w_c5, ROUTE_PERFECT_EXACT: chi_w_perfect}
+    assert route == (ROUTE_PRIME_C5 if is_c5(g) else ROUTE_PERFECT_EXACT)
+    solver, other = solvers.pop(route), *solvers.values()
+    assert (k, mc) == solver(g, w)
+    with pytest.raises(PreconditionError):
+        other(g, w)
+    return route
+
+
+def test_prime_dispatch_matches_the_route_solvers_on_the_benchmark_quotients(monkeypatch):
+    quotients = []
+
+    def recorded(g, w):
+        quotients.append((g, dict(w)))
+        return chi_w_prime(g, w)
+
+    monkeypatch.setattr(pipeline, "chi_w_prime", recorded)
+    for workload in ("cop5-ladder", "cop5-blowup"):
+        for inst in benchmark_instances(workload):
+            weights = None if inst.weights is None else dict(enumerate(inst.weights))
+            solve_p5_cop5(Graph(inst.n, inst.edges), weights)
+    routes = Counter(assert_dispatch_matches_the_solver(g, w) for g, w in quotients)
+    assert routes[ROUTE_PRIME_C5] >= 50 and routes[ROUTE_PERFECT_EXACT] >= 100
+
+
+@pytest.mark.parametrize("g", [_C5, C5_RELABELLED, _P4, _BULL], ids=["C5", "C5'", "P4", "bull"])
+def test_prime_dispatch_matches_the_route_solvers_on_seeded_weights(g):
+    rng = random.Random(63)
+    for _ in range(20):
+        assert_dispatch_matches_the_solver(g, {v: rng.randint(1, 4) for v in range(g.n)})
+
+
+def test_prime_dispatch_refuses_a_quotient_that_is_not_weakly_chordal():
+    with pytest.raises(PreconditionError):
+        chi_w_prime(Graph.cycle(7), None)
+    with pytest.raises(PreconditionError):
+        chi_w_c5(Graph.cycle(7), None)
 
 
 def prime_perfect_members(n_max: int):
