@@ -9,8 +9,8 @@ to read, or a weights file that is malformed or names a vertex the
 graph does not have, or any input file that does not decode as text),
 4 desk-scale cutoff exceeded
 (by the work budget of an exact oracle: the branch and bound behind
-`oracle chi`, `oracle chiw` and the exact-fallback route of `solve
---class p5-kpe`, or the clique and matching searches; by `generate
+`oracle chi`, `oracle chiw` and the exact-fallback prime quotients of
+`solve --class p5-kpe`, or the clique and matching searches; by `generate
 --class p5-kpe` running out of rejection-sampling attempts; or by a
 modular decomposition tree too deep for a JSON report: about 495 levels
 under the default recursion limit, with the depth named in the message),

@@ -6,19 +6,22 @@ inputs with a forbidden-structure witness. Every solve carries an audit
 trail of which solver handled each block or prime quotient:
 
   o3-matching    complement-matching reduction on an O3-free C-block
+                 or on a unit-weight prime quotient
   prime-C5       closed-form weighted solve of a 5-cycle prime quotient
   perfect-exact  weighted two-pair contraction of any other prime
                  quotient down to a clique, whose weight is chi_w; it
                  checks the quotient as it goes, as one that is not
                  weakly chordal ends in no clique and raises
-                 PreconditionError
-  exact-fallback exact solve standing in for the bounded-clique
-                 fixed-k-colorability argument on a non-O3-free C-block
+                 PreconditionError. Also a C-block with no prime node:
+                 a cograph, so perfect
+  exact-fallback exact weighted solve standing in for the bounded-clique
+                 fixed-k-colorability argument: the chain's last link
 
-prime.chi_w_prime picks between the two prime-quotient routes, and
-their cost depends on the quotient, not on its weights (see prime). A
-{P5, co-P5} solve takes one twin pass of its graph and hands it to
-both membership and the modular decomposition.
+Both solvers compose over modular.chi_w with one prime-quotient chain,
+_prime_chain: prime.chi_w_prime, whose cost depends on the quotient,
+not on its weights (see prime), then chi_o3_free on unit weights, then
+chi_w_exact. A {P5, co-P5} solve takes one twin pass of its graph and
+hands it to both membership and the modular decomposition.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import itertools
 import random
 import time
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,13 +46,11 @@ from .detect import (
 )
 # unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
 from .detect import is_berge_small  # noqa: F401
-from .errors import CutoffExceeded, NotInClass, NotO3Free
+from .errors import CutoffExceeded, NotInClass, NotO3Free, PreconditionError
 from .graph import Graph, is_connected, iter_bits, substitute
 from .matching import chi_o3_free
-from .oracle import chi_exact, clique_number_exact
-# unused here; the benchmark tracer (perfbench/spans.py) swaps it by name
-from .oracle import chi_w_exact  # noqa: F401
-from .prime import chi_w_prime, is_c5
+from .oracle import chi_exact, chi_w_exact, clique_number_exact
+from .prime import ROUTE_PERFECT_EXACT, chi_w_prime, is_c5
 
 ROUTE_O3_MATCHING = "o3-matching"
 ROUTE_EXACT_FALLBACK = "exact-fallback"
@@ -109,6 +111,28 @@ def _trivial_report(class_name: str, p: int | None, started: float) -> SolveRepo
     )
 
 
+def _prime_chain(quot: Graph, w: dict[int, int]) -> tuple[str, int, MultiColoring]:
+    """The route of a prime quotient, its chi_w and a multicoloring that
+    meets it, from the first link of the chain that takes it."""
+    with suppress(PreconditionError):  # contraction ended in no clique
+        return chi_w_prime(quot, w)
+    if all(x == 1 for x in w.values()):
+        with suppress(NotO3Free):
+            return ROUTE_O3_MATCHING, *chi_o3_free(quot)
+    return ROUTE_EXACT_FALLBACK, *chi_w_exact(quot, w)
+
+
+def _recording_prime_solver(routes: list[RouteRecord]) -> modular.PrimeSolver:
+    """modular.chi_w's prime_solver: _prime_chain, each route appended to routes."""
+
+    def prime_solver(quot: Graph, w_star: dict[int, int], reps: tuple[int, ...]):
+        route, k, mc = _prime_chain(quot, w_star)
+        routes.append(RouteRecord(route, reps, quot.n, k))
+        return k, mc
+
+    return prime_solver
+
+
 def solve_p5_cop5(g: Graph, w: Weights | None = None) -> SolveReport:
     """Weighted chromatic number of a {P5, co-P5}-free graph.
 
@@ -128,15 +152,7 @@ def solve_p5_cop5(g: Graph, w: Weights | None = None) -> SolveReport:
     if tree is None:
         tree = modular.md_tree(g, twins)
     routes: list[RouteRecord] = []
-
-    def prime_solver(
-        quot: Graph, w_star: dict[int, int], reps: tuple[int, ...]
-    ) -> tuple[int, MultiColoring]:
-        route, k, mc = chi_w_prime(quot, w_star)
-        routes.append(RouteRecord(route, reps, quot.n, k))
-        return k, mc
-
-    chi, mc = modular.chi_w(g, w, prime_solver, tree=tree)
+    chi, mc = modular.chi_w(g, w, _recording_prime_solver(routes), tree=tree)
     validate_coloring(g, mc, w)
     return SolveReport(
         class_name="p5-cop5",
@@ -154,8 +170,8 @@ def solve_p5_kpe(g: Graph, p: int) -> SolveReport:
     """Chromatic number of a {P5, Kp-e}-free graph.
 
     Decomposes by clique separators; every O3-free C-block goes through
-    the complement-matching reduction and the rest fall back to the
-    exact solver.
+    the complement-matching reduction and the rest compose over their
+    modular decomposition with the prime-quotient chain.
     """
     started = time.perf_counter()
     violation = find_class_violation(g, "p5-kpe", p)
@@ -166,25 +182,29 @@ def solve_p5_kpe(g: Graph, p: int) -> SolveReport:
 
     atoms = cliquesep.build_tree(g)
     routes: list[RouteRecord] = []
-    solved: dict[Graph, tuple[int, MultiColoring, str]] = {}
+    # a block's chi, coloring and routes, with routes in block-local ids
+    solved: dict[Graph, tuple[int, MultiColoring, list[RouteRecord]]] = {}
 
     def leaf_chi(sub: Graph, block: tuple[int, ...]) -> tuple[int, MultiColoring]:
         hit = solved.get(sub)
         if hit is None:
+            local: list[RouteRecord] = []
             try:
                 k, mc = chi_o3_free(sub)
                 route = ROUTE_O3_MATCHING
             except NotO3Free:
                 try:
-                    k, mc = chi_exact(sub)
+                    k, mc = modular.chi_w(sub, None, _recording_prime_solver(local))
                 except CutoffExceeded as exc:
                     raise CutoffExceeded(
                         f"C-block {list(block)} on the exact-fallback route: {exc}"
                     ) from exc
-                route = ROUTE_EXACT_FALLBACK
-            hit = solved[sub] = (k, mc, route)
-        k, mc, route = hit
-        routes.append(RouteRecord(route, block, sub.n, k))
+                route = ROUTE_PERFECT_EXACT  # stands if no prime quotient records one
+            hit = solved[sub] = k, mc, local or [RouteRecord(route, tuple(range(sub.n)), sub.n, k)]
+        k, mc, local = hit
+        for r in local:
+            host = tuple(map(block.__getitem__, r.vertices))
+            routes.append(RouteRecord(r.route, host, r.size, r.chi))
         return k, mc
 
     chi, mc = cliquesep.chi_compose(g, atoms, leaf_chi)

@@ -2,7 +2,7 @@
 
 Every such quotient is the 5-cycle or perfect (Fouquet 1993), and
 chi_w_prime checks which once and names the route it takes: the first
-two links of the prime-quotient chain of ROADMAP item 19. A perfect
+link of the prime-quotient chain in pipeline. A perfect
 one is C5-free, its holes of length 6 or more contain P5 and its
 antiholes of length 6 or more contain co-P5, so it is weakly chordal.
 The work of both solvers depends on the quotient's structure and not

@@ -486,8 +486,19 @@ def co_andrasfai(k: int) -> tuple[int, frozenset, int, int]:
 
 
 def k33() -> tuple[int, frozenset, int, int]:
-    """K_{3,3}: it has independent triples, so its cone takes exact-fallback."""
+    """K_{3,3}: it has independent triples, so in a cone it is a C-block
+    that is not O3-free; its modular decomposition has no prime node, so
+    it takes one perfect-exact record."""
     return 6, frozenset((u, v) for u in range(3) for v in range(3, 6)), 2, 2
+
+
+def fallback_block() -> Graph:
+    """The smallest C-block the seeded draws of the block property test
+    find on the exact-fallback route: prime, {P5, K4-e}-free, with an
+    induced C5 and chi = 3, and two-pair contraction ends in no clique
+    on it."""
+    edges = [(0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (2, 3), (2, 6), (3, 5), (4, 6), (5, 6)]
+    return Graph(7, edges)
 
 
 def cone(blocks) -> tuple[int, frozenset, int, int]:
@@ -682,11 +693,9 @@ def parse_dimacs_reference(text: str) -> Graph:
 
 
 @functools.cache
-def benchmark_instances(workload: str) -> tuple:
-    """The instances of the benchmark workload of that name, built by
-    perfbench/workloads.py, in its fixed vertex order. The file is loaded
-    as a module of its own, listed in sys.modules only while it runs: its
-    dataclass looks itself up there."""
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded as a module of its own, listed in
+    sys.modules only while it runs: its dataclass looks itself up there."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -695,6 +704,14 @@ def benchmark_instances(workload: str) -> tuple:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+@functools.cache
+def benchmark_instances(workload: str) -> tuple:
+    """The instances of the benchmark workload of that name, built by
+    perfbench/workloads.py, in its fixed vertex order."""
+    workloads = benchmark_workloads()
     if workload == "rejects":
         return tuple(workloads.rejects(find_class_violation, Graph))
     return tuple(getattr(workloads, workload.replace("-", "_"))())

@@ -29,7 +29,7 @@ from p5color.pipeline import (
     verify_lemma5,
 )
 
-from helpers import co_andrasfai, co_cycle, cone, k33, random_graph
+from helpers import co_andrasfai, co_cycle, cone, fallback_block, k33, random_graph
 
 COP5_MEMBERS = {
     (20, 0): "cd83dec8428f9ff2c86e77221da22b931ccc829ad4a21c55532d810c79e4d076",
@@ -42,7 +42,8 @@ COP5_MEMBERS = {
 C5_K3 = "251ee8e4cba87a57b115ddca593fc2ce1ec18dafb9762a1cd8584826e2a9c4d9"
 STAR_K1_30_P4 = "34487166b8859db0cde46c6dfc8f56c1a29cba0a33d7c02b194c469e1f6cdf77"
 RANDOM_TREES = "2bf7158a45c5afb6b3c36aae38fb9def88434e29f7ebf2585cc8d510cfb9d7d9"
-KPE_CONE = "20e1147809a0c5116cead28aae2fbae4d9e5afdc2f49b671de049a326a23ec09"
+KPE_CONE = "931f81109b41a8ef612c10433106ee5abdef11570acb834cdb34036443ab6b2e"
+FALLBACK_BLOCK = "f890e2a5f49f8ae3cb4323bc77244037c243a99a3c95c0e7295f9b8fdfae489e"
 
 
 def digest(payload) -> str:
@@ -65,6 +66,10 @@ def kpe_cone_report() -> dict:
     n, edges, _, p = cone([co_cycle(11), k33(), co_andrasfai(3), k33(), co_cycle(13)])
     order = random.Random(16).sample(range(n), n)
     return solve_p5_kpe(Graph(n, [(order[u], order[v]) for u, v in edges]), p).to_json()
+
+
+def fallback_block_report() -> dict:
+    return solve_p5_kpe(fallback_block(), 4).to_json()
 
 
 def random_decomposition_trees() -> list:
@@ -92,8 +97,14 @@ def test_star_kpe_report():
 def test_kpe_cone_report_with_both_routes():
     report = kpe_cone_report()
     assert (report["n"], report["p"], report["chi"], len(report["tree"]["atoms"])) == (45, 9, 8, 5)
-    assert {r["route"] for r in report["routes"]} == {"o3-matching", "exact-fallback"}
+    assert {r["route"] for r in report["routes"]} == {"o3-matching", "perfect-exact"}
     assert digest(report) == KPE_CONE
+
+
+def test_fallback_block_report():
+    report = fallback_block_report()
+    assert [r["route"] for r in report["routes"]] == ["exact-fallback"]
+    assert digest(report) == FALLBACK_BLOCK
 
 
 def test_random_decomposition_trees():
@@ -192,6 +203,7 @@ def current_digests():
     yield "C5[K3]", C5_K3, digest(c5_clique_blowup_report())
     yield "K1,30 p=4", STAR_K1_30_P4, digest(star_kpe_report())
     yield "kpe cone", KPE_CONE, digest(kpe_cone_report())
+    yield "fallback block", FALLBACK_BLOCK, digest(fallback_block_report())
     yield "random trees", RANDOM_TREES, digest(random_decomposition_trees())
     for name, pinned in REPORTS_WITHOUT_COLORING.items():
         yield f"{name} without coloring", pinned, digest(report_without_coloring(name))

@@ -16,8 +16,8 @@ from p5color.detect import (
     is_o3_free,
     p5_cop5_violation,
 )
-from p5color.errors import CutoffExceeded, NotInClass
-from p5color.graph import Graph, substitute, to_dimacs
+from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
+from p5color.graph import Graph, iter_bits, substitute, to_dimacs
 from p5color import modular
 from p5color.modular import md_tree, md_tree_to_json, twin_core, validate_md_tree
 from p5color.oracle import chi_exact, chi_w_exact
@@ -33,7 +33,9 @@ from p5color.pipeline import (
     verify_lemma4,
     verify_lemma5,
 )
-from p5color.prime import ROUTE_PERFECT_EXACT, ROUTE_PRIME_C5
+from p5color.prime import ROUTE_PERFECT_EXACT, ROUTE_PRIME_C5, chi_w_perfect
+
+from helpers import benchmark_workloads, contains_induced, fallback_block, random_graph
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -111,42 +113,104 @@ def _complete_bipartite(a: int, b: int) -> Graph:
 
 def test_solve_kpe_exact_fallback_route():
     # K_{2,3}: triangle-free (so K4-e-free), P5-free, independence number 3,
-    # and no clique separator; the one C-block must take the exact fallback
+    # and no clique separator; the one C-block is not O3-free, and its
+    # modular decomposition, two stable sets in series, has no prime node
     g = _complete_bipartite(2, 3)
     assert class_membership(g, "p5-kpe", 4)
     assert not is_o3_free(g)
     report = solve_p5_kpe(g, 4)
     assert report.chi == chi_exact(g)[0] == 2
-    assert [r.route for r in report.routes] == [ROUTE_EXACT_FALLBACK]
+    assert [r.route for r in report.routes] == [ROUTE_PERFECT_EXACT]
+    # a prime block with an induced C5 and an independent triple, on which
+    # two-pair contraction ends in no clique: the chain's last link
+    g = fallback_block()
+    assert class_membership(g, "p5-kpe", 4) and modular.is_prime(g)
+    assert not is_o3_free(g) and find_induced_c5(g) is not None
+    with pytest.raises(PreconditionError):
+        chi_w_perfect(g, None)
+    report = solve_p5_kpe(g, 4)
+    assert report.chi == chi_exact(g)[0] == 3
+    assert [r.to_json() for r in report.routes] == [
+        {"route": ROUTE_EXACT_FALLBACK, "vertices": list(range(7)), "size": 7, "chi": 3}
+    ]
 
 
 def test_solve_kpe_cutoff_is_loud(monkeypatch):
-    g = _complete_bipartite(5, 6)
-    assert class_membership(g, "p5-kpe", 4)
+    g = fallback_block()
     monkeypatch.setattr(oracle, "WORK_BUDGET", 100)
-    with pytest.raises(CutoffExceeded, match=re.escape(f"C-block {list(range(11))} on the exact-fallback")):
+    message = f"C-block {list(range(7))} on the exact-fallback"
+    with pytest.raises(CutoffExceeded, match=re.escape(message)):
         solve_p5_kpe(g, 4)
 
 
 @pytest.mark.parametrize(
-    "g,chi",
+    "g,chi,route",
     [
-        *((_complete_bipartite(m, m), 2) for m in (13, 30, 60)),
-        *((substitute(Graph.cycle(5), [Graph.empty(k)] * 5), 3) for k in (5, 12)),
+        *((_complete_bipartite(m, m), 2, ROUTE_PERFECT_EXACT) for m in (13, 30, 60)),
+        *((substitute(Graph.cycle(5), [Graph.empty(k)] * 5), 3, ROUTE_PRIME_C5) for k in (5, 12)),
     ],
     ids=["K13,13", "K30,30", "K60,60", "C5[5K1]", "C5[12K1]"],
 )
-def test_solve_kpe_exact_fallback_has_no_size_cutoff(tmp_path, capsys, g, chi):
-    # one C-block of more than 24 vertices with an independent triple
+def test_solve_kpe_large_block_needs_no_exact_solve(monkeypatch, tmp_path, capsys, g, chi, route):
+    # one C-block of more than 24 vertices with an independent triple: a
+    # cograph, or C5 with stable sets substituted, so its modular
+    # decomposition leaves no quotient for an exact solver
     assert g.n > 24 and len(build_tree(g)) == 1
+    monkeypatch.setattr(pipeline, "chi_w_exact", None)
     report = solve_p5_kpe(g, 4)
     validate_coloring(g, report.coloring)
     assert report.chi == chi
-    assert [r.route for r in report.routes] == [ROUTE_EXACT_FALLBACK]
+    assert [r.route for r in report.routes] == [route]
     path = tmp_path / "g.col"
     path.write_text(to_dimacs(g))
     assert main(["solve", "--class", "p5-kpe", "--p", "4", "--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["chi"] == chi
+
+
+def test_intersection_members_agree_across_solvers():
+    # every gen_p5_cop5 member is {P5, Kp-e}-free for p >= chi + 2, since
+    # Kp-e holds a clique of p - 1; clique blow-ups stay {P5, co-P5}-free,
+    # as both are prime, and their chi is the member's chi_w
+    workloads = benchmark_workloads()
+    for n in (20, 40, 80):
+        for seed in range(6):
+            wrng = random.Random(seed)
+            weights = [wrng.randint(1, 3) for _ in range(n)]
+            for w in (None, weights):
+                nn, edges, chi = workloads.cop5_member(n, seed, w)
+                member = Graph(nn, edges)
+                g = substitute(member, [Graph.complete(x) for x in w]) if w else member
+                wd = dict(enumerate(w)) if w else None
+                reports = [solve_p5_cop5(member, wd), solve_p5_cop5(g), solve_p5_kpe(g, chi + 2)]
+                assert [r.chi for r in reports] == [chi] * 3, (n, seed, w)
+                validate_coloring(member, reports[0].coloring, wd)
+                for r in reports[1:]:
+                    validate_coloring(g, r.coloring)
+                assert all(r.route != ROUTE_EXACT_FALLBACK for rep in reports for r in rep.routes)
+
+
+def test_solve_kpe_matches_exact_on_every_drawn_block():
+    # each distinct C-block that is not O3-free, from seeded random
+    # {P5, K4-e}- and {P5, K5-e}-free graphs, solved as a graph of its own
+    rng = random.Random(7)
+    seen: set[Graph] = set()
+    fallback = []
+    while len(seen) < 200:
+        n, p = rng.randint(6, 10), rng.choice((4, 5))
+        g = random_graph(n, 0.3, rng)
+        if find_class_violation(g, "p5-kpe", p) is not None:
+            continue
+        for atom in build_tree(g):
+            sub, _ = g.induced(iter_bits(atom.block))
+            if sub in seen or is_o3_free(sub):
+                continue
+            seen.add(sub)
+            report = solve_p5_kpe(sub, p)
+            assert report.chi == chi_exact(sub)[0], sorted(sub.edges)
+            if any(r.route == ROUTE_EXACT_FALLBACK for r in report.routes):
+                fallback.append(sub)
+    smallest = min(fallback, key=lambda b: b.n)
+    assert smallest.n == 7 and contains_induced(smallest, fallback_block())
 
 
 def test_route_soundness_on_generated_members():
