@@ -5,7 +5,6 @@ with exact desk-scale oracles and structural verifiers."""
 from .coloring import MultiColoring, parse_weights, validate_coloring
 from .detect import (
     Witness,
-    class_membership,
     find_class_violation,
     find_induced_c5,
     find_induced_co_p5,
@@ -57,7 +56,6 @@ __all__ = [
     "chi_exact",
     "chi_o3_free",
     "chi_w_exact",
-    "class_membership",
     "clique_number_exact",
     "find_class_violation",
     "find_independent_triple",

@@ -201,7 +201,7 @@ def _solve_text(report: pipeline.SolveReport) -> str:
         f"class: {report.class_name}" + (f" (p={report.p})" if report.p else ""),
         f"n: {report.n}",
         f"chi: {report.chi}",
-        "routes: " + ", ".join(f"{r.route}[{r.size}]" for r in report.routes),
+        "routes: " + ", ".join(f"{r.route}[{len(r.vertices)}]" for r in report.routes),
     ]
     return "\n".join(lines) + "\n"
 

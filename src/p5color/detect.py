@@ -477,8 +477,3 @@ def find_class_violation(g: Graph, class_name: str, p: int | None = None) -> Wit
             raise PreconditionError(f"class {CLASS_P5_KPE} needs a parameter p >= 3")
         return find_induced_p5(g) or find_induced_kp_minus_e(g, p)
     raise ValueError(f"unknown graph class {class_name!r}")
-
-
-def class_membership(g: Graph, class_name: str, p: int | None = None) -> bool:
-    return find_class_violation(g, class_name, p) is None
-

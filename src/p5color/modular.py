@@ -8,8 +8,10 @@ only the child containing the smallest vertex to be closed, on a small
 quotient.
 
 The tree is refined on the twin core alone (twin_core, the twin rule
-membership uses too), and the vertices it sets aside are hung on as
-leaves; md_tree says why the tree is the one of the whole graph.
+membership uses too). The vertices it sets aside come back as twin
+class nodes and root leaves, under the normal form's one rule that a
+series or parallel node splices in a child of its own kind; md_tree
+says why the tree is the one of the whole graph.
 
 Every node is a vertex bitmask of the input graph, and carries it as
 its mask: components and co-components come from searches over the
@@ -23,7 +25,7 @@ as the graph is large stay within Python's recursion limit.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, Weights, normalize_weights, validate_coloring
@@ -64,12 +66,6 @@ Twins = tuple[int, dict[int, int]]  # a twin pass, as twin_core returns it
 
 
 # -- modules ----------------------------------------------------------------
-
-
-def is_module(g: Graph, members: Iterable[int]) -> bool:
-    """True iff every outside vertex sees all of members or none of them."""
-    mask = bits_of(members)
-    return min_module(g.adj_masks, mask, (1 << g.n) - 1) == mask
 
 
 def min_module(adj: Sequence[int], seed: int, within: int) -> int:
@@ -195,18 +191,19 @@ def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
     by smallest vertex.
 
     Only the twin core of g is refined (from twins, twin_core over all
-    of g, if the caller has it), and the vertices set aside are hung on
-    as each node is built: a kept leaf's twins become its siblings under
-    a node of their kind (parallel for open twins, series for closed
-    ones), or else a new child of that kind with it; isolated or
-    universal vertices go under a parallel or series root.
+    of g, if the caller has it). Each kept vertex with twins stands for
+    its twin class, a parallel node of open twins or a series node of
+    closed ones; the isolated or universal vertices go beside the core's
+    tree under a parallel or series root. A series or parallel node
+    splices in every child of its own kind.
 
     The tree is the one refining every vertex gives: g is its core with
     each kept vertex substituted by its twin class, a module, set beside
     the isolated or joined to the universal vertices, so its tree is the
-    core's with each such leaf replaced by its class's node, merged into
-    a parent of its kind. A kept vertex is the smallest of its class, so
-    each node keeps its smallest vertex, its reps and its quotient.
+    core's with each such leaf replaced by its class's node, in the
+    normal form where no node has a child of its own series or parallel
+    kind. A kept vertex is the smallest of its class, so each node keeps
+    its smallest vertex, its reps and its quotient.
     """
     if g.n < 1:
         raise ValueError("modular decomposition needs at least one vertex")
@@ -219,38 +216,11 @@ def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
     for v, twin in twin_of.items():
         hung.setdefault(twin, []).append(v)
     lone = hung.pop(-1, [])
-    top = (MDSeries if adj[lone[0]] else MDParallel) if lone else None  # the root's kind
-    twinned = bits_of(hung)  # the kept vertices with twins
-    built: dict[int, MDTree] = {}  # internal nodes by core span; a leaf is built with its parent
-
-    def hang(parts: list[int], kind: type | None, loose: list[int]) -> tuple[list[MDTree], int]:
-        """The children of a node of kind whose core children are parts,
-        with its twins and the vertices loose as leaves of its own, by
-        smallest vertex, and the set-aside vertices below it."""
-        kids, below = [], 0
-        for p in parts:
-            if p & (p - 1):
-                node = built.pop(p)
-                below |= node.mask
-            elif p & twinned:
-                v = p.bit_length() - 1
-                twins = bits_of(hung[v])
-                below |= twins
-                node = MDLeaf(v)
-                own = MDSeries if adj[v] & twins else MDParallel
-                if own is kind:
-                    loose = loose + hung[v]
-                else:
-                    node = own((node, *map(MDLeaf, hung[v])), p | twins)
-            else:
-                node = MDLeaf(p.bit_length() - 1)
-            kids.append(node)
-        if loose:  # the parts' smallest vertices ascend, and the loose leaves go in between
-            keyed = [((p & -p).bit_length() - 1, kid) for p, kid in zip(parts, kids)]
-            keyed += [(v, MDLeaf(v)) for v in loose]
-            keyed.sort(key=lambda kid: kid[0])
-            kids = [kid for _, kid in keyed]
-        return kids, below
+    built: dict[int, MDTree] = {}  # nodes by core span: the internal ones, and each twin class under 1 << v
+    for v, vs in hung.items():
+        mask = bits_of(vs)
+        kind = MDSeries if adj[v] & mask else MDParallel
+        built[1 << v] = kind((MDLeaf(v), *map(MDLeaf, vs)), 1 << v | mask)
 
     order = []  # pre-order (span, kind, child spans, prime quotient rows)
     stack: list[tuple[int, type | None]] = [(core, None)] if core & (core - 1) else []
@@ -268,17 +238,39 @@ def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
         order.append((span, kind, parts, rows))
         stack += [(p, kind) for p in parts if p & (p - 1)]
     for span, kind, parts, rows in reversed(order):
-        root = span == core and kind is top  # the core's root takes the lone vertices
-        kids, below = hang(parts, kind, lone if root else [])
+        kids, mask = [], span
+        for p in parts:
+            if p in built:
+                kids.append(built.pop(p))
+                mask |= kids[-1].mask
+            else:
+                kids.append(MDLeaf(p.bit_length() - 1))
         if kind is MDPrime:  # reps: the smallest vertices of the parts, which no twin undercuts
             reps = tuple([(p & -p).bit_length() - 1 for p in parts])
-            built[span] = MDPrime(tuple(kids), span | below, Graph._from_masks(rows), reps)
+            built[span] = MDPrime(tuple(kids), mask, Graph._from_masks(rows), reps)
         else:
-            built[span] = kind(tuple(kids), full if root else span | below)
-    if core in built and type(built[core]) is top:
-        return built[core]  # the core's root took the lone vertices
-    kids = hang([core] if core else [], top, lone)[0]
-    return top(tuple(kids), full) if lone else kids[0]
+            built[span] = _join(kind, kids, mask)
+    kids = [*map(MDLeaf, lone)]
+    if core:  # the core's tree
+        kids.append(built.pop(core) if core in built else MDLeaf(core.bit_length() - 1))
+    if not lone:
+        return kids[0]
+    kids.sort(key=_low)
+    return _join(MDSeries if adj[lone[0]] else MDParallel, kids, full)
+
+
+def _join(kind: type, kids: list[MDTree], mask: int) -> MDTree:
+    """A series or parallel node over kids, in order, with each kid of
+    its own kind spliced in (after which they are sorted again)."""
+    if any(type(kid) is kind for kid in kids):
+        kids = [c for kid in kids for c in (kid.children if type(kid) is kind else (kid,))]
+        kids.sort(key=_low)
+    return kind(tuple(kids), mask)
+
+
+def _low(t: MDTree) -> int:
+    """The smallest vertex of t, read without building a leaf's mask."""
+    return t.vertex if type(t) is MDLeaf else (t.mask & -t.mask).bit_length() - 1
 
 
 def validate_md_tree(g: Graph, t: MDTree) -> None:

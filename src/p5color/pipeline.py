@@ -60,14 +60,13 @@ ROUTE_EXACT_FALLBACK = "exact-fallback"
 class RouteRecord:
     route: str
     vertices: tuple[int, ...]  # host ids of the block / quotient representatives
-    size: int
     chi: int
 
     def to_json(self) -> dict:
         return {
             "route": self.route,
             "vertices": list(self.vertices),
-            "size": self.size,
+            "size": len(self.vertices),
             "chi": self.chi,
         }
 
@@ -127,7 +126,7 @@ def _recording_prime_solver(routes: list[RouteRecord]) -> modular.PrimeSolver:
 
     def prime_solver(quot: Graph, w_star: dict[int, int], reps: tuple[int, ...]):
         route, k, mc = _prime_chain(quot, w_star)
-        routes.append(RouteRecord(route, reps, quot.n, k))
+        routes.append(RouteRecord(route, reps, k))
         return k, mc
 
     return prime_solver
@@ -200,11 +199,11 @@ def solve_p5_kpe(g: Graph, p: int) -> SolveReport:
                         f"C-block {list(block)} on the exact-fallback route: {exc}"
                     ) from exc
                 route = ROUTE_PERFECT_EXACT  # stands if no prime quotient records one
-            hit = solved[sub] = k, mc, local or [RouteRecord(route, tuple(range(sub.n)), sub.n, k)]
+            hit = solved[sub] = k, mc, local or [RouteRecord(route, tuple(range(sub.n)), k)]
         k, mc, local = hit
         for r in local:
             host = tuple(map(block.__getitem__, r.vertices))
-            routes.append(RouteRecord(r.route, host, r.size, r.chi))
+            routes.append(RouteRecord(r.route, host, r.chi))
         return k, mc
 
     chi, mc = cliquesep.chi_compose(g, atoms, leaf_chi)
@@ -361,7 +360,7 @@ class VerificationReport:
 LEMMA5_EXHAUSTIVE_UP_TO = 6
 
 
-def verify_lemma5(n_max: int = 9, samples_per_n: int = 150, seed: int = 0) -> VerificationReport:
+def verify_lemma5(n_max: int, samples_per_n: int, seed: int) -> VerificationReport:
     """Check that connected prime {P5, co-P5}-free graphs are Berge or
     the 5-cycle.
 
@@ -416,9 +415,7 @@ def _all_graphs(n: int):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
-def verify_lemma4(
-    p: int = 4, samples: int = 200, n_max: int = 12, seed: int = 0
-) -> VerificationReport:
+def verify_lemma4(p: int, samples: int, n_max: int, seed: int) -> VerificationReport:
     """Check the C-block dichotomy for {P5, Kp-e}-free graphs: every
     block of every sampled member is O3-free or has clique number at
     most (p+1)^(p+2) * (p-2)."""
@@ -457,7 +454,7 @@ def verify_lemma4(
     return report
 
 
-def verify_gyarfas(samples: int = 500, n_max: int = 12, seed: int = 0) -> VerificationReport:
+def verify_gyarfas(samples: int, n_max: int, seed: int) -> VerificationReport:
     """Check chi <= 4^(omega-1) over sampled P5-free graphs."""
     report = VerificationReport(
         "gyarfas", {"samples": samples, "n_max": n_max, "seed": seed}

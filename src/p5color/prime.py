@@ -8,9 +8,9 @@ antiholes of length 6 or more contain co-P5, so it is weakly chordal.
 The work of both solvers depends on the quotient's structure and not
 on its weights:
 
-  chi_w_c5       chi_w = max(heaviest edge, ceil(W / 2)), W the total
-                 weight; the multicoloring gives each of the five
-                 maximal stable sets a block of consecutive colors
+  the 5-cycle    chi_w = max(heaviest edge, ceil(W / 2)), W the total
+                 weight, in closed form; the multicoloring gives each of
+                 the five maximal stable sets a block of consecutive colors
   chi_w_perfect  weighted two-pair contraction (Hayward, Hoang and
                  Maffray 1989): at most one step per non-edge, ending
                  in a clique whose weight is chi_w, with colors lifted
@@ -38,14 +38,6 @@ def chi_w_prime(g: Graph, w: Weights | None) -> tuple[str, int, MultiColoring]:
     if is_c5(g):
         return ROUTE_PRIME_C5, *_c5_closed_form(g, normalize_weights(g, w))
     return ROUTE_PERFECT_EXACT, *chi_w_perfect(g, w)
-
-
-def chi_w_c5(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
-    """Weighted chromatic number of a 5-cycle, in closed form, with a
-    multicoloring that meets it."""
-    if not is_c5(g):
-        raise PreconditionError("chi_w_c5 needs a 5-cycle")
-    return _c5_closed_form(g, normalize_weights(g, w))
 
 
 def _c5_closed_form(g: Graph, weights: list[int]) -> tuple[int, MultiColoring]:

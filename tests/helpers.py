@@ -456,40 +456,7 @@ def chi_compose_reference(g: Graph, atoms, leaf_chi) -> tuple[int, MultiColoring
     return k, MultiColoring.from_singletons(color, g.n)
 
 
-# -- {P5, Kp-e}-free members with many clique separators, as in the benchmark ----
-
-
-def star(leaves: int) -> tuple[int, frozenset, int]:
-    """K_{1,leaves}; chromatic number 2."""
-    return leaves + 1, frozenset((0, v) for v in range(1, leaves + 1)), 2
-
-
-def co_cycle(length: int) -> tuple[int, frozenset, int, int]:
-    """Complement of an odd cycle, O3-free and P5-free: (n, edges, chi,
-    omega) with chi = (length + 1) / 2 and omega = (length - 1) / 2."""
-    near = {(i, (i + 1) % length) for i in range(length)}
-    edges = frozenset(
-        (u, v)
-        for u in range(length)
-        for v in range(u + 1, length)
-        if (u, v) not in near and (v, u) not in near
-    )
-    return length, edges, (length + 1) // 2, (length - 1) // 2
-
-
-def co_andrasfai(k: int) -> tuple[int, frozenset, int, int]:
-    """Complement of the Andrasfai graph And(k) on 3k - 1 vertices:
-    O3-free and P5-free with chi = ceil((3k - 1) / 2) and omega = k."""
-    n = 3 * k - 1
-    edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n) if (v - u) % 3 != 1)
-    return n, edges, -(-n // 2), k
-
-
-def k33() -> tuple[int, frozenset, int, int]:
-    """K_{3,3}: it has independent triples, so in a cone it is a C-block
-    that is not O3-free; its modular decomposition has no prime node, so
-    it takes one perfect-exact record."""
-    return 6, frozenset((u, v) for u in range(3) for v in range(3, 6)), 2, 2
+# -- a C-block on the exact-fallback route --------------------------------------
 
 
 def fallback_block() -> Graph:
@@ -499,19 +466,6 @@ def fallback_block() -> Graph:
     on it."""
     edges = [(0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (2, 3), (2, 6), (3, 5), (4, 6), (5, 6)]
     return Graph(7, edges)
-
-
-def cone(blocks) -> tuple[int, frozenset, int, int]:
-    """Apex vertex 0 joined to a disjoint union of blocks: (n, edges,
-    chi, p) with p = omega + 3, the smallest p for which the cone is
-    {P5, Kp-e}-free."""
-    edges: set[tuple[int, int]] = set()
-    offset = 1
-    for bn, bedges, _, _ in blocks:
-        edges.update((offset + u, offset + v) for u, v in bedges)
-        edges.update((0, offset + v) for v in range(bn))
-        offset += bn
-    return offset, frozenset(edges), 1 + max(b[2] for b in blocks), max(b[3] for b in blocks) + 3
 
 
 def with_universal_and_isolated(g: Graph, rng: random.Random) -> Graph:
@@ -715,6 +669,14 @@ def benchmark_instances(workload: str) -> tuple:
     if workload == "rejects":
         return tuple(workloads.rejects(find_class_violation, Graph))
     return tuple(getattr(workloads, workload.replace("-", "_"))())
+
+
+# the benchmark's {P5, Kp-e}-free members with many clique separators:
+# star gives (n, edges, chi), the blocks (n, edges, chi, omega) and a
+# cone over blocks (n, edges, chi, p)
+star, co_cycle, co_andrasfai, k33, cone = (
+    getattr(benchmark_workloads(), name) for name in ("star", "co_cycle", "co_andrasfai", "k33", "cone")
+)
 
 
 # -- spiders ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from p5color.detect import (
     _first_p5,
     _p5_in,
     _quotient_violation,
-    class_membership,
     find_class_violation,
     find_independent_triple,
     find_induced_c5,
@@ -280,7 +279,7 @@ def test_detectors_agree_with_exhaustive_oracle():
 
 
 def test_class_membership_known_cases():
-    assert class_membership(C5, "p5-cop5")
+    assert find_class_violation(C5, "p5-cop5") is None
     v = find_class_violation(P5, "p5-cop5")
     assert v.pattern == "P5" and v.vertices == (0, 1, 2, 3, 4)
     v2 = find_class_violation(K4_MINUS_E, "p5-kpe", 4)
@@ -302,7 +301,7 @@ def test_class_membership_is_hereditary():
         checked += 1
         keep = [v for v in range(g.n) if rng.random() < 0.6]
         sub, _ = g.induced(keep)
-        assert class_membership(sub, "p5-kpe", 4)
+        assert find_class_violation(sub, "p5-kpe", 4) is None
 
 
 def test_berge_longer_odd_holes_at_the_size_boundary():

@@ -1,5 +1,6 @@
-"""The package reads no environment variable: every cutoff is a work
-budget in the code, not a knob a variable could set."""
+"""Scans of the package source. It reads no environment variable: every
+cutoff is a work budget in the code, not a knob a variable could set.
+And every name a module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,40 @@ def test_the_scan_sees_a_read(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("import os\nfrom os import getenv\nn = os.environ.get('N')\n")
     assert environment_reads(path) == ["m.py:2", "m.py:3"]
+
+
+# perfbench/spans.py swaps pipeline.is_berge_small by name, so pipeline
+# imports it for that alone (until ROADMAP item 8 moves the tracer into
+# the package)
+UNUSED_ON_PURPOSE = ["pipeline.is_berge_small"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """module.name of each name the module at path imports at top level
+    and never uses: loads it nowhere and does not list it in __all__."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return [f"{path.stem}.{name}" for name in imported if name not in used]
+
+
+def test_every_imported_name_is_used():
+    package = Path(p5color.__file__).parent
+    assert [hit for path in sorted(package.glob("*.py")) for hit in unused_imports(path)] == UNUSED_ON_PURPOSE
+
+
+def test_the_scan_sees_an_unused_import(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+        "from json import dumps, loads\n__all__ = ['loads']\nprint(os.sep)\n"
+    )
+    assert unused_imports(path) == ["m.regex", "m.dumps"]

@@ -8,17 +8,17 @@ import pytest
 
 from p5color import modular
 from p5color.coloring import MultiColoring, validate_coloring
-from p5color.graph import Graph, iter_bits, parse_graph, substitute
+from p5color.graph import Graph, bits_of, iter_bits, parse_graph, substitute
 from p5color.modular import (
     MDLeaf,
     MDParallel,
     MDPrime,
     MDSeries,
     chi_w,
-    is_module,
     is_prime,
     md_tree,
     md_tree_to_json,
+    min_module,
     twin_core,
     validate_md_tree,
 )
@@ -45,12 +45,14 @@ def exact_prime_solver(q, w, reps):
 
 
 def test_is_module_known_cases():
-    assert is_module(C4, [0, 2])  # opposite vertices of C4
+    full = 0b1111
+    assert min_module(C4.adj_masks, 0b0101, full) == 0b0101  # opposite vertices of C4
     for size in (2, 3):
         for sub in itertools.combinations(range(4), size):
-            assert not is_module(P4, sub)  # P4 is prime
-    assert is_module(P4, [1])
-    assert is_module(P4, range(4))
+            mask = bits_of(sub)
+            assert min_module(P4.adj_masks, mask, full) != mask  # P4 is prime
+    assert min_module(P4.adj_masks, 0b0010, full) == 0b0010
+    assert min_module(P4.adj_masks, full, full) == full
 
 
 def test_is_prime():

@@ -10,7 +10,6 @@ from p5color.cli import main
 from p5color.cliquesep import build_tree, validate_tree
 from p5color.coloring import validate_coloring
 from p5color.detect import (
-    class_membership,
     find_class_violation,
     find_induced_c5,
     is_o3_free,
@@ -116,7 +115,7 @@ def test_solve_kpe_exact_fallback_route():
     # and no clique separator; the one C-block is not O3-free, and its
     # modular decomposition, two stable sets in series, has no prime node
     g = _complete_bipartite(2, 3)
-    assert class_membership(g, "p5-kpe", 4)
+    assert find_class_violation(g, "p5-kpe", 4) is None
     assert not is_o3_free(g)
     report = solve_p5_kpe(g, 4)
     assert report.chi == chi_exact(g)[0] == 2
@@ -124,7 +123,7 @@ def test_solve_kpe_exact_fallback_route():
     # a prime block with an induced C5 and an independent triple, on which
     # two-pair contraction ends in no clique: the chain's last link
     g = fallback_block()
-    assert class_membership(g, "p5-kpe", 4) and modular.is_prime(g)
+    assert find_class_violation(g, "p5-kpe", 4) is None and modular.is_prime(g)
     assert not is_o3_free(g) and find_induced_c5(g) is not None
     with pytest.raises(PreconditionError):
         chi_w_perfect(g, None)
@@ -274,9 +273,9 @@ def test_generators_always_return_members():
     rng = random.Random(55)
     for _ in range(30):
         n = rng.randint(1, 12)
-        assert class_membership(gen_p5_cop5(n, rng.randrange(2**32)), "p5-cop5")
+        assert find_class_violation(gen_p5_cop5(n, rng.randrange(2**32)), "p5-cop5") is None
         res = gen_p5_kpe(n, 5, rng.randrange(2**32))
-        assert class_membership(res.graph, "p5-kpe", 5)
+        assert find_class_violation(res.graph, "p5-kpe", 5) is None
         assert res.attempts >= 1
 
 

@@ -21,7 +21,7 @@ from p5color.pipeline import (
     gen_p5_cop5,
     solve_p5_cop5,
 )
-from p5color.prime import ROUTE_PERFECT_EXACT, ROUTE_PRIME_C5, chi_w_c5, chi_w_perfect, chi_w_prime, is_c5
+from p5color.prime import ROUTE_PERFECT_EXACT, ROUTE_PRIME_C5, chi_w_perfect, chi_w_prime, is_c5
 
 from helpers import (
     all_graphs,
@@ -47,7 +47,8 @@ def c5_bound(g: Graph, w: dict[int, int]) -> int:
 def test_c5_route_matches_oracle_on_small_weights(g):
     for ws in itertools.product(range(1, 4), repeat=5):
         w = dict(enumerate(ws))
-        k, mc = chi_w_c5(g, w)
+        route, k, mc = chi_w_prime(g, w)
+        assert route == ROUTE_PRIME_C5
         validate_coloring(g, mc, w)
         assert k == mc.k == chi_w_exact(g, w)[0]
 
@@ -58,26 +59,22 @@ def test_c5_route_certificate_meets_the_bound_on_a_weight_grid():
     for _ in range(3000):
         w = {v: rng.choice(grid) for v in range(5)}
         for g in (_C5, C5_RELABELLED):
-            k, mc = chi_w_c5(g, w)
+            route, k, mc = chi_w_prime(g, w)
+            assert route == ROUTE_PRIME_C5
             validate_coloring(g, mc, w)
             assert k == c5_bound(g, w)
 
 
-def test_c5_route_refuses_other_graphs():
-    with pytest.raises(PreconditionError):
-        chi_w_c5(Graph.path(5), None)
-
-
 def assert_dispatch_matches_the_solver(g: Graph, w: dict[int, int]) -> str:
-    """chi_w_prime takes the route the graph calls for and answers as
-    that route's solver does; the other solver refuses the graph."""
+    """chi_w_prime takes the route the graph calls for; on the perfect
+    route it answers as chi_w_perfect does, which refuses a 5-cycle."""
     route, k, mc = chi_w_prime(g, w)
-    solvers = {ROUTE_PRIME_C5: chi_w_c5, ROUTE_PERFECT_EXACT: chi_w_perfect}
     assert route == (ROUTE_PRIME_C5 if is_c5(g) else ROUTE_PERFECT_EXACT)
-    solver, other = solvers.pop(route), *solvers.values()
-    assert (k, mc) == solver(g, w)
-    with pytest.raises(PreconditionError):
-        other(g, w)
+    if route == ROUTE_PERFECT_EXACT:
+        assert (k, mc) == chi_w_perfect(g, w)
+    else:
+        with pytest.raises(PreconditionError):
+            chi_w_perfect(g, w)
     return route
 
 
@@ -107,8 +104,6 @@ def test_prime_dispatch_matches_the_route_solvers_on_seeded_weights(g):
 def test_prime_dispatch_refuses_a_quotient_that_is_not_weakly_chordal():
     with pytest.raises(PreconditionError):
         chi_w_prime(Graph.cycle(7), None)
-    with pytest.raises(PreconditionError):
-        chi_w_c5(Graph.cycle(7), None)
 
 
 def prime_perfect_members(n_max: int):
@@ -163,7 +158,7 @@ def test_matching_clique_m50_solves(complement, chi):
         g = g.complement()
     report = solve_p5_cop5(g)
     assert report.chi == chi
-    assert [(r.route, r.size) for r in report.routes] == [(ROUTE_PERFECT_EXACT, 150)]
+    assert [(r.route, len(r.vertices)) for r in report.routes] == [(ROUTE_PERFECT_EXACT, 150)]
     validate_coloring(g, report.coloring)
     rng = random.Random(63)
     w = {v: rng.randint(1, 1000) for v in range(g.n)}
