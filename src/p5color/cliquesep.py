@@ -189,12 +189,8 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
     color = [0] * g.n  # host vertex -> composed color
     checked: set[tuple[Graph, MultiColoring]] = set()
     for atom in atoms:
-        block = todo = atom.block
-        ids = []
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            ids.append(low.bit_length() - 1)
+        block = atom.block
+        ids = iter_bits(block)
         sub = Graph._from_masks(induced_rows(adj, ids))
         k_atom, mc = leaf_chi(sub, tuple(ids))
         if (sub, mc) not in checked:
@@ -220,5 +216,4 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
                 perm[c] = next(free)
         for v, c in zip(ids, local):
             color[v] = perm[c]
-    single = [frozenset((c,)) for c in range(k + 1)]
-    return k, MultiColoring(tuple([single[c] for c in color]), max(color, default=0))
+    return k, MultiColoring.from_singletons(color)

@@ -11,7 +11,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .graph import Graph
+from .graph import Graph, int_pairs
 
 Weights = Mapping[int, int]
 
@@ -35,17 +35,7 @@ def parse_weights(text: str, n: int) -> dict[int, int]:
     0-indexed; blank lines and "#" comments ignored. Missing vertices
     default to weight 1."""
     out: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed weight line {line!r}", lineno)
-        try:
-            v, wt = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed weight line {line!r}", lineno) from None
+    for lineno, line, v, wt in int_pairs(text, "weight"):
         if v < 0 or wt < 1:
             raise ParseError(f"bad vertex or weight in {line!r}", lineno)
         if v >= n:
@@ -74,12 +64,12 @@ class MultiColoring:
         return {str(v): sorted(cs) for v, cs in enumerate(self.colors)}
 
     @classmethod
-    def from_singletons(cls, assignment: Mapping[int, int], n: int) -> MultiColoring:
-        """Ordinary coloring (one color per vertex) as a multicoloring."""
-        if set(assignment) != set(range(n)):
-            raise ValueError("assignment must cover vertices 0..n-1")
-        colors = tuple(frozenset([assignment[v]]) for v in range(n))
-        return cls(colors, max(assignment.values(), default=0))
+    def from_singletons(cls, color: list[int]) -> MultiColoring:
+        """Ordinary coloring as a multicoloring: color[v] is vertex v's
+        color, numbered from 1. Each color's set is built once."""
+        k = max(color, default=0)
+        single = [frozenset((c,)) for c in range(k + 1)]
+        return cls(tuple([single[c] for c in color]), k)
 
 
 def validate_coloring(g: Graph, mc: MultiColoring, w: Weights | None = None) -> None:

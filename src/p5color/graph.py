@@ -9,7 +9,7 @@ are all derived from the rows.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import CutoffExceeded, ParseError
 
@@ -385,20 +385,25 @@ def _empty_rows(n: int, lineno: int) -> list[int]:
         raise ParseError(f"vertex count {n} cannot be allocated", lineno) from None
 
 
-def parse_edge_list(text: str) -> Graph:
-    edges = []
-    max_id = max_line = -1
+def int_pairs(text: str, kind: str) -> Iterator[tuple[int, str, int, int]]:
+    """(line number, stripped line, a, b) for each line "a b" of two
+    integers; blank lines and "#" comments are skipped, and any other
+    line raises a ParseError naming it a malformed {kind} line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge line {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = map(int, line.split())
         except ValueError:
-            raise ParseError(f"malformed edge line {line!r}", lineno) from None
+            raise ParseError(f"malformed {kind} line {line!r}", lineno) from None
+        yield lineno, line, a, b
+
+
+def parse_edge_list(text: str) -> Graph:
+    edges = []
+    max_id = max_line = -1
+    for lineno, line, u, v in int_pairs(text, "edge"):
         if not (0 <= u < sys.maxsize and 0 <= v < sys.maxsize):
             raise ParseError(f"vertex id out of range in {line!r}", lineno)
         if u == v:

@@ -130,15 +130,14 @@ def chi_o3_free(g: Graph) -> tuple[int, MultiColoring]:
     triple = first_clique(co.adj_masks, (1 << g.n) - 1, 3)
     if triple is not None:
         raise NotO3Free(Witness("O3", triple))
-    matched = max_matching(co)
-    k = g.n - len(matched)
-    classes = sorted(
-        [list(pair) for pair in matched]
-        + [[v] for v in range(g.n) if not any(v in pair for pair in matched)],
-        key=min,
-    )
-    assignment: dict[int, int] = {}
-    for color, members in enumerate(classes, start=1):
-        for v in members:
-            assignment[v] = color
-    return k, MultiColoring.from_singletons(assignment, g.n)
+    partner = list(range(g.n))
+    for u, v in max_matching(co):
+        partner[u], partner[v] = v, u
+    # classes numbered by their smallest vertex, as they first show up
+    color = [0] * g.n
+    k = 0
+    for v in range(g.n):
+        if not color[v]:
+            k += 1
+            color[v] = color[partner[v]] = k
+    return k, MultiColoring.from_singletons(color)

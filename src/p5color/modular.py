@@ -88,7 +88,9 @@ def min_module(adj: Sequence[int], seed: int, within: int) -> int:
 
 
 def is_prime(g: Graph) -> bool:
-    """No nontrivial modules (vacuously true below four vertices)."""
+    """No nontrivial modules: true on at most two vertices, where every
+    module is trivial, and false on every graph with three, where some
+    vertex is adjacent to both others or to neither."""
     full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):

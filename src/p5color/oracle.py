@@ -36,27 +36,27 @@ def chi_exact(g: Graph) -> tuple[int, MultiColoring]:
     Branch and bound: greedy clique lower bound, DSATUR-ordered
     branching, initial upper bound from a greedy DSATUR coloring.
     """
-    k, assignment = _chi_branch_and_bound(g)
-    return k, MultiColoring.from_singletons(assignment, g.n)
+    k, color = _chi_branch_and_bound(g)
+    return k, MultiColoring.from_singletons(color)
 
 
-def _chi_branch_and_bound(g: Graph) -> tuple[int, dict[int, int]]:
+def _chi_branch_and_bound(g: Graph) -> tuple[int, list[int]]:
+    """chi(g) and a colouring with that many colours: the colour of
+    each vertex, numbered from 1."""
     n = g.n
     if n == 0:
-        return 0, {}
+        return 0, []
     if g.m == 0:
-        return 1, {v: 1 for v in range(n)}
+        return 1, [1] * n
 
     budget = _search_nodes(n, g.m)
     clique = greedy_clique(g)
     lower = len(clique)
     nbrs = [iter_bits(row) for row in g.adj_masks]  # walked at every search node
-    upper, greedy = _dsatur_greedy(nbrs)
-    if lower == upper:
-        return upper, greedy
+    best_k, best = _dsatur_greedy(nbrs)
+    if lower == best_k:
+        return best_k, best
 
-    best_k = upper
-    best = dict(greedy)
     color = [0] * n
     # symmetry breaking: pin a maximal clique to colors 1..|clique|
     for i, v in enumerate(sorted(clique)):
@@ -80,7 +80,7 @@ def _chi_branch_and_bound(g: Graph) -> tuple[int, dict[int, int]]:
             v = _most_saturated(nbrs, color, order_pool)
             if v is None:
                 best_k = used
-                best = {u: color[u] for u in range(n)}
+                best = color.copy()
             else:
                 seen = {color[u] for u in nbrs[v]}
                 limit = min(used + 1, best_k - 1)
@@ -125,7 +125,7 @@ def _most_saturated(nbrs: list[list[int]], color: list[int], pool: list[int]) ->
     return best_v
 
 
-def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, dict[int, int]]:
+def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, list[int]]:
     """Colour the vertex _most_saturated would pick with the least colour
     its neighbours leave, until all are coloured. The heap holds a key
     for each saturation a vertex reaches; a key since passed is stale."""
@@ -143,8 +143,7 @@ def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, dict[int, int]]:
             if not color[u] and c not in seen[u]:
                 seen[u].add(c)
                 heapq.heappush(heap, (-len(seen[u]), -len(nbrs[u]), u))
-    k = max(color, default=0)
-    return k, {v: color[v] for v in range(n)}
+    return max(color, default=0), color
 
 
 def greedy_clique(g: Graph) -> frozenset[int]:
@@ -185,8 +184,8 @@ def chi_w_exact(g: Graph, w: Weights | None) -> tuple[int, MultiColoring]:
     edges += sum(weights[u] * weights[v] for u, v in g.edges)
     if edges:
         _search_nodes(total, edges)
-    k, assignment = _chi_branch_and_bound(substitute(g, [Graph.complete(wt) for wt in weights]))
-    copies = (assignment[c] for c in range(total))  # v's copies follow those of 0..v-1
+    k, color = _chi_branch_and_bound(substitute(g, [Graph.complete(wt) for wt in weights]))
+    copies = iter(color)  # v's copies follow those of 0..v-1
     colors = tuple(frozenset(itertools.islice(copies, wt)) for wt in weights)
     return k, MultiColoring(colors, k)
 

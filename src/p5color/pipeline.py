@@ -228,11 +228,6 @@ class GenResult(NamedTuple):
     attempts: int
 
 
-class GenerationTimeout(CutoffExceeded):
-    """Rejection sampling ran out of attempts; try another density. A
-    cutoff on work like the others, so the CLI exits 4 on it."""
-
-
 def _gnp(n: int, density: float, rng: random.Random) -> Graph:
     return Graph(
         n,
@@ -302,7 +297,7 @@ def gen_p5_kpe(n: int, p: int, seed: int, density: float = 0.2) -> GenResult:
         g = _gnp(n, density, rng)
         if find_class_violation(g, "p5-kpe", p) is None:
             return GenResult(g, attempt)
-    raise GenerationTimeout(
+    raise CutoffExceeded(
         f"no {{P5, K{p}-e}}-free graph on {n} vertices accepted after "
         f"{MAX_ATTEMPTS} attempts at density {density}; adjust the density"
     )

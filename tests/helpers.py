@@ -453,7 +453,7 @@ def chi_compose_reference(g: Graph, atoms, leaf_chi) -> tuple[int, MultiColoring
                 perm[c] = next(free)
         for v, c in local.items():
             color[v] = perm[c]
-    return k, MultiColoring.from_singletons(color, g.n)
+    return k, MultiColoring.from_singletons([color[v] for v in range(g.n)])
 
 
 # -- a C-block on the exact-fallback route --------------------------------------

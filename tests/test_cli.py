@@ -18,9 +18,10 @@ from p5color.cli import (
     EXIT_USAGE,
     main,
 )
+from p5color.errors import CutoffExceeded
 from p5color.graph import Graph, parse_graph, to_dimacs
 from p5color import cli, pipeline
-from p5color.pipeline import GenerationTimeout, gen_p5_cop5, gen_p5_kpe
+from p5color.pipeline import gen_p5_cop5, gen_p5_kpe
 
 from helpers import alternating_threshold, random_graph
 
@@ -401,7 +402,7 @@ def test_an_option_the_command_ignores_exits_usage(c5_file, tmp_path, capsys, co
 
 
 def _timeout(n, p, seed, density=0.2):
-    raise GenerationTimeout(f"no {{P5, K{p}-e}}-free graph on {n} vertices accepted")
+    raise CutoffExceeded(f"no {{P5, K{p}-e}}-free graph on {n} vertices accepted")
 
 
 @pytest.mark.parametrize(
@@ -425,9 +426,6 @@ def _timeout(n, p, seed, density=0.2):
         *((f"generate --class p5-kpe --p 4 --n 5 --density {d}", EXIT_USAGE)
           for d in ("-0.5", "1.5", "nan", "inf")),
         ("decompose --kind modular --input EMPTY", EXIT_OK),
-        # removed options, refused as unknown ones
-        ("oracle chi --oracle-n 0 --input C5", EXIT_USAGE),
-        ("oracle chiw --max-total-weight 0 --input C5", EXIT_USAGE),
     ],
 )
 def test_out_of_range_input_exits_with_its_documented_code(

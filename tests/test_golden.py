@@ -16,6 +16,7 @@ import random
 import pytest
 
 from p5color.cliquesep import build_tree, tree_to_json
+from p5color.errors import NotInClass
 from p5color.graph import Graph, substitute
 from p5color.modular import md_tree, md_tree_to_json
 from p5color.pipeline import (
@@ -29,7 +30,15 @@ from p5color.pipeline import (
     verify_lemma5,
 )
 
-from helpers import co_andrasfai, co_cycle, cone, fallback_block, k33, random_graph
+from helpers import (
+    benchmark_instances,
+    co_andrasfai,
+    co_cycle,
+    cone,
+    fallback_block,
+    k33,
+    random_graph,
+)
 
 COP5_MEMBERS = {
     (20, 0): "cd83dec8428f9ff2c86e77221da22b931ccc829ad4a21c55532d810c79e4d076",
@@ -196,6 +205,37 @@ def test_verifier_report(name):
     assert digest(run().to_json()) == expected
 
 
+# Every instance of each benchmark workload, in its fixed vertex order:
+# the full report of a member, the witness pattern and vertices of a
+# near-member the solver rejects.
+WORKLOADS = {
+    "cop5-ladder": "269e47e2c42af7b209d2727d7a10b4b2a547776c3e221ab8d5f6ea0a311350f6",
+    "cop5-blowup": "4fb360515a8ca39316a9c3dbc39dd0bfe17406848f07c1f3cea601c1ff6d7ddd",
+    "kpe-separators": "fc1d427b1dd1e05bb641de2e495990652b260a4da72d6518cdfada45e0113d94",
+    "rejects": "c0049b28a1c7bf92f41907a2efe3156f78ecab845fa4e37f623793d66af39969",
+}
+
+
+def workload_outcomes(workload: str) -> list:
+    rows = []
+    for inst in benchmark_instances(workload):
+        g = Graph(inst.n, inst.edges)
+        try:
+            if inst.cls == "p5-cop5":
+                w = None if inst.weights is None else dict(enumerate(inst.weights))
+                rows.append(solve_p5_cop5(g, w).to_json())
+            else:
+                rows.append(solve_p5_kpe(g, inst.p).to_json())
+        except NotInClass as exc:
+            rows.append([exc.witness.pattern, list(exc.witness.vertices)])
+    return rows
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_outcomes(workload):
+    assert digest(workload_outcomes(workload)) == WORKLOADS[workload]
+
+
 def current_digests():
     """(case, pinned digest, current digest) for every case above."""
     for (n, seed), pinned in COP5_MEMBERS.items():
@@ -211,6 +251,8 @@ def current_digests():
         yield name, WEIGHTED_REPORTS[name], digest(run().to_json())
     for name, (run, pinned) in VERIFIERS.items():
         yield f"verify {name}", pinned, digest(run().to_json())
+    for workload, pinned in WORKLOADS.items():
+        yield f"workload {workload}", pinned, digest(workload_outcomes(workload))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p5color.coloring import parse_weights
 from p5color.errors import ParseError
 from p5color.graph import (
     Graph,
@@ -15,6 +16,7 @@ from p5color.graph import (
     is_clique,
     is_connected,
     iter_bits,
+    parse_edge_list,
     parse_graph,
     substitute,
     to_dimacs,
@@ -93,6 +95,38 @@ def test_parse_edge_list_errors():
         parse_graph("0 -2\n", "edges")
     with pytest.raises(ParseError):
         parse_graph("0 1 2\n", "edges")
+
+
+# Both line readers, weights for a graph on 4 vertices: each faulty line
+# comes after a comment, a blank line and a good line, so its number
+# counts the skipped lines too, and the message quotes it stripped.
+READERS = {
+    "edge": (parse_edge_list, Graph(2, [(0, 1)])),
+    "weight": (lambda text: parse_weights(text, 4), {0: 1}),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,bad,message",
+    [
+        ("edge", "0 1 2", "malformed edge line '0 1 2'"),
+        ("edge", "a b", "malformed edge line 'a b'"),
+        ("edge", "0 -2", "vertex id out of range in '0 -2'"),
+        ("edge", "0 0", "self-loop in '0 0'"),
+        ("weight", "0 1 2", "malformed weight line '0 1 2'"),
+        ("weight", "x 1", "malformed weight line 'x 1'"),
+        ("weight", "-1 2", "bad vertex or weight in '-1 2'"),
+        ("weight", "0 0", "bad vertex or weight in '0 0'"),
+        ("weight", "9 1", "weight for unknown vertex 9"),
+    ],
+)
+def test_line_readers_name_the_faulty_line(kind, bad, message):
+    read, good = READERS[kind]
+    head = "# a comment\n  \n0 1\n"
+    assert read(head) == good
+    with pytest.raises(ParseError) as err:
+        read(f"{head}\t{bad} \n1 2\n")
+    assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
 
 
 # Only counts and ids past sys.maxsize: a smaller huge count would really

@@ -60,6 +60,9 @@ def test_is_prime():
     assert not is_prime(C4)
     assert not is_prime(Graph.complete(3))
     assert is_prime(Graph.cycle(5))
+    # prime labelled graphs on n = 0..4 vertices, of 1, 1, 2, 8 and 64
+    primes = [sum(map(is_prime, all_graphs(n))) for n in range(5)]
+    assert primes == [1, 1, 2, 0, 12]
 
 
 def test_md_tree_c4_series_of_parallels():

@@ -23,7 +23,6 @@ from p5color.oracle import chi_exact, chi_w_exact
 from p5color.pipeline import (
     ROUTE_EXACT_FALLBACK,
     ROUTE_O3_MATCHING,
-    GenerationTimeout,
     gen_p5_cop5,
     gen_p5_kpe,
     solve_p5_cop5,
@@ -286,7 +285,7 @@ def test_generators_are_seed_deterministic():
 
 def test_generator_timeout_suggests_density(monkeypatch):
     monkeypatch.setattr(pipeline, "MAX_ATTEMPTS", 40)
-    with pytest.raises(GenerationTimeout, match="after 40 attempts at density 0.95"):
+    with pytest.raises(CutoffExceeded, match="after 40 attempts at density 0.95"):
         gen_p5_kpe(12, 4, 0, density=0.95)
 
 
