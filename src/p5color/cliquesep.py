@@ -24,20 +24,24 @@ clique, empty for the first atom and at each new component. Atoms are
 pairs of vertex bitmasks of the input graph. The composition reads
 each atom's rows straight off the input's adjacency masks and hands
 the leaf solver that relabelled subgraph with the host ids it stands
-for, as modular.chi_w hands its prime solver a quotient.
+for, as modular.chi_w hands its prime solver a quotient. It keeps one
+record per distinct block, keyed on those rows, so an atom whose block
+came before gets the same subgraph object and, when the solver hands
+back the coloring already checked on it, pays for no new graph and no
+new check: only the lookup and its color permutation. The leaf solver
+is still called once per atom.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import MultiColoring, validate_coloring
 from .graph import Graph, induced_rows, is_clique, iter_bits, reach
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """A C-block and the clique it shares with the earlier atoms, both as
     bitmasks of host vertices."""
 
@@ -179,32 +183,39 @@ def chi_compose(g: Graph, atoms: Atoms, leaf_chi: LeafSolver) -> tuple[int, Mult
     block's i-th lowest vertex. chi(g) is the max over the atoms. Each
     atom's colors are permuted to match the colors already on its
     separator clique, and its other colors go to the ones the separator
-    does not use. Each distinct (subgraph, coloring) pair the solver
-    returns is validated the first time it comes back, so a solver that
-    hands back one cached coloring per distinct block pays one check
-    per block; the solver validates the composed one on g.
+    does not use. One record is kept per distinct block, keyed on its
+    induced rows: the subgraph, built once and handed to every atom
+    that induces it, and the coloring last validated on it with its
+    color list. A coloring the solver returns is validated unless it is
+    that same object, so a solver that hands back one cached coloring
+    per distinct block pays one check per block, and a fresh coloring
+    of a repeated block is checked again; the solver validates the
+    composed one on g.
     """
     adj = g.adj_masks
     k = 0
     color = [0] * g.n  # host vertex -> composed color
-    checked: set[tuple[Graph, MultiColoring]] = set()
-    for atom in atoms:
-        block = atom.block
+    seen: dict[tuple[int, ...], list] = {}  # rows -> [subgraph, coloring checked, its colors]
+    for block, separator in atoms:
         ids = iter_bits(block)
-        sub = Graph._from_masks(induced_rows(adj, ids))
+        rows = tuple(induced_rows(adj, ids))
+        record = seen.get(rows)
+        if record is None:
+            record = seen[rows] = [Graph._from_masks(rows), None, None]
+        sub = record[0]
         k_atom, mc = leaf_chi(sub, tuple(ids))
-        if (sub, mc) not in checked:
+        if mc is not record[1]:
             try:
                 validate_coloring(sub, mc)
             except ValueError as exc:
                 raise RuntimeError(f"leaf solver returned an invalid coloring: {exc}") from exc
-            checked.add((sub, mc))
+            record[1:] = mc, [c for (c,) in mc.colors]
         if mc.k > k_atom:
             raise RuntimeError("leaf solver used more colors than it reported")
         k = max(k, k_atom)
-        local = [c for (c,) in mc.colors]
+        local = record[2]
         perm = [0] * (k_atom + 1)  # atom color -> host color, 0 while unset
-        todo = atom.separator
+        todo = separator
         while todo:
             low = todo & -todo
             todo ^= low

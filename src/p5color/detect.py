@@ -373,15 +373,20 @@ def find_induced_kp_minus_e(g: Graph, p: int) -> Witness | None:
     """Induced K_p minus one edge; the two non-adjacent vertices come first.
 
     Ends need degree >= p - 2 and clique vertices degree >= p - 1, and
-    for p >= 4 the ends need two common neighbours of that degree. A
-    common neighbourhood is searched for a clique once per x, as the
-    search depends on it alone. Only searches that cannot succeed are
-    cut, so the witness stays the lexicographically first one.
+    for p >= 4 the ends need two common neighbours of that degree. One
+    end with the p - 2 clique vertices is a K_(p-1), all of it among
+    the ends, so a graph whose ends hold no K_(p-1) is settled by that
+    one search. A common neighbourhood is searched for a clique once
+    per x, as the search depends on it alone. Only searches that cannot
+    succeed are cut, and the per-x search runs unchanged whenever a
+    K_(p-1) exists, so the witness stays the lexicographically first one.
     """
     if p < 3:
         raise PreconditionError(f"K_p-e needs p >= 3, got p={p}")
     adj = g.adj_masks
     ends = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= p - 2)
+    if first_clique(adj, ends, p - 1) is None:
+        return None
     core = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= p - 1)
     xs = ends
     while xs:

@@ -56,8 +56,7 @@ ROUTE_O3_MATCHING = "o3-matching"
 ROUTE_EXACT_FALLBACK = "exact-fallback"
 
 
-@dataclass(frozen=True)
-class RouteRecord:
+class RouteRecord(NamedTuple):
     route: str
     vertices: tuple[int, ...]  # host ids of the block / quotient representatives
     chi: int

@@ -359,6 +359,22 @@ def test_structured_members_match_the_references(monkeypatch):
     assert [_outcome(g, p) for _, g, p in members] == reports
 
 
+def test_kp_minus_e_search_settles_each_member_with_one_clique_search(monkeypatch):
+    """No member holds a K_(p-1) at its own p, so the search for one
+    is the only clique search its Kp-e check makes."""
+    sizes = []
+
+    def counted(adj, mask, size):
+        sizes.append(size)
+        return first_clique(adj, mask, size)
+
+    monkeypatch.setattr(detect, "first_clique", counted)
+    for name, g, p in _members(random.Random(21)):
+        sizes.clear()
+        assert find_induced_kp_minus_e(g, p) is None, name
+        assert sizes == [p - 1], name
+
+
 def test_random_graphs_match_the_references(monkeypatch):
     rng = random.Random(22)
     cases = [(random_graph(rng.randint(0, 22), rng.random(), rng), rng.randint(3, 6)) for _ in range(400)]

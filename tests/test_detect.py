@@ -130,7 +130,9 @@ def test_kp_minus_e_witnesses_match_the_search_without_the_per_x_cache():
 
 
 def test_kp_minus_e_searches_one_clique_per_x_on_a_complete_bipartite_graph(monkeypatch):
-    """On K30,30 every non-adjacent pair has the other side as its common
+    """K30,30 has no triangle, so the one K3 search settles p = 4. With a
+    disjoint triangle added that search finds one; then every
+    non-adjacent pair of K30,30 has the other side as its common
     neighbourhood, which holds no edge: one search per x, not per pair."""
     calls = []
 
@@ -139,9 +141,14 @@ def test_kp_minus_e_searches_one_clique_per_x_on_a_complete_bipartite_graph(monk
         return first_clique(adj, mask, size)
 
     monkeypatch.setattr(detect, "first_clique", counted)
-    g = Graph(60, [(u, v) for u in range(30) for v in range(30, 60)])
+    edges = [(u, v) for u in range(30) for v in range(30, 60)]
+    assert find_induced_kp_minus_e(Graph(60, edges), 4) is None
+    assert len(calls) == 1
+    calls.clear()
+    g = Graph(63, edges + [(60, 61), (60, 62), (61, 62)])
     assert find_induced_kp_minus_e(g, 4) is None
-    assert len(calls) == 58  # every x but the last of each side has a y after it
+    # the K3 search, then every x but the last of each side has a y after it
+    assert len(calls) == 1 + 58
 
 
 def test_kp_minus_e_membership_of_a_large_member_takes_few_clique_pushes(monkeypatch):
