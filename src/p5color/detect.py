@@ -27,20 +27,29 @@ substitution most vertices have twins, so few are left. Kp-e has
 twins, so its detector searches the whole graph, skipping only
 vertices of too low degree.
 
-The P5 search takes a, b, c, d, e lowest vertex first at each level.
-Once a and b are chosen, d and e can only lie in the far set: the
-vertices outside N[a] | N[b]. A pair whose far set holds fewer than
-two vertices is skipped. That cuts only branches that hold no P5, so
-the search meets the same first witness; the co-P5 search, on
-complement rows, is cut the same way. A P5 is connected, so
-find_induced_p5 and find_induced_co_p5 take the far set inside a's
-component (a co-component on complement rows), found once per
-component. On a cone, whose twin pass drops the apex and leaves its
-blocks apart, that cuts every pair whose block is too dense for a path
-to leave N[a] | N[b]. The {P5, co-P5} searches keep the global far
-set: their vertices are almost always connected, so a component map
-would be pure cost, and a stronger prune would move their budget
-charges and so their fallbacks.
+The P5 search takes a, b, c, d, e lowest vertex first at each level,
+and three prunes cut it. An induced P5 a-b-c-d-e holds the independent
+triple a, c, e, with c and e outside N[a]. So a first vertex a is
+skipped when the vertices of its search set outside N[a] are pairwise
+adjacent. Once a and b are chosen, d and e can only lie in the far
+set: the vertices of the search set outside N[a] | N[b]. A pair whose
+far set holds fewer than two vertices is skipped. And e lies in the
+far set outside N[c], so a prefix (a, b, c) with no far vertex there
+tries no d. Each prune cuts only branches that hold no P5, so the
+search meets the same first witness; the co-P5 search, on complement
+rows, is cut the same way. A P5 is connected, so find_induced_p5 and
+find_induced_co_p5 take the search set inside a's component (a
+co-component on complement rows), found once per component. On a cone,
+whose twin pass drops the apex and leaves its blocks apart, that skips
+every vertex of an O3-free block, whose non-neighbours in the block are
+pairwise adjacent, and cuts every pair whose block is too dense for a
+path to leave N[a] | N[b]. The {P5, co-P5} searches take all the
+vertices kept as the search set: these are almost always connected,
+so a component map would be pure cost. A skipped first vertex is
+still charged its pairs, and a prefix that tries no d its one node,
+so the prunes only take charges away from the budget below: a
+budgeted search that ended within its budget still does, and fewer
+near-members fall back to the tree.
 
 Membership in either class decides the same way. After the twin pass
 each of its k searches gets max(16 * n // k, 128) search nodes, where
@@ -165,19 +174,23 @@ def _first_p5(
     keep). Each level takes its candidates lowest bit first; the fifth
     vertex is the lowest bit of the last candidate mask.
 
-    The d and e of a path through a, b lie in far, the vertices of keep
-    outside N[a] | N[b], so a pair (a, b) whose far set holds fewer
-    than two vertices is skipped: only branches without a witness are
-    cut, and the first witness stays first. With by_component, far is
-    taken inside a's component of keep under adj, found with one reach
-    the first time a enters it: a path is connected, so this too cuts
-    only branches without a witness.
+    The search set is keep, or with by_component a's component of keep
+    under adj, found with one reach the first time a enters it: a path
+    is connected. The c and e of a path from a are non-adjacent and lie
+    in the search set outside N[a], so a is skipped when those vertices
+    are pairwise adjacent. The d and e of a path through a, b lie in
+    far, the vertices of the search set outside N[a] | N[b], so a pair
+    (a, b) whose far set holds fewer than two vertices is skipped. The
+    e lies in far outside N[c], so a prefix (a, b, c) with none there
+    tries no d. Only branches without a witness are cut, and the first
+    witness stays first.
 
     Every (a, b) pair, every (a, b, c) prefix and every (a, b, c, d)
-    extension visited costs one node of the budget. The pairs of a are
-    charged when a is taken and the extensions of a prefix when the
-    prefix is visited; _BudgetSpent is raised at the first prefix
-    reached with more than budget nodes charged.
+    extension tried costs one node of the budget. The pairs of a are
+    charged when a is taken, skipped or not, and the extensions of a
+    prefix when the prefix is visited: none when it tries no d.
+    _BudgetSpent is raised at the first prefix reached with more than
+    budget nodes charged.
     """
     comps: list[int] = []
     comp = 0 if by_component else keep  # a's component, or all of keep
@@ -196,6 +209,15 @@ def _first_p5(
         ban_a = adj[a] | low_a
         cand_b = adj[a]
         budget -= cand_b.bit_count()
+        rest = comp & ~ban_a  # c and e lie here, and are not adjacent
+        left = rest
+        while left:
+            low = left & -left
+            left ^= low
+            if rest & ~adj[low.bit_length() - 1] != low:
+                break
+        else:
+            continue
         while cand_b:
             low_b = cand_b & -cand_b
             cand_b ^= low_b
@@ -211,6 +233,8 @@ def _first_p5(
                 c = low_c.bit_length() - 1
                 ban_c = ban_b | adj[c]
                 cand_d = adj[c] & far
+                if cand_d == far:  # e lies in far outside N[c]
+                    cand_d = 0
                 budget -= 1 + cand_d.bit_count()
                 if budget < 0:
                     raise _BudgetSpent

@@ -40,6 +40,7 @@ from helpers import (
     all_graphs,
     alternating_threshold,
     benchmark_instances,
+    co_andrasfai,
     contains_induced,
     first_hole_reference,
     first_p5_reference,
@@ -435,10 +436,10 @@ def test_witnesses_skip_universal_and_isolated_vertices(first_on_five):
     assert found >= 60
 
 
-def flipped_members(sizes=(20, 40)):
+def flipped_members(sizes=(20, 40), seeds=range(10)):
     """gen_p5_cop5 members with one seeded vertex pair flipped."""
     for n in sizes:
-        for seed in range(10):
+        for seed in seeds:
             g = gen_p5_cop5(n, seed)
             rng = random.Random(seed)
             for _ in range(4):
@@ -605,7 +606,7 @@ def test_each_membership_entry_takes_one_twin_pass(monkeypatch):
 
 def test_budgeted_membership_matches_the_unbudgeted_kernel_search(monkeypatch):
     rng = random.Random(15)
-    graphs = list(flipped_members((20, 40, 80)))
+    graphs = list(flipped_members((20, 40, 80), range(20)))
     graphs += [random_graph(rng.randint(1, 40), rng.random(), rng) for _ in range(500)]
     _, trees = counted_passes_and_trees(monkeypatch)
     handed_over = Counter()
@@ -738,6 +739,32 @@ def test_budgeted_search_returns_the_first_witness_or_runs_out(case):
     assert path == first_p5_reference(rows, keep)
 
 
+def test_first_vertex_prune_skips_every_vertex_of_an_o3_free_block():
+    """In a co-odd-cycle or a co-Andrasfai block the non-neighbours of a
+    vertex are pairwise adjacent, so no P5 starts there: on cones over
+    such blocks the search inside components visits no prefix, and a
+    budget of the pairs alone suffices (the far-set prune alone spends
+    it on the co-Andrasfai cones)."""
+    co_cycles = [Graph.cycle(11).complement(), Graph.cycle(13).complement()]
+    co_andrasfai_blocks = [Graph(*co_andrasfai(k)[:2]) for k in (3, 3, 4, 5)]
+    for g in (_cone(co_cycles), _cone(co_andrasfai_blocks)):
+        keep = kept(g)
+        rows = rows_and_complement_rows(g, keep)[0]
+        pairs = sum(rows[v].bit_count() for v in range(g.n) if keep >> v & 1)
+        assert _first_p5(rows, keep, pairs, by_component=True) is None
+
+
+def test_prefix_prune_charges_a_prefix_without_an_end_one_node():
+    """The fork 4-3-2 with leaves 0 and 1 on 2: the one prefix (4, 3, 2)
+    passes the far-set prune, but both far vertices see 2, so no e is
+    left and the prefix costs one node, not one per d. The search ends
+    on its 8 pairs and that node."""
+    fork = Graph(5, [(3, 4), (2, 3), (0, 2), (1, 2)])
+    assert _first_p5(fork.adj_masks, 31, 9) is None
+    with pytest.raises(_BudgetSpent):
+        _first_p5(fork.adj_masks, 31, 8)
+
+
 # -- the kernel's rounds and the search inside one component ---------------------
 
 
@@ -786,7 +813,8 @@ def test_kpe_reject_witnesses_are_pinned():
 
 def test_budgeted_membership_builds_no_component_map(monkeypatch):
     """The budgeted searches and the quotient stage keep the global far
-    set, so their budget charges and tree fallbacks do not move."""
+    set. At most 56 of these 120 near-members fall back to the tree: a
+    change to the search may lower that count, never raise it."""
     calls = []
 
     def counted(*args):
@@ -795,7 +823,7 @@ def test_budgeted_membership_builds_no_component_map(monkeypatch):
 
     monkeypatch.setattr(detect, "reach", counted)
     handed_over = sum(p5_cop5_violation(g)[1] is not None for g in flipped_members((20, 40, 80)))
-    assert calls == [] and handed_over > 0
+    assert calls == [] and 0 < handed_over <= 56
     assert find_induced_p5(_cone([Graph.cycle(11).complement()] * 2)) is None
     assert len(calls) == 2  # one per block of the cone's kernel
 
