@@ -10,10 +10,8 @@ graph does not have, or any input file that does not decode as text),
 4 desk-scale cutoff exceeded
 (by the work budget of an exact oracle: the branch and bound behind
 `oracle chi`, `oracle chiw` and the exact-fallback prime quotients of
-`solve --class p5-kpe`, or the clique and matching searches; by `generate
---class p5-kpe` running out of rejection-sampling attempts; or by a
-modular decomposition tree too deep for a JSON report: about 495 levels
-under the default recursion limit, with the depth named in the message),
+`solve --class p5-kpe`, or the clique and matching searches; or by
+`generate --class p5-kpe` running out of rejection-sampling attempts),
 5 usage error (an argument the parser refuses, options that do not go
 together, a value out of its range: --n, --n-max or --count below 1,
 --samples below 0, --p below 3, --density outside [0, 1] or NaN,
@@ -170,19 +168,7 @@ def _load_weights(path: str | None, g: Graph) -> dict[int, int] | None:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    except RecursionError:
-        # only a modular decomposition tree nests this deep
-        level, depth = [payload.get("tree", payload)], -1
-        while level:
-            level = [c for node in level for c in node.get("children", ())]
-            depth += 1
-        raise CutoffExceeded(
-            f"the modular decomposition tree is {depth} levels deep, more than "
-            "a JSON report can nest"
-        ) from None
-    _write(text, out_path)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _write(text: str, path: str | Path | None) -> None:
@@ -233,7 +219,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.kind == "cliquesep":
         payload = cliquesep.tree_to_json(cliquesep.build_tree(g))
     else:
-        payload = modular.md_tree_to_json(modular.md_tree(g)) if g.n else {}
+        payload = modular.md_tree_to_json(modular.md_tree(g) if g.n else None)
     _emit(payload, args.out)
     return EXIT_OK
 

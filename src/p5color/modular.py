@@ -20,7 +20,9 @@ read off the rows of the representatives, so no node builds a
 relabelled subgraph or a vertex set. The composition computes every
 node's chromatic number bottom-up and then hands each child a palette
 top-down. Every tree walk uses an explicit stack, so trees as deep
-as the graph is large stay within Python's recursion limit.
+as the graph is large stay within Python's recursion limit, and the
+JSON form is flat too: one list of nodes that name their children by
+position, of size linear in the tree's, however deep it is.
 """
 
 from __future__ import annotations
@@ -324,36 +326,28 @@ def validate_md_tree(g: Graph, t: MDTree) -> None:
 _KINDS = {MDParallel: "parallel", MDSeries: "series", MDPrime: "prime"}
 
 
-def md_tree_to_json(t: MDTree) -> dict:
-    root: dict = {}
-    stack = [(t, root)]
-    inner = []  # (span, children's JSON) of the internal nodes, in pre-order
+def md_tree_to_json(t: MDTree | None) -> dict:
+    """The tree as one flat list of nodes in pre-order, the root first,
+    and no nodes for None, a graph without vertices. A leaf names its
+    vertex; any other node its kind and its children's list positions,
+    in the tree's child order, and a prime node also its quotient's
+    edges, sorted, and its representatives."""
+    nodes: list[dict] = []
+    stack = [(t, [])] if t is not None else []  # (node, its parent's child positions)
     while stack:
-        node, out = stack.pop()
-        if isinstance(node, MDLeaf):
-            out.update(kind="vertex", vertex=node.vertex)
+        node, siblings = stack.pop()
+        siblings.append(len(nodes))
+        if type(node) is MDLeaf:
+            nodes.append({"kind": "vertex", "vertex": node.vertex})
             continue
-        out["kind"] = _KINDS[type(node)]
-        out["span"] = span = []
-        if isinstance(node, MDPrime):
+        out = {"kind": _KINDS[type(node)], "children": []}
+        if type(node) is MDPrime:
             q = node.quotient.adj_masks  # rows read lowest vertex first give the edges sorted
             edges = [[u, v] for u, r in enumerate(q) for v in range(u + 1, len(q)) if r >> v & 1]
-            out["quotient_edges"] = edges
-            out["representatives"] = list(node.reps)
-        out["children"] = kids = [{} for _ in node.children]
-        stack.extend(zip(node.children, kids))
-        inner.append((span, kids))
-    # children before parents: each span is its children's merged, and
-    # sorting a concatenation of sorted runs is one C-level merge, much
-    # cheaper than walking the bits of the node's mask
-    for span, kids in reversed(inner):
-        for kid in kids:
-            if "span" in kid:
-                span += kid["span"]
-            else:
-                span.append(kid["vertex"])
-        span.sort()
-    return root
+            out.update(quotient_edges=edges, representatives=list(node.reps))
+        nodes.append(out)
+        stack += [(c, out["children"]) for c in reversed(node.children)]
+    return {"nodes": nodes}
 
 
 # -- weighted chromatic composition ------------------------------------------------

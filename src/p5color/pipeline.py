@@ -96,19 +96,6 @@ class SolveReport:
         return out
 
 
-def _trivial_report(class_name: str, p: int | None, started: float) -> SolveReport:
-    return SolveReport(
-        class_name=class_name,
-        p=p,
-        n=0,
-        chi=0,
-        coloring=MultiColoring((), 0),
-        decomposition={},
-        routes=[],
-        ms=(time.perf_counter() - started) * 1000.0,
-    )
-
-
 def _prime_chain(quot: Graph, w: dict[int, int]) -> tuple[str, int, MultiColoring]:
     """The route of a prime quotient, its chi_w and a multicoloring that
     meets it, from the first link of the chain that takes it."""
@@ -144,13 +131,11 @@ def solve_p5_cop5(g: Graph, w: Weights | None = None) -> SolveReport:
     violation, tree = p5_cop5_violation(g, twins)
     if violation is not None:
         raise NotInClass("{P5, co-P5}-free", violation)
-    if g.n == 0:
-        return _trivial_report("p5-cop5", None, started)
-
-    if tree is None:
-        tree = modular.md_tree(g, twins)
     routes: list[RouteRecord] = []
-    chi, mc = modular.chi_w(g, w, _recording_prime_solver(routes), tree=tree)
+    chi, mc = 0, MultiColoring((), 0)  # a graph without vertices has no tree
+    if g.n:
+        tree = tree or modular.md_tree(g, twins)
+        chi, mc = modular.chi_w(g, w, _recording_prime_solver(routes), tree=tree)
     validate_coloring(g, mc, w)
     return SolveReport(
         class_name="p5-cop5",
@@ -175,9 +160,6 @@ def solve_p5_kpe(g: Graph, p: int) -> SolveReport:
     violation = find_class_violation(g, "p5-kpe", p)
     if violation is not None:
         raise NotInClass(f"{{P5, K{p}-e}}-free", violation)
-    if g.n == 0:
-        return _trivial_report("p5-kpe", p, started)
-
     atoms = cliquesep.build_tree(g)
     routes: list[RouteRecord] = []
     # a block's chi, coloring and routes, with routes in block-local ids

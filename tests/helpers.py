@@ -11,6 +11,7 @@ import functools
 import heapq
 import importlib.util
 import itertools
+import operator
 import random
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
 from p5color.detect import Witness, find_class_violation
 from p5color.errors import ParseError, PreconditionError
 from p5color.graph import Graph, bits_of, first_clique, is_clique, is_connected, iter_bits, reach
-from p5color.modular import MDLeaf, MDParallel, MDSeries, md_tree
+from p5color.modular import MDLeaf, MDParallel, MDPrime, MDSeries, MDTree, md_tree, validate_md_tree
 from p5color.pipeline import _all_graphs as all_graphs
 
 
@@ -163,9 +164,42 @@ def max_matching_by_edge_subsets(g: Graph) -> int:
     return go(0, frozenset())
 
 
+def nested_tree(flat: dict) -> dict:
+    """md_tree_to_json's flat node list in the nested form reports had
+    before it, {} for no nodes: each node holds its children's JSON, and
+    an internal node also its span, the sorted vertices below it."""
+    nodes = [dict(node) for node in flat["nodes"]]
+    for node in reversed(nodes):  # pre-order: children come after their parent
+        if node["kind"] != "vertex":
+            node["children"] = kids = [nodes[i] for i in node["children"]]
+            node["span"] = sorted(v for kid in kids for v in kid.get("span", [kid.get("vertex")]))
+    return nodes[0] if nodes else {}
+
+
+def md_tree_from_json(g: Graph, payload: dict) -> MDTree:
+    """The tree md_tree_to_json wrote as payload, rebuilt bottom-up from
+    its flat node list and checked against g with validate_md_tree."""
+    nodes = payload["nodes"]
+    built: list = [None] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        node = nodes[i]
+        if node["kind"] == "vertex":
+            built[i] = MDLeaf(node["vertex"])
+            continue
+        kids = tuple(built[c] for c in node["children"])
+        mask = functools.reduce(operator.or_, (kid.mask for kid in kids))
+        if node["kind"] == "prime":
+            quotient = Graph(len(kids), map(tuple, node["quotient_edges"]))
+            built[i] = MDPrime(kids, mask, quotient, tuple(node["representatives"]))
+        else:
+            built[i] = {"parallel": MDParallel, "series": MDSeries}[node["kind"]](kids, mask)
+    validate_md_tree(g, built[0])
+    return built[0]
+
+
 def md_tree_reference(g: Graph) -> dict:
-    """The modular decomposition tree of g in md_tree_to_json's form,
-    built the slow way: components by search, and the children of a
+    """The modular decomposition tree of g in the nested form nested_tree
+    gives, built the slow way: components by search, and the children of a
     prime node by closing every vertex pair under distinguishing
     vertices. With g[span] and its complement connected (Gallai's third
     case), the maximal proper module through v is the union of all

@@ -239,8 +239,12 @@ def test_decompose_both_kinds(tmp_path, capsys):
         {"block": [1, 2, 3], "separator": [2, 3]},
     ]
     assert main(["decompose", "--kind", "modular", "--input", str(path)]) == EXIT_OK
-    md = json.loads(capsys.readouterr().out)
-    assert md["kind"] in ("series", "parallel", "prime")
+    leaves = [{"kind": "vertex", "vertex": v} for v in range(4)]
+    assert json.loads(capsys.readouterr().out) == {"nodes": [
+        {"kind": "series", "children": [1, 4, 5]},
+        {"kind": "parallel", "children": [2, 3]},
+        *leaves,
+    ]}
 
 
 def test_generate_writes_parseable_members(tmp_path):
@@ -441,7 +445,7 @@ def test_out_of_range_input_exits_with_its_documented_code(
     assert main(args) == code
     captured = capsys.readouterr()
     if code == EXIT_OK:
-        assert json.loads(captured.out) == {}  # as `solve` reports the tree
+        assert json.loads(captured.out) == {"nodes": []}  # as `solve` reports the tree
     else:
         prefix = "usage error: " if code == EXIT_USAGE else "cutoff exceeded: "
         assert captured.err.startswith(prefix)
@@ -459,11 +463,17 @@ def deep_file(tmp_path_factory):
     [["solve", "--class", "p5-cop5"], ["decompose", "--kind", "modular"]],
     ids=["solve", "decompose"],
 )
-def test_too_deep_tree_for_a_json_report_is_a_cutoff(deep_file, capsys, command):
-    assert main(command + ["--input", deep_file]) == EXIT_CUTOFF
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "modular decomposition tree is 1099 levels deep" in captured.err
+def test_deep_tree_is_reported_in_full(deep_file, tmp_path, capsys, command):
+    """A tree 1,099 levels deep is written whole, and the solve report
+    passes `oracle validate`."""
+    report = tmp_path / "report.json"
+    assert main(command + ["--input", deep_file, "--out", str(report)]) == EXIT_OK
+    payload = json.loads(report.read_text())
+    assert len(payload.get("tree", payload)["nodes"]) == 2 * 1100 - 1
+    if command[0] == "solve":
+        validate = ["oracle", "validate", "--input", deep_file, "--report-file", str(report)]
+        assert main(validate) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "chi_reported": 551, "colors_used": 551}
 
 
 def test_too_deep_report_is_a_parse_error(c5_file, tmp_path, capsys):

@@ -4,7 +4,10 @@ Criterion 10 checks that two runs of the same code agree; these digests
 check that a change keeps the reports and decomposition trees of the
 code before it byte for byte. Each digest is the sha256 of the
 sorted-key JSON. A change that alters a report on purpose must say so
-and record the new digest; to print every case's current digest, run
+and record the new digest. A modular decomposition tree is hashed in
+the nested form reports had when its digest was pinned, rebuilt from
+the flat node list by helpers.nested_tree, so the flat format changed
+no digest. To print every case's current digest, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -37,6 +40,8 @@ from helpers import (
     cone,
     fallback_block,
     k33,
+    md_tree_from_json,
+    nested_tree,
     random_graph,
 )
 
@@ -59,12 +64,17 @@ def digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def nested(payload: dict) -> dict:
+    """A {P5, co-P5} report's JSON with its tree in the nested form."""
+    return {**payload, "tree": nested_tree(payload["tree"])}
+
+
 def cop5_member_report(n: int, seed: int) -> dict:
-    return solve_p5_cop5(gen_p5_cop5(n, seed)).to_json()
+    return nested(solve_p5_cop5(gen_p5_cop5(n, seed)).to_json())
 
 
 def c5_clique_blowup_report() -> dict:
-    return solve_p5_cop5(substitute(_C5, [Graph.complete(3)] * 5)).to_json()
+    return nested(solve_p5_cop5(substitute(_C5, [Graph.complete(3)] * 5)).to_json())
 
 
 def star_kpe_report() -> dict:
@@ -81,13 +91,16 @@ def fallback_block_report() -> dict:
     return solve_p5_kpe(fallback_block(), 4).to_json()
 
 
-def random_decomposition_trees() -> list:
+def random_tree_graphs() -> list[Graph]:
     rng = random.Random(2015)
-    trees = []
-    for _ in range(100):
-        g = random_graph(rng.randint(1, 12), rng.random(), rng)
-        trees.append([md_tree_to_json(md_tree(g)), tree_to_json(build_tree(g))])
-    return trees
+    return [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(100)]
+
+
+def random_decomposition_trees() -> list:
+    return [
+        [nested_tree(md_tree_to_json(md_tree(g))), tree_to_json(build_tree(g))]
+        for g in random_tree_graphs()
+    ]
 
 
 @pytest.mark.parametrize(("n", "seed"), sorted(COP5_MEMBERS))
@@ -145,7 +158,7 @@ REPORTS_WITHOUT_COLORING = {
 def report_without_coloring(name: str) -> dict:
     payload = REPORTS[name]().to_json()
     del payload["coloring"]
-    return payload
+    return nested(payload) if payload["class"] == "p5-cop5" else payload
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS_WITHOUT_COLORING))
@@ -178,7 +191,7 @@ WEIGHTED_REPORTS = {
 
 @pytest.mark.parametrize("name", sorted(WEIGHTED_REPORTS))
 def test_weighted_report(name):
-    assert digest(WEIGHTED[name]().to_json()) == WEIGHTED_REPORTS[name]
+    assert digest(nested(WEIGHTED[name]().to_json())) == WEIGHTED_REPORTS[name]
 
 
 # The verifiers' reports count what the Berge check and the clique oracle
@@ -223,7 +236,7 @@ def workload_outcomes(workload: str) -> list:
         try:
             if inst.cls == "p5-cop5":
                 w = None if inst.weights is None else dict(enumerate(inst.weights))
-                rows.append(solve_p5_cop5(g, w).to_json())
+                rows.append(nested(solve_p5_cop5(g, w).to_json()))
             else:
                 rows.append(solve_p5_kpe(g, inst.p).to_json())
         except NotInClass as exc:
@@ -234,6 +247,25 @@ def workload_outcomes(workload: str) -> list:
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_workload_outcomes(workload):
     assert digest(workload_outcomes(workload)) == WORKLOADS[workload]
+
+
+def golden_cop5_members():
+    """Every {P5, co-P5} member whose report a digest above pins."""
+    for n, seed in COP5_MEMBERS:
+        yield gen_p5_cop5(n, seed)
+    yield from (substitute(_C5, [Graph.complete(3)] * 5), _C5, _BULL)
+    for workload in ("cop5-ladder", "cop5-blowup"):
+        yield from (Graph(inst.n, inst.edges) for inst in benchmark_instances(workload))
+
+
+def test_flat_trees_rebuild_the_tree():
+    """The flat node list of each {P5, co-P5} report pinned above, and of
+    each random tree, rebuilds md_tree's tree, which validate_md_tree
+    accepts."""
+    for g in golden_cop5_members():
+        assert md_tree_from_json(g, solve_p5_cop5(g).decomposition) == md_tree(g)
+    for g in random_tree_graphs():
+        assert md_tree_from_json(g, md_tree_to_json(md_tree(g))) == md_tree(g)
 
 
 def current_digests():
@@ -248,7 +280,7 @@ def current_digests():
     for name, pinned in REPORTS_WITHOUT_COLORING.items():
         yield f"{name} without coloring", pinned, digest(report_without_coloring(name))
     for name, run in WEIGHTED.items():
-        yield name, WEIGHTED_REPORTS[name], digest(run().to_json())
+        yield name, WEIGHTED_REPORTS[name], digest(nested(run().to_json()))
     for name, (run, pinned) in VERIFIERS.items():
         yield f"verify {name}", pinned, digest(run().to_json())
     for workload, pinned in WORKLOADS.items():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 import tracemalloc
@@ -30,7 +31,9 @@ from helpers import (
     alternating_threshold,
     chi_w_bruteforce,
     chi_w_reference,
+    matching_clique,
     md_tree_reference,
+    nested_tree,
     random_graph,
     spider,
     with_universal_and_isolated,
@@ -188,11 +191,25 @@ def test_chi_w_detects_bad_prime_solver():
 
 
 def test_md_tree_json_shape():
-    payload = md_tree_to_json(md_tree(P4))
-    assert payload["kind"] == "prime"
-    assert payload["representatives"] == [0, 1, 2, 3]
-    assert payload["quotient_edges"] == [[0, 1], [1, 2], [2, 3]]
-    assert [c["kind"] for c in payload["children"]] == ["vertex"] * 4
+    """One flat list of nodes in pre-order, the root first, each internal
+    node naming its children by their positions in it."""
+    leaves = [{"kind": "vertex", "vertex": v} for v in range(4)]
+    assert md_tree_to_json(md_tree(P4)) == {"nodes": [
+        {"kind": "prime", "children": [1, 2, 3, 4], "quotient_edges": [[0, 1], [1, 2], [2, 3]],
+         "representatives": [0, 1, 2, 3]},
+        *leaves,
+    ]}
+    # 0 joined to 1 and to the edge 2-3
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
+    assert md_tree_to_json(md_tree(g)) == {"nodes": [
+        {"kind": "series", "children": [1, 2]},
+        leaves[0],
+        {"kind": "parallel", "children": [3, 4]},
+        leaves[1],
+        {"kind": "series", "children": [5, 6]},
+        *leaves[2:],
+    ]}
+    assert md_tree_to_json(None) == {"nodes": []}  # a graph without vertices
 
 
 def test_md_tree_of_c5_with_doubled_vertices():
@@ -216,14 +233,14 @@ def test_md_tree_of_c5_with_doubled_vertices():
 def test_md_tree_matches_reference_on_every_small_graph():
     for n in range(1, 7):
         for g in all_graphs(n):
-            assert md_tree_to_json(md_tree(g)) == md_tree_reference(g)
+            assert nested_tree(md_tree_to_json(md_tree(g))) == md_tree_reference(g)
 
 
 def test_md_tree_matches_reference_on_random_graphs():
     rng = random.Random(31)
     for _ in range(2000):
         g = random_graph(rng.randint(1, 24), rng.random(), rng)
-        assert md_tree_to_json(md_tree(g)) == md_tree_reference(g)
+        assert nested_tree(md_tree_to_json(md_tree(g))) == md_tree_reference(g)
 
 
 def _nested_members():
@@ -242,7 +259,7 @@ def test_md_tree_matches_reference_on_blowups_and_nested_primes():
     for g in _nested_members():
         tree = md_tree(g)
         validate_md_tree(g, tree)
-        assert md_tree_to_json(tree) == md_tree_reference(g)
+        assert nested_tree(md_tree_to_json(tree)) == md_tree_reference(g)
         primes.append(str(md_tree_to_json(tree)).count("'prime'"))
     assert primes[-2:] == [5, 6]
 
@@ -279,7 +296,7 @@ def test_md_tree_matches_reference_on_twin_heavy_families():
     for g in _twin_heavy_graphs():
         tree = md_tree(g)
         validate_md_tree(g, tree)
-        assert md_tree_to_json(tree) == md_tree_reference(g)
+        assert nested_tree(md_tree_to_json(tree)) == md_tree_reference(g)
         set_aside += g.n - twin_core(g.adj_masks, (1 << g.n) - 1)[0].bit_count()
         for w in (None, {v: rng.randint(1, 3) for v in range(g.n)}):
             assert_composition_matches_the_reference(g, w, tree)
@@ -339,12 +356,29 @@ def test_deep_tree_walks_stay_within_the_recursion_limit():
     # solve_p5_cop5 builds the tree again, composes chi_w over it and
     # writes it with md_tree_to_json
     report = solve_p5_cop5(g)
-    node, kinds = report.decomposition, []
-    while node["kind"] != "vertex":
-        kinds.append(node["kind"])
-        node = node["children"][0]
+    nodes, i, kinds = report.decomposition["nodes"], 0, []
+    while nodes[i]["kind"] != "vertex":
+        kinds.append(nodes[i]["kind"])
+        i = nodes[i]["children"][0]
     assert kinds == ["series", "parallel"] * 549 + ["series"]
+    assert len(nodes) == 2 * g.n - 1
     assert report.chi == 551  # a threshold graph is perfect
+
+
+def report_bytes(g: Graph) -> int:
+    """The size of g's modular decomposition tree as the command line writes it."""
+    return len(json.dumps(md_tree_to_json(md_tree(g)), indent=2, sort_keys=True))
+
+
+def test_tree_reports_grow_linearly():
+    """Each doubling of n at most about doubles the report on the
+    alternating threshold graph, whose tree is n - 1 levels deep, and
+    the report on M_m, one prime node, keeps its bytes per edge."""
+    deep = [report_bytes(alternating_threshold(n)) for n in (100, 200, 400)]
+    assert all(b <= 2.2 * a for a, b in zip(deep, deep[1:]))
+    assert deep[-1] < 200_000
+    per_edge = [report_bytes(g) / g.m for g in map(matching_clique, (25, 50, 100))]
+    assert max(per_edge) <= 1.1 * min(per_edge)
 
 
 def first_fit(calls):

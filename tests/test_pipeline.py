@@ -8,7 +8,7 @@ import pytest
 from p5color import oracle, pipeline
 from p5color.cli import main
 from p5color.cliquesep import build_tree, validate_tree
-from p5color.coloring import validate_coloring
+from p5color.coloring import MultiColoring, validate_coloring
 from p5color.detect import (
     find_class_violation,
     find_induced_c5,
@@ -318,10 +318,12 @@ def test_verify_gyarfas_small():
 
 
 def test_empty_graph_reports():
-    r = solve_p5_cop5(Graph.empty(0))
-    assert r.chi == 0 and r.n == 0
-    r2 = solve_p5_kpe(Graph.empty(0), 4)
-    assert r2.chi == 0
+    """Each class reports a graph without vertices in its own
+    decomposition form, with no nodes or atoms and no routes."""
+    cases = [(solve_p5_cop5(Graph.empty(0)), {"nodes": []}), (solve_p5_kpe(Graph.empty(0), 4), {"atoms": []})]
+    for r, tree in cases:
+        assert (r.n, r.chi, r.coloring, r.routes) == (0, 0, MultiColoring((), 0), [])
+        assert r.decomposition == tree
 
 
 @pytest.mark.parametrize("n", [320, 640])
