@@ -41,6 +41,7 @@ from .pipeline import (
     verify_gyarfas,
     verify_lemma4,
     verify_lemma5,
+    verify_oracle,
 )
 
 __all__ = [
@@ -82,5 +83,6 @@ __all__ = [
     "verify_gyarfas",
     "verify_lemma4",
     "verify_lemma5",
+    "verify_oracle",
     "witness_ok",
 ]

@@ -9,13 +9,14 @@ to read, or a weights file that is malformed or names a vertex the
 graph does not have, or any input file that does not decode as text),
 4 desk-scale cutoff exceeded
 (by the work budget of an exact oracle: the branch and bound behind
-`oracle chi`, `oracle chiw` and the exact-fallback prime quotients of
-`solve --class p5-kpe`, or the clique and matching searches; or by
-`generate --class p5-kpe` running out of rejection-sampling attempts),
+`oracle chi`, `oracle chiw`, `verify oracle` and the exact-fallback
+prime quotients of `solve --class p5-kpe`, or the clique and matching
+searches; or by `generate --class p5-kpe` running out of
+rejection-sampling attempts; `verify oracle` and `verify lemma5` have
+no size cutoff),
 5 usage error (an argument the parser refuses, options that do not go
 together, a value out of its range: --n, --n-max or --count below 1,
 --samples below 0, --p below 3, --density outside [0, 1] or NaN,
-`verify oracle` with --n-max above 10,
 `verify lemma4` with --n-max below 2 or with a --p whose omega bound
 (p+1)^(p+2)(p-2) has more digits than a JSON report prints, estimated
 before the bound is computed; an option the command ignores, such as
@@ -279,35 +280,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.what == "gyarfas":
         payload = pipeline.verify_gyarfas(**sizes).to_json()
     else:
-        if args.n_max > 10:
-            raise UsageError(f"verify oracle needs --n-max <= 10, got {args.n_max}")
-        payload = _oracle_crosscheck(**sizes)
+        payload = pipeline.verify_oracle(**sizes).to_json()
     _emit(payload, args.out)
-    return EXIT_OK if payload.get("ok", True) else 1
-
-
-def _oracle_crosscheck(samples: int, n_max: int, seed: int) -> dict:
-    """Blossom vs exhaustive matching and pipeline vs exact chi on small
-    random class members."""
-    import random
-
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(samples):
-        n = rng.randint(1, n_max)
-        g = pipeline._gnp(n, rng.choice([0.2, 0.4, 0.6]), rng)
-        if len(max_matching(g)) != oracle.max_matching_bruteforce(g):
-            failures.append({"kind": "matching", "edges": sorted(map(list, g.edges))})
-        member = pipeline.gen_p5_cop5(n, rng.randrange(2**32))
-        if pipeline.solve_p5_cop5(member).chi != oracle.chi_exact(member)[0]:
-            failures.append({"kind": "chi", "edges": sorted(map(list, member.edges))})
-    return {
-        "name": "oracle-crosscheck",
-        "params": {"samples": samples, "n_max": n_max, "seed": seed},
-        "total": samples,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return EXIT_OK if payload["ok"] else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -269,12 +269,12 @@ Verdict = tuple[Witness | None, modular.MDTree | None]  # a witness, and the tre
 
 
 def find_induced_p5(g: Graph) -> Witness | None:
-    return _violation(g, (_p5_in,), by_component=True)[0]
+    return _violation(g, (_p5_in,))[0]
 
 
 def find_induced_co_p5(g: Graph) -> Witness | None:
     """Vertices listed in path order of the complement."""
-    return _violation(g, (_co_p5_in,), by_component=True)[0]
+    return _violation(g, (_co_p5_in,))[0]
 
 
 def p5_cop5_violation(g: Graph, twins: modular.Twins | None = None) -> Verdict:
@@ -284,9 +284,7 @@ def p5_cop5_violation(g: Graph, twins: modular.Twins | None = None) -> Verdict:
     return _violation(g, _P5_COP5, twins=twins)
 
 
-def _violation(
-    g: Graph, searches: tuple, by_component: bool = False, twins: modular.Twins | None = None
-) -> Verdict:
+def _violation(g: Graph, searches: tuple, twins: modular.Twins | None = None) -> Verdict:
     """The first witness of the first of searches (_p5_in, _co_p5_in)
     that finds one, and the modular decomposition tree of g when
     deciding needed it (else None).
@@ -294,16 +292,17 @@ def _violation(
     The searches run on the core of twins, g's twin pass if the caller
     has taken it (else it is taken here), each within
     max(_BUDGET_PER_VERTEX * n // len(searches), _BUDGET_FLOOR) search
-    nodes. If one runs out, the answer comes from the same searches on
-    the prime quotients of md_tree(g) instead, built on the same pass;
-    that is the same first witness (see the module docstring), so the
-    budget decides only the cost, never the answer.
+    nodes; a lone search takes its search sets inside a's component, a
+    pair all of the core. If one runs out, the answer comes from the
+    same searches on the prime quotients of md_tree(g) instead, built on
+    the same pass; that is the same first witness (see the module
+    docstring), so the budget decides only the cost, never the answer.
     """
     twins = twins or modular.twin_core(g.adj_masks, (1 << g.n) - 1)
     budget = max(_BUDGET_PER_VERTEX * g.n // len(searches), _BUDGET_FLOOR)
     try:
         for search in searches:
-            w = search(g, twins[0], budget, by_component)
+            w = search(g, twins[0], budget, len(searches) == 1)
             if w is not None:
                 return w, None
         return None, None

@@ -3,7 +3,8 @@ leaf solver inside the pipelines.
 
 Every oracle is bounded by its work alone, never by the size or weight
 of its input, and raises CutoffExceeded past WORK_BUDGET reads: an
-oracle must never silently approximate.
+oracle must never silently approximate. The chromatic number is the
+unit-weight case of the weighted one: chi_exact is chi_w_exact(g, None).
 """
 
 from __future__ import annotations
@@ -31,18 +32,16 @@ WORK_BUDGET = 10**8
 
 
 def chi_exact(g: Graph) -> tuple[int, MultiColoring]:
-    """Exact chromatic number with a certificate coloring.
-
-    Branch and bound: greedy clique lower bound, DSATUR-ordered
-    branching, initial upper bound from a greedy DSATUR coloring.
-    """
-    k, color = _chi_branch_and_bound(g)
-    return k, MultiColoring.from_singletons(color)
+    """Exact chromatic number with a certificate coloring: chi_w_exact
+    at unit weights, whose clique blow-up has the same rows as g."""
+    return chi_w_exact(g, None)
 
 
 def _chi_branch_and_bound(g: Graph) -> tuple[int, list[int]]:
     """chi(g) and a colouring with that many colours: the colour of
-    each vertex, numbered from 1."""
+    each vertex, numbered from 1. Branch and bound: greedy clique lower
+    bound, DSATUR-ordered branching, initial upper bound from a greedy
+    DSATUR colouring."""
     n = g.n
     if n == 0:
         return 0, []

@@ -1,5 +1,6 @@
 """End-to-end chromatic solvers for the two graph classes, the
-structural-lemma verifiers, and class-instance generators.
+verifiers of the structural lemmas and of the solvers against the exact
+oracles, and class-instance generators.
 
 Both solvers check class membership up front and reject out-of-class
 inputs with a forbidden-structure witness. Every solve carries an audit
@@ -48,8 +49,8 @@ from .detect import (
 from .detect import is_berge_small  # noqa: F401
 from .errors import CutoffExceeded, NotInClass, NotO3Free, PreconditionError
 from .graph import Graph, is_connected, iter_bits, substitute
-from .matching import chi_o3_free
-from .oracle import chi_exact, chi_w_exact, clique_number_exact
+from .matching import chi_o3_free, max_matching
+from .oracle import chi_exact, chi_w_exact, clique_number_exact, max_matching_bruteforce
 from .prime import ROUTE_PERFECT_EXACT, chi_w_prime, is_c5
 
 ROUTE_O3_MATCHING = "o3-matching"
@@ -304,7 +305,7 @@ def _repaired(
     return None
 
 
-# -- structural-lemma verifiers -----------------------------------------------------
+# -- verifiers ---------------------------------------------------------------------
 
 
 @dataclass
@@ -403,15 +404,13 @@ def verify_lemma4(p: int, samples: int, n_max: int, seed: int) -> VerificationRe
         {"p": p, "samples": samples, "n_max": n_max, "seed": seed, "omega_bound": bound},
     )
     rng = random.Random(seed)
-    blocks_seen = 0
-    while blocks_seen < samples:
+    while report.total < samples:
         n = rng.randint(2, n_max)
         g = gen_p5_kpe(n, p, rng.randrange(2**32), density=0.15).graph
         for atom in cliquesep.build_tree(g):
             sub, _ = g.induced(iter_bits(atom.block))
             if sub.n < 2:
                 continue
-            blocks_seen += 1
             report.total += 1
             if find_independent_triple(sub) is None:
                 report.bump("o3-free")
@@ -450,4 +449,23 @@ def verify_gyarfas(samples: int, n_max: int, seed: int) -> VerificationReport:
             report.failures.append(
                 {"n": n, "chi": chi, "omega": omega, "edges": sorted(map(list, g.edges))}
             )
+    return report
+
+
+def verify_oracle(samples: int, n_max: int, seed: int) -> VerificationReport:
+    """Check blossom against exhaustive matching on sampled random
+    graphs, and the {P5, co-P5} solver against the exact chi on sampled
+    members, each of 1 to n_max vertices."""
+    report = VerificationReport(
+        "oracle-crosscheck", {"samples": samples, "n_max": n_max, "seed": seed}, total=samples
+    )
+    rng = random.Random(seed)
+    for _ in range(samples):
+        n = rng.randint(1, n_max)
+        g = _gnp(n, rng.choice([0.2, 0.4, 0.6]), rng)
+        if len(max_matching(g)) != max_matching_bruteforce(g):
+            report.failures.append({"kind": "matching", "edges": sorted(map(list, g.edges))})
+        member = gen_p5_cop5(n, rng.randrange(2**32))
+        if solve_p5_cop5(member).chi != chi_exact(member)[0]:
+            report.failures.append({"kind": "chi", "edges": sorted(map(list, member.edges))})
     return report

@@ -20,7 +20,7 @@ from p5color.cli import (
 )
 from p5color.errors import CutoffExceeded
 from p5color.graph import Graph, parse_graph, to_dimacs
-from p5color import cli, pipeline
+from p5color import oracle, pipeline
 from p5color.pipeline import gen_p5_cop5, gen_p5_kpe
 
 from helpers import alternating_threshold, random_graph
@@ -280,6 +280,14 @@ def test_verify_lemma5_cli(capsys):
     assert payload["ok"] is True
 
 
+def test_every_verify_report_has_one_shape(capsys):
+    keys = []
+    for what in ("lemma4", "lemma5", "gyarfas", "oracle"):
+        assert main(["verify", what, "--n-max", "4", "--samples", "3"]) == EXIT_OK
+        keys.append(sorted(json.loads(capsys.readouterr().out)))
+    assert keys == [["counts", "failures", "name", "ok", "params", "total"]] * 4
+
+
 @pytest.mark.parametrize("what", ["lemma4", "lemma5", "gyarfas", "oracle"])
 def test_verify_exits_1_on_a_failing_report(capsys, monkeypatch, what):
     def failing(*args, **kwargs):
@@ -287,10 +295,7 @@ def test_verify_exits_1_on_a_failing_report(capsys, monkeypatch, what):
         report.failures.append({"kind": "planted"})
         return report
 
-    if what == "oracle":
-        monkeypatch.setattr(cli, "_oracle_crosscheck", lambda **sizes: failing().to_json())
-    else:
-        monkeypatch.setattr(pipeline, f"verify_{what}", failing)
+    monkeypatch.setattr(pipeline, f"verify_{what}", failing)
     assert main(["verify", what, "--n-max", "5", "--samples", "0"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False and payload["failures"] == [{"kind": "planted"}]
@@ -308,6 +313,16 @@ def test_verify_lemma5_has_no_size_cutoff(capsys):
     code = main(["verify", "lemma5", "--n-max", "17", "--samples", "0"])
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_verify_oracle_is_bounded_by_work_not_size(capsys, monkeypatch):
+    # --n-max 16 was past the old 10-vertex cap; under a lowered work
+    # budget the exact chi of a larger member is refused as any oracle's is
+    assert main(["verify", "oracle", "--n-max", "16", "--samples", "200", "--seed", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    monkeypatch.setattr(oracle, "WORK_BUDGET", 10**4)
+    assert main(["verify", "oracle", "--n-max", "20", "--samples", "200", "--seed", "0"]) == EXIT_CUTOFF
+    assert capsys.readouterr().err.startswith("cutoff exceeded: chromatic branch and bound")
 
 
 def test_edge_list_format_sniffing(tmp_path, capsys):
@@ -422,7 +437,6 @@ def _timeout(n, p, seed, density=0.2):
         ("verify lemma4 --p 1000000000000", EXIT_USAGE),
         ("verify gyarfas --n-max 0", EXIT_USAGE),
         ("verify oracle --n-max 0", EXIT_USAGE),
-        ("verify oracle --n-max 11", EXIT_USAGE),
         ("generate --class p5-cop5 --n 5 --count 0", EXIT_USAGE),
         ("generate --class p5-cop5 --n 5 --count -2", EXIT_USAGE),
         ("verify gyarfas --samples -3", EXIT_USAGE),

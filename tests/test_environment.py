@@ -1,6 +1,7 @@
 """Scans of the package source. It reads no environment variable: every
 cutoff is a work budget in the code, not a knob a variable could set.
-And every name a module imports is used in that module."""
+Every name a module imports is used in that module, and no module reads
+a private name of another."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,42 @@ def test_the_scan_sees_an_unused_import(tmp_path):
         "from json import dumps, loads\n__all__ = ['loads']\nprint(os.sep)\n"
     )
     assert unused_imports(path) == ["m.regex", "m.dumps"]
+
+
+def private_reads(path: Path) -> list[str]:
+    """name:line of each module-level _name of another package module
+    that the module at path reads: imported from a relative module, or
+    an attribute of a module imported with `from . import`. Attributes
+    of other objects, such as a class's, are not counted."""
+    tree = ast.parse(path.read_text())
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif is_private(alias.name):
+                    found.append(f"{path.name}:{node.lineno}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and is_private(node.attr):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    package = Path(p5color.__file__).parent
+    assert [hit for path in sorted(package.glob("*.py")) for hit in private_reads(path)] == []
+
+
+def test_the_scan_sees_a_private_read(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from . import graph, pipeline as pl\nfrom .oracle import _search_nodes, chi_exact\n"
+        "g = pl._gnp(3, 0.5, None)\nh = graph.Graph._from_masks(())\nprint(pl.__name__)\n"
+    )
+    assert private_reads(path) == ["m.py:2", "m.py:3"]
