@@ -23,9 +23,13 @@ Twins of a graph are exactly the twins of its complement, and isolated
 and universal vertices swap roles, so one pass serves both searches,
 and the co-P5 search reads complement neighbourhoods off the adjacency
 masks without building the complement. On members built by
-substitution most vertices have twins, so few are left. Kp-e has
-twins, so its detector searches the whole graph, skipping only
-vertices of too low degree.
+substitution most vertices have twins, so few are left. Often a count
+then settles the core with no search: P5 and co-P5 have five
+vertices, P5 four edges and co-P5 six, so a core of fewer than five
+vertices, or of five with neither four edges nor six, holds no
+witness, and then neither does the graph. Kp-e has twins, so its
+detector searches the whole graph, skipping only vertices of too low
+degree.
 
 The P5 search takes a, b, c, d, e lowest vertex first at each level,
 and three prunes cut it. An induced P5 a-b-c-d-e holds the independent
@@ -77,8 +81,9 @@ first witnesses of the pattern mapped through their reps, and the
 quotient stage needs no search of the whole graph afterwards. The
 argument holds for each pattern alone, so the quotient stage runs the
 same searches as the budgeted stage, in the same order. It skips the
-quotients that hold neither pattern: the P4s and the 5-cycles, which
-are most of the prime nodes of a generated member.
+quotients that the same count settles: the P4s, and the 5-cycles and
+bulls, with five edges each, which are most of the prime nodes of a
+generated member.
 """
 
 from __future__ import annotations
@@ -87,9 +92,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import modular, prime
+from . import modular
 from .errors import CutoffExceeded, PreconditionError
-from .graph import Graph, first_clique, reach
+from .graph import Graph, first_clique, iter_bits, reach
 
 DEFAULT_BERGE_MAX_N = 16
 # a membership check of k P5 / co-P5 searches gives each
@@ -284,13 +289,24 @@ def p5_cop5_violation(g: Graph, twins: modular.Twins | None = None) -> Verdict:
     return _violation(g, _P5_COP5, twins=twins)
 
 
+def _settled(g: Graph, keep: int) -> bool:
+    """True when the vertices of keep hold neither P5 nor co-P5 by their
+    count alone: fewer than five, or five with neither the four edges of
+    P5 nor the six of co-P5."""
+    size = keep.bit_count()
+    if size != 5:
+        return size < 5
+    return sum((g.adj_masks[v] & keep).bit_count() for v in iter_bits(keep)) // 2 not in (4, 6)
+
+
 def _violation(g: Graph, searches: tuple, twins: modular.Twins | None = None) -> Verdict:
     """The first witness of the first of searches (_p5_in, _co_p5_in)
     that finds one, and the modular decomposition tree of g when
     deciding needed it (else None).
 
     The searches run on the core of twins, g's twin pass if the caller
-    has taken it (else it is taken here), each within
+    has taken it (else it is taken here), unless _settled rules out a
+    witness there, and so in g. Each runs within
     max(_BUDGET_PER_VERTEX * n // len(searches), _BUDGET_FLOOR) search
     nodes; a lone search takes its search sets inside a's component, a
     pair all of the core. If one runs out, the answer comes from the
@@ -299,6 +315,8 @@ def _violation(g: Graph, searches: tuple, twins: modular.Twins | None = None) ->
     docstring), so the budget decides only the cost, never the answer.
     """
     twins = twins or modular.twin_core(g.adj_masks, (1 << g.n) - 1)
+    if _settled(g, twins[0]):
+        return None, None
     budget = max(_BUDGET_PER_VERTEX * g.n // len(searches), _BUDGET_FLOOR)
     try:
         for search in searches:
@@ -320,15 +338,15 @@ def _quotient_violation(tree: modular.MDTree, searches: tuple = _P5_COP5) -> Wit
     node's reps, which increase with the quotient index, so the mapping
     keeps lexicographic order and the smallest mapped tuple over all
     quotients is the host's first witness (see the module docstring).
-    Quotients that hold neither pattern are not searched: one on four
-    vertices is a P4, and the 5-cycle is neither P5 nor co-P5.
+    Quotients that _settled rules out are not searched: one on four
+    vertices is a P4, and the 5-cycle and the bull have five edges.
     """
     primes = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, modular.MDPrime) and node.quotient.n >= 5:
-            if not prime.is_c5(node.quotient):
+        if isinstance(node, modular.MDPrime):
+            if not _settled(node.quotient, (1 << node.quotient.n) - 1):
                 primes.append(node)
         stack.extend(getattr(node, "children", ()))
     for search in searches:

@@ -100,8 +100,10 @@ class SolveReport:
 def _prime_chain(quot: Graph, w: dict[int, int]) -> tuple[str, int, MultiColoring]:
     """The route of a prime quotient, its chi_w and a multicoloring that
     meets it, from the first link of the chain that takes it."""
-    with suppress(PreconditionError):  # contraction ended in no clique
+    try:
         return chi_w_prime(quot, w)
+    except PreconditionError:  # contraction ended in no clique
+        pass
     if all(x == 1 for x in w.values()):
         with suppress(NotO3Free):
             return ROUTE_O3_MATCHING, *chi_o3_free(quot)

@@ -28,8 +28,9 @@ ROUTE_PERFECT_EXACT = "perfect-exact"
 
 
 def is_c5(g: Graph) -> bool:
-    adj = g.adj_masks
-    return g.n == 5 and all(row.bit_count() == 2 for row in adj) and reach(adj, 1, 31) == 31
+    """True iff g is the 5-cycle: on five vertices, a 2-regular graph is
+    one cycle, as a triangle would leave two vertices for the rest."""
+    return g.n == 5 and all(row.bit_count() == 2 for row in g.adj_masks)
 
 
 def chi_w_prime(g: Graph, w: Weights | None) -> tuple[str, int, MultiColoring]:

@@ -17,6 +17,7 @@ from p5color.detect import (
     _first_p5,
     _p5_in,
     _quotient_violation,
+    _settled,
     find_class_violation,
     find_independent_triple,
     find_induced_c5,
@@ -32,8 +33,8 @@ from p5color.detect import (
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
 from p5color.graph import Graph, component_masks, first_clique, reach, substitute
 from p5color.modular import MDPrime, md_tree, twin_core, validate_md_tree
-from p5color.oracle import clique_number_exact, max_independent_set_exact
-from p5color.pipeline import gen_p5_cop5, solve_p5_kpe
+from p5color.oracle import chi_w_exact, clique_number_exact, max_independent_set_exact
+from p5color.pipeline import _BULL, gen_p5_cop5, solve_p5_cop5, solve_p5_kpe
 from p5color.prime import is_c5
 
 from helpers import (
@@ -623,20 +624,23 @@ def test_budgeted_membership_matches_the_unbudgeted_kernel_search(monkeypatch):
     assert handed_over["find_induced_p5"] >= 20 and handed_over["find_induced_co_p5"] >= 20
 
 
-def has_c5_quotient(tree) -> bool:
+def prime_quotients(tree) -> list[Graph]:
+    found = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, MDPrime) and is_c5(node.quotient):
-            return True
+        if isinstance(node, MDPrime):
+            found.append(node.quotient)
         stack.extend(getattr(node, "children", ()))
-    return False
+    return found
 
 
-def test_quotient_stage_searches_no_5_cycle():
-    """C5 holds neither pattern, so no quotient search runs on one; the
-    witness is still the kernel search's."""
-    searched = []
+def is_bull(q: Graph) -> bool:
+    return q.n == 5 and len(q.edges) == 5 and not is_c5(q)
+
+
+def spied_searches(searched: list) -> tuple:
+    """_p5_in and _co_p5_in, each call's graph appended to searched."""
 
     def spied(search):
         def run(g, keep, *budget):
@@ -645,16 +649,82 @@ def test_quotient_stage_searches_no_5_cycle():
 
         return run
 
-    near = next(
-        h for h in flipped_members((20, 40)) if kernel_violation(h) and has_c5_quotient(md_tree(h))
-    )
-    for g in (substitute(C5, [Graph.complete(2)] * 5), substitute(C5, [Graph.complete(3)] * 5), near):
+    return spied(_p5_in), spied(_co_p5_in)
+
+
+def test_quotient_stage_searches_no_5_cycle():
+    """No quotient the count settles is searched: the P4s, and the
+    5-cycles and bulls, which have neither the four edges of P5 nor the
+    six of co-P5. The witness is still the kernel search's."""
+    searched = []
+    searches = spied_searches(searched)
+    near = {
+        kind: next(
+            h
+            for h in flipped_members((20, 40))
+            if kernel_violation(h) and any(map(has, prime_quotients(md_tree(h))))
+        )
+        for kind, has in (("C5", is_c5), ("bull", is_bull))
+    }
+    for g in (
+        substitute(C5, [Graph.complete(2)] * 5),
+        substitute(C5, [Graph.complete(3)] * 5),
+        substitute(_BULL, [Graph.complete(2)] * 5),
+        substitute(_BULL, [Graph.complete(3)] * 5),
+        *near.values(),
+    ):
         tree = md_tree(g)
-        assert has_c5_quotient(tree)
+        assert any(is_c5(q) or is_bull(q) for q in prime_quotients(tree))
         searched.clear()
-        assert _quotient_violation(tree, (spied(_p5_in), spied(_co_p5_in))) == kernel_violation(g)
-        assert not any(is_c5(q) for q in searched)
-    assert searched  # the near-member's other prime quotients were searched
+        assert _quotient_violation(tree, searches) == kernel_violation(g)
+        assert all(q.n > 5 or len(q.edges) in (4, 6) for q in searched)
+    assert searched  # the last near-member's other prime quotients were searched
+
+
+def test_a_witness_on_at_most_five_vertices_needs_four_or_six_edges():
+    """The count _settled reads: over all 1,099 labelled graphs on one to
+    five vertices, P5 is found only on five vertices with four edges and
+    co-P5 only on five with six."""
+    seen = Counter()
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            full = (1 << n) - 1
+            shape = (n, len(g.edges))
+            p5, co_p5 = _p5_in(g, full), _co_p5_in(g, full)
+            assert p5 is None or shape == (5, 4)
+            assert co_p5 is None or shape == (5, 6)
+            assert _settled(g, full) == (shape not in ((5, 4), (5, 6)))
+            seen["graphs"] += 1
+            seen["P5"] += p5 is not None
+            seen["co-P5"] += co_p5 is not None
+    assert seen == {"graphs": 1099, "P5": 60, "co-P5": 60}
+
+
+def test_membership_searches_no_core_the_count_settles(monkeypatch):
+    """Blow-ups of the 5-cycle, the bull and P4 have a core of at most
+    five vertices that the count settles, so membership runs no search;
+    blow-ups of P5 and the house are still searched, to the same witness
+    as the lone detectors'."""
+    searched = []
+    monkeypatch.setattr(detect, "_P5_COP5", spied_searches(searched))
+    house = P5.complement()
+    for k in range(1, 5):
+        for skeleton in (C5, _BULL, Graph.path(4)):
+            searched.clear()
+            g = substitute(skeleton, [Graph.complete(k)] * skeleton.n)
+            assert p5_cop5_violation(g) == (None, None)
+            assert searched == []
+        for skeleton, find in ((P5, find_induced_p5), (house, find_induced_co_p5)):
+            g = substitute(skeleton, [Graph.complete(k)] * 5)
+            searched.clear()
+            w, tree = p5_cop5_violation(g)
+            assert w is not None and w == find(g) and tree is None
+            assert searched
+    for skeleton in (C5, _BULL):
+        searched.clear()
+        weights = {v: 3 + v for v in range(5)}
+        assert solve_p5_cop5(skeleton, weights).chi == chi_w_exact(skeleton, weights)[0]
+        assert searched == []
 
 
 # -- the far-set prune ------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from p5color import oracle, pipeline
 from p5color.coloring import validate_coloring
-from p5color.detect import find_class_violation
+from p5color.detect import find_class_violation, find_induced_c5
 from p5color.errors import CutoffExceeded, PreconditionError
 from p5color.graph import Graph, is_connected, iter_bits, substitute
 from p5color.modular import is_prime
@@ -104,6 +104,19 @@ def test_prime_dispatch_matches_the_route_solvers_on_seeded_weights(g):
 def test_prime_dispatch_refuses_a_quotient_that_is_not_weakly_chordal():
     with pytest.raises(PreconditionError):
         chi_w_prime(Graph.cycle(7), None)
+
+
+def test_is_c5_is_five_edges_and_a_hole_on_every_graph_on_five():
+    """is_c5 reads degrees alone; on all 1,024 labelled graphs on five
+    vertices that agrees with five edges and an induced 5-cycle."""
+    checked = holes = 0
+    for g in all_graphs(5):
+        hole = len(g.edges) == 5 and find_induced_c5(g) is not None
+        assert is_c5(g) == hole
+        checked += 1
+        holes += hole
+    assert (checked, holes) == (1024, 12)
+    assert not any(is_c5(Graph.cycle(n)) for n in (3, 4, 6, 7))
 
 
 def prime_perfect_members(n_max: int):
