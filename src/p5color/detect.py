@@ -180,7 +180,8 @@ def _first_p5(
     vertex is the lowest bit of the last candidate mask.
 
     The search set is keep, or with by_component a's component of keep
-    under adj, found with one reach the first time a enters it: a path
+    under adj, found with one reach the first time a enters it (an a
+    outside every component found so far scans none of them): a path
     is connected. The c and e of a path from a are non-adjacent and lie
     in the search set outside N[a], so a is skipped when those vertices
     are pairwise adjacent. The d and e of a path through a, b lie in
@@ -198,18 +199,21 @@ def _first_p5(
     budget nodes charged.
     """
     comps: list[int] = []
+    covered = 0  # the vertices of comps
     comp = 0 if by_component else keep  # a's component, or all of keep
     cand_a = keep
     while cand_a:
         low_a = cand_a & -cand_a
         cand_a ^= low_a
         if not low_a & comp:
-            for comp in comps:
-                if comp & low_a:
-                    break
+            if low_a & covered:
+                for comp in comps:
+                    if comp & low_a:
+                        break
             else:
                 comp = reach(adj, low_a, keep)
                 comps.append(comp)
+                covered |= comp
         a = low_a.bit_length() - 1
         ban_a = adj[a] | low_a
         cand_b = adj[a]

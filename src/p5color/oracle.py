@@ -5,11 +5,14 @@ Every oracle is bounded by its work alone, never by the size or weight
 of its input, and raises CutoffExceeded past WORK_BUDGET reads: an
 oracle must never silently approximate. The chromatic number is the
 unit-weight case of the weighted one: chi_exact is chi_w_exact(g, None).
+Both run one DSATUR branch and bound, whose first dive is the greedy
+DSATUR colouring and whose lower bound is a clique grown from the
+greedy one; it returns as soon as a colouring meets that bound.
 """
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import itertools
 
 from .coloring import MultiColoring, Weights, normalize_weights
@@ -18,13 +21,15 @@ from .graph import Graph, first_clique, iter_bits, substitute
 
 # Reads an oracle may make before it raises CutoffExceeded. In the
 # chromatic branch and bound a saturation scan reads n + 2m; n scans are
-# set aside for the greedy DSATUR pass and each search node makes one. The
-# largest calls measured, 117,439 nodes at n + 2m = 172 in the test suite
-# and 85,751 at 240 in the benchmark's exact cross-checks, read about
-# 2 * 10**7; the benchmark's exact-fallback blocks never branch, as their
-# bounds meet. A refusal on G(80, 0.5) or G(200, 0.3) takes 2-3 s on one
-# core of Python 3.11. A clique or matching search node reads one n-bit
-# row: G(80, 0.9) is refused after 1.25 million clique nodes, in under 1 s.
+# set aside for its first dive, the greedy DSATUR colouring, and each
+# later search node makes one. The largest calls measured, 2,655 nodes at
+# n + 2m = 135 in the test suite and 85,739 at 240 in the benchmark's
+# exact cross-checks, read about 2 * 10**7. A refusal on G(80, 0.5),
+# G(200, 0.3) or G(80, 0.9) takes 1.3-2 s on one core of Python 3.11. A
+# clique or matching search node reads one n-bit row, and the clique
+# bound of the branch and bound may take WORK_BUDGET // n such nodes
+# besides: G(80, 0.9) is refused after 1.25 million clique nodes, in
+# under 1 s.
 WORK_BUDGET = 10**8
 
 
@@ -39,9 +44,13 @@ def chi_exact(g: Graph) -> tuple[int, MultiColoring]:
 
 def _chi_branch_and_bound(g: Graph) -> tuple[int, list[int]]:
     """chi(g) and a colouring with that many colours: the colour of
-    each vertex, numbered from 1. Branch and bound: greedy clique lower
-    bound, DSATUR-ordered branching, initial upper bound from a greedy
-    DSATUR colouring."""
+    each vertex, numbered from 1. Branch and bound with DSATUR-ordered
+    branching and no initial upper bound, so its first dive is the
+    greedy DSATUR colouring. The lower bound is a clique pinned to the
+    first colours: the greedy one, grown one vertex at a time by
+    first_clique within WORK_BUDGET // n nodes; a clique search that
+    runs out keeps the clique reached. The search returns once a
+    colouring meets the bound."""
     n = g.n
     if n == 0:
         return 0, []
@@ -49,19 +58,20 @@ def _chi_branch_and_bound(g: Graph) -> tuple[int, list[int]]:
         return 1, [1] * n
 
     budget = _search_nodes(n, g.m)
-    clique = greedy_clique(g)
+    clique = tuple(sorted(greedy_clique(g)))
+    full, clique_nodes = (1 << n) - 1, [WORK_BUDGET // n]
+    with contextlib.suppress(CutoffExceeded):  # a clique only bounds chi from below
+        while larger := first_clique(g.adj_masks, full, len(clique) + 1, clique_nodes):
+            clique = larger
     lower = len(clique)
     nbrs = [iter_bits(row) for row in g.adj_masks]  # walked at every search node
-    best_k, best = _dsatur_greedy(nbrs)
-    if lower == best_k:
-        return best_k, best
-
     color = [0] * n
-    # symmetry breaking: pin a maximal clique to colors 1..|clique|
-    for i, v in enumerate(sorted(clique)):
+    # symmetry breaking: pin the clique to colors 1..|clique|
+    for i, v in enumerate(clique):
         color[v] = i + 1
 
     order_pool = [v for v in range(n) if color[v] == 0]
+    best_k, best = n + 1, None
     nodes = 0
     used = lower
     # an explicit stack, as the search may go deeper than the recursion
@@ -69,17 +79,20 @@ def _chi_branch_and_bound(g: Graph) -> tuple[int, list[int]]:
     # used above it and its untried colours, the next one last
     path: list[tuple[int, int, list[int]]] = []
     while True:
-        nodes += 1
-        if nodes > budget:
-            raise CutoffExceeded(
-                f"chromatic branch and bound on {n} vertices passed its budget of "
-                f"{budget} search nodes (bounds {lower}..{best_k})"
-            )
+        if best is not None:  # the first dive runs on the scans set aside for it
+            nodes += 1
+            if nodes > budget:
+                raise CutoffExceeded(
+                    f"chromatic branch and bound on {n} vertices passed its budget of "
+                    f"{budget} search nodes (bounds {lower}..{best_k})"
+                )
         if used < best_k:
             v = _most_saturated(nbrs, color, order_pool)
             if v is None:
                 best_k = used
                 best = color.copy()
+                if best_k == lower:
+                    return best_k, best
             else:
                 seen = {color[u] for u in nbrs[v]}
                 limit = min(used + 1, best_k - 1)
@@ -122,27 +135,6 @@ def _most_saturated(nbrs: list[list[int]], color: list[int], pool: list[int]) ->
             best_key = key
             best_v = v
     return best_v
-
-
-def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, list[int]]:
-    """Colour the vertex _most_saturated would pick with the least colour
-    its neighbours leave, until all are coloured. The heap holds a key
-    for each saturation a vertex reaches; a key since passed is stale."""
-    n = len(nbrs)
-    color = [0] * n
-    seen: list[set[int]] = [set() for _ in range(n)]
-    heap = [(0, -len(nbrs[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    while heap:
-        sat, _, v = heapq.heappop(heap)
-        if color[v] or -sat != len(seen[v]):
-            continue
-        color[v] = c = next(free for free in itertools.count(1) if free not in seen[v])
-        for u in nbrs[v]:
-            if not color[u] and c not in seen[u]:
-                seen[u].add(c)
-                heapq.heappush(heap, (-len(seen[u]), -len(nbrs[u]), u))
-    return max(color, default=0), color
 
 
 def greedy_clique(g: Graph) -> frozenset[int]:

@@ -316,10 +316,12 @@ def test_verify_lemma5_has_no_size_cutoff(capsys):
 
 
 def test_verify_oracle_is_bounded_by_work_not_size(capsys, monkeypatch):
-    # --n-max 16 was past the old 10-vertex cap; under a lowered work
+    # --n-max 16 was past the old 10-vertex cap, and at 32 a greedy
+    # clique bound refused a 31-vertex member; under a lowered work
     # budget the exact chi of a larger member is refused as any oracle's is
-    assert main(["verify", "oracle", "--n-max", "16", "--samples", "200", "--seed", "0"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["ok"] is True
+    for n_max in ("16", "32"):
+        assert main(["verify", "oracle", "--n-max", n_max, "--samples", "200", "--seed", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"] is True
     monkeypatch.setattr(oracle, "WORK_BUDGET", 10**4)
     assert main(["verify", "oracle", "--n-max", "20", "--samples", "200", "--seed", "0"]) == EXIT_CUTOFF
     assert capsys.readouterr().err.startswith("cutoff exceeded: chromatic branch and bound")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -865,6 +866,24 @@ def test_search_inside_a_component_matches_the_reference_on_split_kernels():
         split += parts > 1
         assert _vertices(find_induced_p5(g)) == first_p5_reference(g.adj_masks, (1 << g.n) - 1)
     assert split >= 3000 and found >= 1000
+
+
+def test_lone_p5_search_scans_no_component_to_start_a_new_one():
+    """The lone search masks the vertices of the components it has
+    found, so an a outside them all starts a new component with no scan.
+    A perfect matching leaves one vertex of each edge in the twin core,
+    each alone in its component, and a scan over the components found
+    so far made its search quadratic. Interleaved components make every
+    step to the next a a revisit, which still finds a's component: the
+    P5 7-14-0-21-28 among the P4s i, i + 7, i + 14, i + 21 for i = 1..6."""
+    p4s = [(i + 7 * j, i + 7 * j + 7) for i in range(1, 7) for j in range(3)]
+    g = Graph(29, [*p4s, (7, 14), (14, 0), (0, 21), (21, 28)])
+    assert _first_p5(g.adj_masks, (1 << g.n) - 1, by_component=True) == (7, 14, 0, 21, 28)
+    n = 20_000
+    matching = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    start = time.perf_counter()
+    assert find_induced_p5(matching) is None
+    assert time.perf_counter() - start < 2
 
 
 def test_kpe_reject_witnesses_are_pinned():

@@ -57,7 +57,7 @@ C5_K3 = "251ee8e4cba87a57b115ddca593fc2ce1ec18dafb9762a1cd8584826e2a9c4d9"
 STAR_K1_30_P4 = "34487166b8859db0cde46c6dfc8f56c1a29cba0a33d7c02b194c469e1f6cdf77"
 RANDOM_TREES = "2bf7158a45c5afb6b3c36aae38fb9def88434e29f7ebf2585cc8d510cfb9d7d9"
 KPE_CONE = "931f81109b41a8ef612c10433106ee5abdef11570acb834cdb34036443ab6b2e"
-FALLBACK_BLOCK = "f890e2a5f49f8ae3cb4323bc77244037c243a99a3c95c0e7295f9b8fdfae489e"
+FALLBACK_BLOCK = "88020223d0e78dde92b4785aa519e9708962d5791caad214c2bc3b22f5ef677a"
 
 
 def digest(payload) -> str:

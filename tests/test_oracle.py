@@ -85,6 +85,11 @@ def test_chi_w_exact_fixed_cases():
     assert chi_w_exact(Graph.cycle(5), None)[0] == chi_exact(Graph.cycle(5))[0]
     # odd cycle with uniform weight 3: ceil(5*3/2) = 8
     assert chi_w_exact(Graph.cycle(5), {v: 3 for v in range(5)})[0] == 8
+    # the copies of 0 and 9 make a K6 of the 20-vertex blow-up, which a
+    # greedy clique bound of 4 missed
+    g = Graph(10, [(0, 9), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 8), (3, 6), (4, 5), (4, 7)])
+    w = {v: 3 if v in (0, 3, 4, 8, 9) else 1 for v in range(10)}
+    assert chi_w_exact(g, w)[0] == 6
 
 
 def test_chi_w_exact_matches_direct_enumeration():
