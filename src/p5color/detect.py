@@ -53,7 +53,7 @@ so a component map would be pure cost. A skipped first vertex is
 still charged its pairs, and a prefix that tries no d its one node,
 so the prunes only take charges away from the budget below: a
 budgeted search that ended within its budget still does, and fewer
-near-members fall back to the tree.
+near-members fall back to the walk below.
 
 Membership in either class decides the same way. After the twin pass
 each of its k searches gets max(16 * n // k, 128) search nodes, where
@@ -64,26 +64,34 @@ Pairs are charged whether skipped or not: otherwise a member, whose
 search cannot succeed, would spend its budget over more uncharged
 pairs and reach the fallback later. Near-members usually meet a
 witness within it. A search that runs out hands over to the prime
-quotients of the modular decomposition tree, which the {P5, co-P5}
-solver reuses. On a member no search can succeed, and the tree is
-near-linear in n, so the budget is kept linear too: a member pays at
-most about what the fallback costs before reaching it. Take the first
-witness W of a pattern, P5 or co-P5, and the lowest tree node N whose
-span contains W. A child M of N is a module, so W & M is a module of
-G[W], and not all of W as N is lowest; both patterns are prime, so W
-meets M in at most one vertex. N is then prime, since W is connected
-and co-connected and meets at least two children, and W induces the
-same pattern on the quotient of N. The vertex W has in M is min(M):
-the minimum sees the rest of W exactly as that vertex does, and
-swapping it in would give a smaller witness. The node's reps are those
-minima, in increasing order, so W is the smallest of the quotients'
-first witnesses of the pattern mapped through their reps, and the
-quotient stage needs no search of the whole graph afterwards. The
-argument holds for each pattern alone, so the quotient stage runs the
-same searches as the budgeted stage, in the same order. It skips the
-quotients that the same count settles: the P4s, and the 5-cycles and
-bulls, with five edges each, which are most of the prime nodes of a
-generated member.
+quotients that modular.md_walk, the modular decomposition's walk over
+the same core, reaches. On a member no search can succeed, and the
+walk is near-linear in n, so the budget is kept linear too: a member
+pays at most about what the fallback costs before reaching it. Take
+the first witness W of a pattern, P5 or co-P5, and the lowest tree
+node N whose span contains W. A child M of N is a module, so W & M is
+a module of G[W], and not all of W as N is lowest; both patterns are
+prime, so W meets M in at most one vertex. N is then prime, since W is
+connected and co-connected and meets at least two children, and W
+induces the same pattern on the quotient of N. The vertex W has in M
+is min(M): the minimum sees the rest of W exactly as that vertex does,
+and swapping it in would give a smaller witness. The node's reps are
+those minima, in increasing order, so W is the smallest of the
+quotients' first witnesses of the pattern mapped through their reps,
+and the walk needs no search of the whole graph afterwards. Nor does
+it need the whole tree. A witness on the quotient of a node lies in
+the node's span, so it starts at the span's smallest vertex or above;
+once a witness V is found, a span whose smallest vertex exceeds V[0]
+holds none smaller than V, and the walk does not split it. It takes
+children lowest vertex first, so that V comes early. The argument
+holds for each pattern alone: the walk searches each quotient for the
+first pattern as it reaches it, and only when none is found are the
+finished walk's quotients searched for the second, cut the same way. A
+near-member is thus rejected with no tree built; only a member's walk
+is assembled into the tree, which the {P5, co-P5} solver reuses. No
+quotient that the same count settles is searched: the P4s, and the
+5-cycles and bulls, with five edges each, which are most of the prime
+nodes of a generated member.
 """
 
 from __future__ import annotations
@@ -99,7 +107,7 @@ from .graph import Graph, first_clique, iter_bits, reach
 DEFAULT_BERGE_MAX_N = 16
 # a membership check of k P5 / co-P5 searches gives each
 # max(_BUDGET_PER_VERTEX * n // k, _BUDGET_FLOOR) search nodes before it falls
-# back to the prime quotients; linear, like the fallback (see the module
+# back to the decomposition walk; linear, like the fallback (see the module
 # docstring). The floor lets small graphs finish a whole search, which costs
 # them less than the tree. For the {P5, co-P5} pair, 4n each made the
 # near-member benchmark about 10 % slower than 8n, and 16n each kept only
@@ -274,7 +282,7 @@ def _co_p5_in(
 
 
 _P5_COP5 = (_p5_in, _co_p5_in)
-Verdict = tuple[Witness | None, modular.MDTree | None]  # a witness, and the tree if one was built
+Verdict = tuple[Witness | None, modular.MDTree | None]  # a witness, or a member's tree if deciding built it
 
 
 def find_induced_p5(g: Graph) -> Witness | None:
@@ -305,18 +313,18 @@ def _settled(g: Graph, keep: int) -> bool:
 
 def _violation(g: Graph, searches: tuple, twins: modular.Twins | None = None) -> Verdict:
     """The first witness of the first of searches (_p5_in, _co_p5_in)
-    that finds one, and the modular decomposition tree of g when
-    deciding needed it (else None).
+    that finds one, and the modular decomposition tree of g when no
+    search finds one and deciding built the tree (else None).
 
     The searches run on the core of twins, g's twin pass if the caller
     has taken it (else it is taken here), unless _settled rules out a
     witness there, and so in g. Each runs within
     max(_BUDGET_PER_VERTEX * n // len(searches), _BUDGET_FLOOR) search
     nodes; a lone search takes its search sets inside a's component, a
-    pair all of the core. If one runs out, the answer comes from the
-    same searches on the prime quotients of md_tree(g) instead, built on
-    the same pass; that is the same first witness (see the module
-    docstring), so the budget decides only the cost, never the answer.
+    pair all of the core. If one runs out, _walk_violation decides on
+    the same pass instead; that is the same first witness (see the
+    module docstring), so the budget decides only the cost, never the
+    answer.
     """
     twins = twins or modular.twin_core(g.adj_masks, (1 << g.n) - 1)
     if _settled(g, twins[0]):
@@ -329,39 +337,55 @@ def _violation(g: Graph, searches: tuple, twins: modular.Twins | None = None) ->
                 return w, None
         return None, None
     except _BudgetSpent:
-        tree = modular.md_tree(g, twins)
-        return _quotient_violation(tree, searches), tree
+        return _walk_violation(g, twins, searches)
 
 
-def _quotient_violation(tree: modular.MDTree, searches: tuple = _P5_COP5) -> Witness | None:
-    """The first witness of the first of searches that finds one, in the
-    graph whose modular decomposition tree is given, found on its prime
-    quotients alone.
+def _walk_violation(g: Graph, twins: modular.Twins, searches: tuple) -> Verdict:
+    """_violation decided on the prime quotients that modular.md_walk
+    reaches over the core of twins, and the tree, assembled from the
+    walk, when there is no witness.
 
-    Each quotient's first witness is mapped to host vertices through the
-    node's reps, which increase with the quotient index, so the mapping
-    keeps lexicographic order and the smallest mapped tuple over all
-    quotients is the host's first witness (see the module docstring).
-    Quotients that _settled rules out are not searched: one on four
-    vertices is a P4, and the 5-cycle and the bull have five edges.
+    The first search runs on each quotient as the walk reaches it, and
+    once it has found a witness W the walk skips every span whose
+    smallest vertex exceeds W[0]. The other searches run on the finished
+    walk's quotients, skipping such spans the same way. Quotients that
+    _settled rules out are not searched: one on four vertices is a P4,
+    and the 5-cycle and the bull have five edges.
     """
-    primes = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, modular.MDPrime):
-            if not _settled(node.quotient, (1 << node.quotient.n) - 1):
-                primes.append(node)
-        stack.extend(getattr(node, "children", ()))
-    for search in searches:
-        found = [
-            Witness(w.pattern, tuple(node.reps[i] for i in w.vertices))
-            for node in primes
-            if (w := search(node.quotient, (1 << node.quotient.n) - 1)) is not None
-        ]
-        if found:
-            return min(found, key=lambda w: w.vertices)
-    return None
+    best = None  # the smallest witness so far of the search running
+
+    def wanted(span: int) -> bool:  # a witness inside span starts at min(span) or above
+        return best is None or span & -span <= 1 << best.vertices[0]
+
+    walk, primes = [], []  # every split, and those with a quotient to search
+    for split in modular.md_walk(g.adj_masks, twins[0], wanted):
+        walk.append(split)
+        q = split[3]
+        if q is not None and not _settled(q, (1 << q.n) - 1):
+            primes.append(split)
+            best = _smaller(searches[0], split, best)
+    for search in searches[1:]:
+        if best is not None:
+            break
+        for split in primes:
+            if wanted(split[0]):
+                best = _smaller(search, split, best)
+    if best is not None:
+        return best, None
+    return None, modular.md_assemble(g, twins, walk)
+
+
+def _smaller(search, split: modular.Split, best: Witness | None) -> Witness | None:
+    """The smaller of best and the first witness of search on the prime
+    quotient of split, mapped to host vertices through the smallest
+    vertices of its children. These increase with the quotient index, so
+    the mapping keeps lexicographic order."""
+    _, _, parts, q = split
+    w = search(q, (1 << q.n) - 1)
+    if w is None:
+        return best
+    w = Witness(w.pattern, tuple([(parts[i] & -parts[i]).bit_length() - 1 for i in w.vertices]))
+    return w if best is None or w.vertices < best.vertices else best
 
 
 def find_induced_c5(g: Graph) -> Witness | None:

@@ -7,6 +7,14 @@ children come from partition refinement by splitters, which leaves
 only the child containing the smallest vertex to be closed, on a small
 quotient.
 
+Building the tree takes two steps. md_walk splits the spans top-down,
+lazily, lowest child first, and yields each split as plain bitmasks
+and the prime quotient; md_assemble turns a finished walk into node
+objects bottom-up. md_tree runs both. Membership runs the walk alone
+and searches each quotient as it comes, skipping the spans that can
+hold no smaller witness than one found, so a graph it rejects builds
+no nodes, and only a member's walk is assembled, on demand.
+
 The tree is refined on the twin core alone (twin_core, the twin rule
 membership uses too). The vertices it sets aside come back as twin
 class nodes and root leaves, under the normal form's one rule that a
@@ -27,7 +35,7 @@ position, of size linear in the tree's, however deep it is.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .coloring import MultiColoring, Weights, normalize_weights, validate_coloring
@@ -75,9 +83,18 @@ def min_module(adj: Sequence[int], seed: int, within: int) -> int:
     neighborhood bitmasks are adj[v]: add the vertices that see some but
     not all of it, those in the OR of its rows and not in their AND,
     until none is left. Seed, within and the result are bitmasks."""
+    return _closure(adj, seed, within, 0)
+
+
+def _closure(adj: Sequence[int], seed: int, within: int, whole_past: int) -> int:
+    """min_module, which returns within as soon as the module reaches a
+    vertex of whole_past, whose smallest module with a vertex of the seed
+    is known to be all of within."""
     module, add = 0, seed
     some, every = 0, within
     while add:
+        if add & whole_past:
+            return within
         module |= add
         while add:
             low = add & -add
@@ -111,7 +128,9 @@ def _prime_children(adj: Sequence[int], span: int) -> tuple[list[int], list[int]
     of M_v - {v}, M_v the child through v. A part whose rows' OR and AND
     differ outside it is cut by the lowest such splitter. M_v is the
     union of the proper modules through v of the quotient on {v} and the
-    parts.
+    parts. A closure from v and a part stops at the first part it meets
+    whose closure with v was the whole span: a module holding both holds
+    that closure.
     """
     low = span & -span
     rest = span ^ low
@@ -141,12 +160,14 @@ def _prime_children(adj: Sequence[int], span: int) -> tuple[list[int], list[int]
     # quotient vertex i stands for the i-th of them
     q = induced_rows(adj, [(m & -m).bit_length() - 1 for m in [low, *parts]])
     whole = (1 << len(q)) - 1
-    closed = 1
+    closed, out = 1, 0  # quotient vertices inside M_v, and those known outside it
     for i in range(1, len(q)):
         if not closed >> i & 1:  # a merged part's module is inside closed already
-            m = min_module(q, 1 | 1 << i, whole)
+            m = _closure(q, 1 | 1 << i, whole, out)
             if m != whole:
                 closed |= m
+            else:
+                out |= 1 << i
     if closed == 1:
         return [low, *parts], q
     kept = [i for i in range(1, len(q)) if not closed >> i & 1]
@@ -192,14 +213,14 @@ def twin_core(adj: Sequence[int], keep: int) -> Twins:
 
 def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
     """The modular decomposition tree of g, each node's children ordered
-    by smallest vertex.
+    by smallest vertex: md_walk over the twin core (from twins, twin_core
+    over all of g, if the caller has it), then md_assemble.
 
-    Only the twin core of g is refined (from twins, twin_core over all
-    of g, if the caller has it). Each kept vertex with twins stands for
-    its twin class, a parallel node of open twins or a series node of
-    closed ones; the isolated or universal vertices go beside the core's
-    tree under a parallel or series root. A series or parallel node
-    splices in every child of its own kind.
+    Each kept vertex with twins stands for its twin class, a parallel
+    node of open twins or a series node of closed ones; the isolated or
+    universal vertices go beside the core's tree under a parallel or
+    series root. A series or parallel node splices in every child of its
+    own kind.
 
     The tree is the one refining every vertex gives: g is its core with
     each kept vertex substituted by its twin class, a module, set beside
@@ -211,11 +232,51 @@ def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
     """
     if g.n < 1:
         raise ValueError("modular decomposition needs at least one vertex")
-    if g.n == 1:
-        return MDLeaf(0)
+    twins = twins or twin_core(g.adj_masks, (1 << g.n) - 1)
+    return md_assemble(g, twins, list(md_walk(g.adj_masks, twins[0])))
+
+
+Split = tuple[int, type, list[int], Graph | None]  # a span, its kind, its children's spans, a prime quotient
+
+
+def md_walk(adj: Sequence[int], core: int, expand: Callable[[int], bool] | None = None) -> Iterator[Split]:
+    """The refinement of the vertex bitmask core under neighbourhood
+    bitmasks adj, one span at a time in pre-order: each span of at least
+    two vertices as (span, kind, its children's spans by smallest vertex,
+    the quotient on their smallest vertices when the kind is MDPrime,
+    else None). A span splits into its components, else its
+    co-components, else the maximal proper modules of _prime_children.
+
+    The walk is lazy and takes the children lowest vertex first. A span
+    is split only when the walk reaches it, after every split yielded
+    before it has been consumed, and it is skipped with all below it
+    when expand(span) is false.
+    """
+    stack: list[tuple[int, type | None]] = [(core, None)] if core & (core - 1) else []
+    while stack:
+        span, above = stack.pop()
+        if expand is not None and not expand(span):
+            continue
+        # a component is connected and a co-component co-connected
+        quotient, kind = None, MDParallel
+        parts = [span] if above is MDParallel else component_masks(adj, span)
+        if len(parts) == 1:
+            kind = MDSeries
+            parts = [span] if above is MDSeries else co_component_masks(adj, span)
+        if len(parts) == 1:
+            kind = MDPrime
+            parts, rows = _prime_children(adj, span)
+            quotient = Graph._from_masks(rows)
+        yield span, kind, parts, quotient
+        stack += [(p, kind) for p in reversed(parts) if p & (p - 1)]
+
+
+def md_assemble(g: Graph, twins: Twins, walk: Sequence[Split]) -> MDTree:
+    """The tree md_tree(g, twins) returns, built from walk, the whole of
+    md_walk over the core of twins: bottom-up, each span's node from its
+    children's."""
     adj = g.adj_masks
-    full = (1 << g.n) - 1
-    core, twin_of = twins or twin_core(adj, full)
+    core, twin_of = twins
     hung: dict[int, list[int]] = {}  # a kept vertex's twins, or -1's isolated or universal vertices
     for v, twin in twin_of.items():
         hung.setdefault(twin, []).append(v)
@@ -226,22 +287,7 @@ def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
         kind = MDSeries if adj[v] & mask else MDParallel
         built[1 << v] = kind((MDLeaf(v), *map(MDLeaf, vs)), 1 << v | mask)
 
-    order = []  # pre-order (span, kind, child spans, prime quotient rows)
-    stack: list[tuple[int, type | None]] = [(core, None)] if core & (core - 1) else []
-    while stack:
-        span, above = stack.pop()
-        # a component is connected and a co-component co-connected
-        rows, kind = None, MDParallel
-        parts = [span] if above is MDParallel else component_masks(adj, span)
-        if len(parts) == 1:
-            kind = MDSeries
-            parts = [span] if above is MDSeries else co_component_masks(adj, span)
-        if len(parts) == 1:
-            kind = MDPrime
-            parts, rows = _prime_children(adj, span)
-        order.append((span, kind, parts, rows))
-        stack += [(p, kind) for p in parts if p & (p - 1)]
-    for span, kind, parts, rows in reversed(order):
+    for span, kind, parts, quotient in reversed(walk):
         kids, mask = [], span
         for p in parts:
             if p in built:
@@ -251,16 +297,16 @@ def md_tree(g: Graph, twins: Twins | None = None) -> MDTree:
                 kids.append(MDLeaf(p.bit_length() - 1))
         if kind is MDPrime:  # reps: the smallest vertices of the parts, which no twin undercuts
             reps = tuple([(p & -p).bit_length() - 1 for p in parts])
-            built[span] = MDPrime(tuple(kids), mask, Graph._from_masks(rows), reps)
+            built[span] = MDPrime(tuple(kids), mask, quotient, reps)
         else:
             built[span] = _join(kind, kids, mask)
     kids = [*map(MDLeaf, lone)]
     if core:  # the core's tree
         kids.append(built.pop(core) if core in built else MDLeaf(core.bit_length() - 1))
-    if not lone:
+    if len(kids) == 1:
         return kids[0]
     kids.sort(key=_low)
-    return _join(MDSeries if adj[lone[0]] else MDParallel, kids, full)
+    return _join(MDSeries if adj[lone[0]] else MDParallel, kids, (1 << g.n) - 1)
 
 
 def _join(kind: type, kids: list[MDTree], mask: int) -> MDTree:

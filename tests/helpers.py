@@ -21,6 +21,7 @@ from p5color.coloring import MultiColoring, normalize_weights, validate_coloring
 from p5color.detect import Witness, find_class_violation
 from p5color.errors import ParseError, PreconditionError
 from p5color.graph import Graph, bits_of, first_clique, is_clique, is_connected, iter_bits, reach
+from p5color import modular
 from p5color.modular import MDLeaf, MDParallel, MDPrime, MDSeries, MDTree, md_tree, validate_md_tree
 from p5color.pipeline import _all_graphs as all_graphs
 
@@ -729,3 +730,29 @@ def spider(legs: int, thick: bool, head: int = 0) -> Graph:
     edges = [(u, v) for u in core for v in core if u < v]
     edges += [(i, legs + j) for i in range(legs) for j in range(legs) if (i == j) != thick]
     return Graph(2 * legs + head, edges)
+
+
+def counted_passes_walks_and_trees(monkeypatch) -> tuple[list[int], list[int], list[Graph]]:
+    """The core each twin pass keeps, the core each decomposition walk
+    starts from, and each graph a tree is assembled for, in call order,
+    from here on: md_tree walks and assembles too."""
+    passes, walks, trees = [], [], []
+    twin_core, md_walk, md_assemble = modular.twin_core, modular.md_walk, modular.md_assemble
+
+    def counted_pass(adj, keep):
+        twins = twin_core(adj, keep)
+        passes.append(twins[0])
+        return twins
+
+    def counted_walk(adj, core, expand=None):
+        walks.append(core)
+        return md_walk(adj, core, expand)
+
+    def counted_tree(g, twins, walk):
+        trees.append(g)
+        return md_assemble(g, twins, walk)
+
+    monkeypatch.setattr(modular, "twin_core", counted_pass)
+    monkeypatch.setattr(modular, "md_walk", counted_walk)
+    monkeypatch.setattr(modular, "md_assemble", counted_tree)
+    return passes, walks, trees

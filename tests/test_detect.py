@@ -16,9 +16,10 @@ from p5color.detect import (
     _co_p5_in,
     _find_hole,
     _first_p5,
+    _P5_COP5,
     _p5_in,
-    _quotient_violation,
     _settled,
+    _walk_violation,
     find_class_violation,
     find_independent_triple,
     find_induced_c5,
@@ -44,6 +45,7 @@ from helpers import (
     benchmark_instances,
     co_andrasfai,
     contains_induced,
+    counted_passes_walks_and_trees,
     first_hole_reference,
     first_p5_reference,
     kp_minus_e_reference,
@@ -509,10 +511,24 @@ def kernel_violation(g: Graph) -> Witness | None:
     return _p5_in(g, keep) or _co_p5_in(g, keep)
 
 
+def walked(g: Graph, searches: tuple = _P5_COP5) -> tuple:
+    """Membership decided on the lazy decomposition walk, as it is once
+    the budgeted search runs out, with no budgeted search first."""
+    return _walk_violation(g, twin_core(g.adj_masks, (1 << g.n) - 1), searches)
+
+
 def test_quotient_stage_matches_the_kernel_search_on_every_small_graph():
-    for n in range(1, 7):
-        for g in all_graphs(n):
-            assert _quotient_violation(md_tree(g)) == kernel_violation(g)
+    """The walk finds the kernel search's witness and then assembles no
+    tree; without one it assembles md_tree's. Also on P5 and the house
+    each put into vertex 0 of either: the first witness, P5 or co-P5,
+    lies inside the module through vertex 0, whose smallest vertex is
+    that of the root quotient's witness, so the walk must still split
+    it."""
+    house = P5.complement()
+    nested = [substitute(outer, [inner, *[Graph(1)] * 4]) for outer in (P5, house) for inner in (P5, house)]
+    for g in [g for n in range(1, 7) for g in all_graphs(n)] + nested:
+        w = kernel_violation(g)
+        assert walked(g) == (w, None if w else md_tree(g))
 
 
 def test_quotient_stage_matches_the_kernel_search_on_random_graphs():
@@ -521,7 +537,7 @@ def test_quotient_stage_matches_the_kernel_search_on_random_graphs():
     for _ in range(3000):
         g = random_graph(rng.randint(1, 14), rng.random(), rng)
         w = kernel_violation(g)
-        assert _quotient_violation(md_tree(g)) == w
+        assert walked(g)[0] == w
         found += w is not None
     assert found >= 1000
 
@@ -535,7 +551,7 @@ def test_quotient_stage_matches_the_kernel_search_on_every_single_flip():
                 h = Graph(n, g.edges ^ {pair})
                 w = kernel_violation(h)
                 if w is not None:
-                    assert _quotient_violation(md_tree(h)) == w
+                    assert walked(h)[0] == w
                     checked += 1
     assert checked >= 1000
 
@@ -550,11 +566,12 @@ def test_membership_hands_over_the_tree_once_the_budget_runs_out():
         validate_md_tree(g, tree)
 
 
-def test_both_outcomes_of_the_race_on_flipped_members():
+def test_both_outcomes_of_the_race_on_flipped_members(monkeypatch):
     """A near-member whose P5 search after one twin pass ends within
-    max(8n, 128) nodes returns no tree; one whose P5 search runs out
-    returns its co-P5 witness with the tree. Each graph is picked among
-    the n = 40 members by the outcome it stands for."""
+    max(8n, 128) nodes takes no walk; one whose P5 search runs out
+    returns its co-P5 witness from one walk, and assembles no tree. Each
+    graph is picked among the n = 40 members by the outcome it stands
+    for."""
     won = lost = None
     for g in flipped_members((40,)):
         try:
@@ -568,59 +585,57 @@ def test_both_outcomes_of_the_race_on_flipped_members():
                 won = g, w
     assert won is not None and lost is not None
     g, w = won
+    passes, walks, trees = counted_passes_walks_and_trees(monkeypatch)
     assert p5_cop5_violation(g) == (w, None)
-    w, tree = p5_cop5_violation(lost)
-    assert w == kernel_violation(lost) and w.pattern == "co-P5"
-    validate_md_tree(lost, tree)
-
-
-def counted_passes_and_trees(monkeypatch) -> tuple[list[int], list[Graph]]:
-    """The core each twin pass keeps and each graph md_tree is built
-    for, in call order, from here on."""
-    passes, trees = [], []
-
-    def counted_pass(adj, keep):
-        twins = twin_core(adj, keep)
-        passes.append(twins[0])
-        return twins
-
-    def counted_tree(g, twins=None):
-        trees.append(g)
-        return md_tree(g, twins)
-
-    monkeypatch.setattr(detect.modular, "twin_core", counted_pass)
-    monkeypatch.setattr(detect.modular, "md_tree", counted_tree)
-    return passes, trees
+    assert (len(passes), walks, trees) == (1, [], [])
+    passes.clear()
+    assert p5_cop5_violation(lost) == (kernel_violation(lost), None)
+    assert kernel_violation(lost).pattern == "co-P5"
+    assert (len(passes), len(walks), trees) == (1, 1, [])
 
 
 def test_each_membership_entry_takes_one_twin_pass(monkeypatch):
     """The alternating threshold graph is a cograph whose twin pass keeps
     all but two vertices: each entry point takes one pass, runs out of
-    budget and finds no witness on the tree, which has no prime node."""
+    budget, walks the core once and finds no witness, as the walk meets
+    no prime node, and assembles the one tree, which validates."""
     g = alternating_threshold(200)
-    passes, trees = counted_passes_and_trees(monkeypatch)
-    for entry in (lambda g: p5_cop5_violation(g)[0], find_induced_p5, find_induced_co_p5):
+    passes, walks, trees = counted_passes_walks_and_trees(monkeypatch)
+    verdicts = []
+    for entry in (p5_cop5_violation, find_induced_p5, find_induced_co_p5):
         passes.clear()
+        walks.clear()
         trees.clear()
-        assert entry(g) is None
-        assert len(passes) == 1 and trees == [g]
+        verdicts.append(entry(g))
+        assert len(passes) == 1 and walks == passes and trees == [g]
+    (w, tree), p5, co_p5 = verdicts
+    assert w is p5 is co_p5 is None
+    validate_md_tree(g, tree)
 
 
 def test_budgeted_membership_matches_the_unbudgeted_kernel_search(monkeypatch):
+    """Budget or walk, the witness is the kernel search's. Each call
+    walks at most once, and assembles a tree only when it walked and
+    found no witness: that tree validates."""
     rng = random.Random(15)
     graphs = list(flipped_members((20, 40, 80), range(20)))
     graphs += [random_graph(rng.randint(1, 40), rng.random(), rng) for _ in range(500)]
-    _, trees = counted_passes_and_trees(monkeypatch)
+    _, walks, trees = counted_passes_walks_and_trees(monkeypatch)
     handed_over = Counter()
     for g in graphs:
+        walks.clear()
+        trees.clear()
         w, tree = p5_cop5_violation(g)
-        assert w == kernel_violation(g)
-        handed_over["p5-cop5"] += tree is not None
+        assert w == kernel_violation(g) and len(walks) <= 1
+        assert trees == ([g] if walks and w is None else [])
+        if tree is not None:
+            validate_md_tree(g, tree)
+        handed_over["p5-cop5"] += len(walks)
         keep = kept(g)
         for find, search in ((find_induced_p5, _p5_in), (find_induced_co_p5, _co_p5_in)):
-            trees.clear()
-            assert find(g) == search(g, keep)
-            handed_over[find.__name__] += len(trees)
+            walks.clear()
+            assert find(g) == search(g, keep) and len(walks) <= 1
+            handed_over[find.__name__] += len(walks)
     assert handed_over["p5-cop5"] >= 40
     assert handed_over["find_induced_p5"] >= 20 and handed_over["find_induced_co_p5"] >= 20
 
@@ -654,9 +669,10 @@ def spied_searches(searched: list) -> tuple:
 
 
 def test_quotient_stage_searches_no_5_cycle():
-    """No quotient the count settles is searched: the P4s, and the
-    5-cycles and bulls, which have neither the four edges of P5 nor the
-    six of co-P5. The witness is still the kernel search's."""
+    """No quotient the walk reaches and the count settles is searched:
+    the P4s, and the 5-cycles and bulls, which have neither the four
+    edges of P5 nor the six of co-P5. The witness is still the kernel
+    search's."""
     searched = []
     searches = spied_searches(searched)
     near = {
@@ -674,10 +690,9 @@ def test_quotient_stage_searches_no_5_cycle():
         substitute(_BULL, [Graph.complete(3)] * 5),
         *near.values(),
     ):
-        tree = md_tree(g)
-        assert any(is_c5(q) or is_bull(q) for q in prime_quotients(tree))
+        assert any(is_c5(q) or is_bull(q) for q in prime_quotients(md_tree(g)))
         searched.clear()
-        assert _quotient_violation(tree, searches) == kernel_violation(g)
+        assert walked(g, searches)[0] == kernel_violation(g)
         assert all(q.n > 5 or len(q.edges) in (4, 6) for q in searched)
     assert searched  # the last near-member's other prime quotients were searched
 
@@ -902,7 +917,7 @@ def test_kpe_reject_witnesses_are_pinned():
 
 def test_budgeted_membership_builds_no_component_map(monkeypatch):
     """The budgeted searches and the quotient stage keep the global far
-    set. At most 56 of these 120 near-members fall back to the tree: a
+    set. At most 56 of these 120 near-members fall back to the walk: a
     change to the search may lower that count, never raise it."""
     calls = []
 
@@ -911,8 +926,11 @@ def test_budgeted_membership_builds_no_component_map(monkeypatch):
         return reach(*args)
 
     monkeypatch.setattr(detect, "reach", counted)
-    handed_over = sum(p5_cop5_violation(g)[1] is not None for g in flipped_members((20, 40, 80)))
-    assert calls == [] and 0 < handed_over <= 56
+    graphs = list(flipped_members((20, 40, 80)))  # generating checks membership too
+    _, walks, _ = counted_passes_walks_and_trees(monkeypatch)
+    for g in graphs:
+        p5_cop5_violation(g)
+    assert calls == [] and 0 < len(walks) <= 56
     assert find_induced_p5(_cone([Graph.cycle(11).complement()] * 2)) is None
     assert len(calls) == 2  # one per block of the cone's kernel
 
@@ -921,9 +939,9 @@ def test_a_cone_over_co_odd_cycles_takes_one_twin_pass(monkeypatch):
     """The pass takes only the apex, so the blocks fall apart, and the P5
     search inside each block ends within its budget, also with a vertex
     hanging off the apex alone, which the pass keeps."""
-    passes, trees = counted_passes_and_trees(monkeypatch)
+    passes, walks, trees = counted_passes_walks_and_trees(monkeypatch)
     blocks = [Graph.cycle(11).complement(), Graph.cycle(13).complement()]
     for g in (_cone(blocks), _cone([*blocks, Graph(1)])):
         passes.clear()
         assert find_induced_p5(g) is None
-        assert passes == [(1 << g.n) - 2] and trees == []
+        assert passes == [(1 << g.n) - 2] and walks == trees == []

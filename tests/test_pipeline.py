@@ -18,7 +18,7 @@ from p5color.detect import (
 from p5color.errors import CutoffExceeded, NotInClass, PreconditionError
 from p5color.graph import Graph, iter_bits, substitute, to_dimacs
 from p5color import modular
-from p5color.modular import md_tree, md_tree_to_json, twin_core, validate_md_tree
+from p5color.modular import md_tree, md_tree_to_json, validate_md_tree
 from p5color.oracle import chi_exact, chi_w_exact
 from p5color.pipeline import (
     ROUTE_EXACT_FALLBACK,
@@ -33,7 +33,7 @@ from p5color.pipeline import (
 )
 from p5color.prime import ROUTE_PERFECT_EXACT, ROUTE_PRIME_C5, chi_w_perfect
 
-from helpers import benchmark_workloads, contains_induced, fallback_block, random_graph
+from helpers import benchmark_workloads, contains_induced, counted_passes_walks_and_trees, fallback_block, random_graph
 
 BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -335,55 +335,58 @@ def test_large_cop5_members_generate_and_solve(n):
 
 
 def test_cop5_solve_builds_one_tree(monkeypatch):
-    built = []
-
-    def counted(g, twins=None):
-        built.append(g.n)
-        return md_tree(g, twins)
-
-    monkeypatch.setattr(modular, "md_tree", counted)
+    """One walk and one tree per solve, whether membership settles the
+    5-cycle by its count, so that the solver builds the tree, or spends
+    its budget on the larger members and walks, so that the solver
+    reuses the tree membership assembled."""
+    _, walks, trees = counted_passes_walks_and_trees(monkeypatch)
     for g in (Graph.cycle(5), gen_p5_cop5(40, 1), gen_p5_cop5(200, 2)):
-        built.clear()
+        assert (p5_cop5_violation(g)[1] is None) == (g.n == 5)
+        walks.clear()
+        trees.clear()
         report = solve_p5_cop5(g)
-        assert built == [g.n]
+        assert len(walks) == 1 and trees == [g]
         assert report.decomposition == md_tree_to_json(md_tree(g))
 
 
-def rejected_with_a_tree() -> Graph:
+def rejected_on_the_walk(walks: list[int]) -> Graph:
     """The first gen_p5_cop5(40, 0) with one pair flipped that is no
-    member and whose membership search spends its budget, so it is
-    decided on the tree."""
+    member and whose membership search spends its budget, so that it is
+    decided on the walk, which walks records."""
     g = gen_p5_cop5(40, 0)
     for pair in itertools.combinations(range(g.n), 2):
         h = Graph(g.n, g.edges ^ {pair})
-        w, tree = p5_cop5_violation(h)
-        if w is not None and tree is not None:
+        walks.clear()
+        if p5_cop5_violation(h)[0] is not None and walks:
             return h
-    raise AssertionError("no flipped pair is decided on the tree")
+    raise AssertionError("no flipped pair is decided on the walk")
 
 
 def test_cop5_solve_and_membership_take_one_twin_pass(monkeypatch):
-    """One twin pass per solve and per membership check, whether the
-    search spends its budget (n = 80), ends within it (C5[K3]) or
-    rejects on the tree (the flipped near-member)."""
-    passes = []
-
-    def counted(adj, keep):
-        passes.append(keep)
-        return twin_core(adj, keep)
-
-    monkeypatch.setattr(modular, "twin_core", counted)
-    c5_k3 = substitute(Graph.cycle(5), [Graph.complete(3)] * 5)
-    near = rejected_with_a_tree()
-    for g in (gen_p5_cop5(80, 0), c5_k3, near):
+    """One twin pass and at most one walk per solve and per membership
+    check, whether the search spends its budget (n = 80), ends within it
+    (C5[K3]) or rejects on the walk (the flipped near-member). Only the
+    member that walks assembles its tree in membership, and the
+    near-member assembles none."""
+    passes, walks, trees = counted_passes_walks_and_trees(monkeypatch)
+    member, c5_k3 = gen_p5_cop5(80, 0), substitute(Graph.cycle(5), [Graph.complete(3)] * 5)
+    near = rejected_on_the_walk(walks)
+    for g in (member, c5_k3, near):
         passes.clear()
+        walks.clear()
+        trees.clear()
         try:
             solve_p5_cop5(g)
         except NotInClass:
             assert g is near
-        assert len(passes) == 1
+        assert len(passes) == len(walks) == 1 and trees == ([] if g is near else [g])
         passes.clear()
+        walks.clear()
+        trees.clear()
         find_class_violation(g, "p5-cop5")
-        assert len(passes) == 1
-    assert p5_cop5_violation(gen_p5_cop5(80, 0))[1] is not None
+        assert len(passes) == 1 and len(walks) == (g is not c5_k3)
+        assert trees == ([g] if g is member else [])
+    w, tree = p5_cop5_violation(member)
+    assert w is None
+    validate_md_tree(member, tree)
     assert p5_cop5_violation(c5_k3) == (None, None)
